@@ -2,16 +2,17 @@
 
 Subcommands
 -----------
-solve     one (delta, alpha, eps) triple, errors printed and appended to CSV
+solve     one (delta, alpha, eps) triple, errors printed (no files written)
 table     iteration-count grid over (alpha, eps)
 rates     noise sweep under the configured or preset schedules
 spectrum  dense preconditioned spectrum on a coarse mesh
 verify    analytic property suite (band measure, integral orders, adjoint,
           trace/Poincare uniformity); exit code 0 iff all checks pass
 
-Every subcommand accepts --config FILE (INI) and repeated --set
-section.key=value overrides; command-line values win over the file.  The
-rates/table subcommands also accept --preset fig7|fig8.
+Every subcommand but verify accepts --config FILE (INI) and repeated
+--set section.key=value overrides; command-line values win over the file.
+The rates/table subcommands also accept --preset fig7|fig8.  An unknown
+key or unusable value is reported as one line on stderr, exit code 2.
 """
 
 from __future__ import annotations
@@ -99,8 +100,12 @@ def cmd_rates(args):
         print(f"delta={r.delta:<12g} alpha={r.alpha:<10g} eps={r.epsilon:<8g}"
               f" iters={r.iterations:<4d} u_err={err:.6e}")
     label = args.preset or "rates"
-    print(f"u-slope {res.u_fit.slope:.3f} (r2={res.u_fit.r_squared:.3f})"
-          + (f", v-slope {res.v_fit.slope:.3f}" if res.v_fit.defined else ""))
+    u_fit, v_fit = res.u_fit, res.v_fit
+    if u_fit.defined:
+        print(f"u-slope {u_fit.slope:.3f} (r2={u_fit.r_squared:.3f})"
+              + (f", v-slope {v_fit.slope:.3f}" if v_fit.defined else ""))
+    else:
+        print(f"u-slope undefined ({u_fit.n_points} points)")
     from .inversion import truth_fixture_csv
     fixture = truth_fixture_csv(ws.truth, ws.sharp_solver)
     xp.emit_outputs(cfg.out_dir, cfg, rates={label: res}, truth_csv=fixture)
@@ -166,11 +171,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="analytic property suite")
-    _common(p)
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except xp.ConfigError as err:
+        print(f"ddcauchy: config error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ spectrum  dense preconditioned spectrum on a coarse mesh, band detection
 solve     a single (delta, alpha, eps) triple
 
 Configuration is a flat INI file with sections [geometry], [mesh],
-[solver], [truth], [study], [output]; every value can be overridden from
-the command line.  The file is echoed verbatim into the output directory
-and every result row carries its full parameter tuple, so runs are
-reproducible byte-for-byte from (config, seed).
+[solver], [truth], [study], [output] and the keys of SCHEMA; every value
+can be overridden from the command line, and an unknown key or unusable
+value raises ConfigError at load, before anything is built.  The file
+is echoed verbatim into the output directory and every result row
+carries its full parameter tuple, so runs are reproducible
+byte-for-byte from (config, seed).
 
 The named presets "fig7" and "fig8" pin the reference schedule constants
 (alpha = delta/2 with eps = 0.25 delta^nu, and alpha = 2 delta^(2/3) with
@@ -24,9 +26,8 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
@@ -35,114 +36,102 @@ from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         error_norms, extend_data, sharp_error)
-from .mesh import build_background, mesh_annulus, quadrature, refine_band
-from .saddle import RieszPreconditioner, build_system, detect_bands, spectrum
+from .mesh import (MAX_BAND_LEVELS, build_background, levels_for,
+                   mesh_annulus, quadrature, refine_band)
+from .saddle import (DENSE_SPECTRUM_CAP, RieszPreconditioner, build_system,
+                     detect_bands, spectrum)
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
-DEFAULTS = {
-    "geometry": {
-        "r_inner": "0.3",
-        "r_outer": "1.0",
-        "split_radius": "0.65",
-        "sigma_t": "1.0",
-        "sigma_r": "0.3",
-    },
-    "mesh": {
-        "h0": "0.1",
-        "max_levels": "6",
-        "quad_degree": "2",
-        "subdivision": "4",
-        "sharp_n_angular": "192",
-        "sharp_n_radial": "48",
-    },
-    "solver": {
-        "rho": "1e-10",
-        "max_iter": "2000",
-        "mode": "exact",
-        "dense_cap": "4000",
-    },
-    "truth": {
-        # source density on the outer boundary, kind:k:coef terms
-        "series": "cos:2:1.0, sin:3:0.5",
-        "amplitude": "1.0",
-    },
-    "study": {
-        "kind": "rates",
-        # table study
-        "alphas": "1.0, 0.1, 0.01, 0.001, 0.0001",
-        "epsilons": "0.25, 0.125, 0.0625, 0.03125, 0.015625",
-        "table_delta": "0.001",
-        # rate study: alpha = alpha_coef * delta^alpha_exp, same for eps;
-        # eps_coef = 0 selects the sharp mesh
-        "deltas": "0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, "
-                  "0.001953125, 0.0009765625",
-        "alpha_coef": "0.5",
-        "alpha_exp": "1.0",
-        "eps_coef": "0.25",
-        "eps_exp": "0.5",
-        # spectrum study
-        "alpha": "1e-4",
-        "epsilon": "0.125",
-        "spectrum_h0": "0.08",
-    },
-    "output": {
-        "directory": "out",
-        "seed": "1234",
-    },
-}
 
-
-@dataclass
-class ExperimentConfig:
-    """Typed view of the INI configuration."""
-
-    geometry: AnnulusGeometry
-    tensor: ConductivityTensor
-    h0: float
-    max_levels: int
-    quad_degree: int
-    subdivision: int
-    sharp_n_angular: int
-    sharp_n_radial: int
-    rho: float
-    max_iter: int
-    mode: str
-    dense_cap: int
-    truth_series: AngularSeries
-    study_kind: str
-    alphas: list
-    epsilons: list
-    table_delta: float
-    deltas: list
-    alpha_coef: float
-    alpha_exp: float
-    eps_coef: float
-    eps_exp: float
-    spec_alpha: float
-    spec_epsilon: float
-    spectrum_h0: float
-    out_dir: str
-    seed: int
-    raw_text: str = ""
-
-
-def _parse_series(text: str, amplitude: float) -> AngularSeries:
-    terms = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        kind, k, coef = piece.split(":")
-        terms.append((kind.strip(), int(k), float(coef) * amplitude))
-    return AngularSeries.of(*terms)
+class ConfigError(ValueError):
+    """Unknown or unusable configuration; the message names the key."""
 
 
 def _floats(text: str) -> list:
     return [float(p) for p in text.split(",") if p.strip()]
+
+
+def _series(text: str) -> AngularSeries:
+    """Comma-separated kind:wavenumber:coefficient terms."""
+    terms = []
+    for piece in filter(None, (p.strip() for p in text.split(","))):
+        parts = piece.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"term {piece!r} is not kind:wavenumber:coef")
+        kind, k, coef = parts
+        terms.append((kind.strip(), int(k), float(coef)))
+    return AngularSeries.of(*terms)
+
+
+def _require(test, what: str):
+    def check(value):
+        if not test(value):
+            raise ValueError(f"must be {what}")
+    return check
+
+
+_POSITIVE = _require(lambda x: x > 0.0, "> 0")
+_NONEMPTY = _require(len, "a non-empty list")
+
+# One row per settable key: (dotted key, attribute, parser, default, check).
+# The INI defaults, the ExperimentConfig fields and the typing done by
+# load_config all come from this table.
+SCHEMA = (
+    ("geometry.r_inner", "r_inner", float, "0.3", None),
+    ("geometry.r_outer", "r_outer", float, "1.0", None),
+    ("geometry.split_radius", "split_radius", float, "0.65", None),
+    ("geometry.sigma_t", "sigma_t", float, "1.0", None),
+    ("geometry.sigma_r", "sigma_r", float, "0.3", None),
+    ("mesh.h0", "h0", float, "0.1", _POSITIVE),
+    ("mesh.max_levels", "max_levels", int, str(MAX_BAND_LEVELS), None),
+    ("mesh.quad_degree", "quad_degree", int, "2", None),
+    ("mesh.subdivision", "subdivision", int, "4", None),
+    ("mesh.sharp_n_angular", "sharp_n_angular", int, "192", None),
+    ("mesh.sharp_n_radial", "sharp_n_radial", int, "48", None),
+    ("solver.rho", "rho", float, "1e-10",
+     _require(lambda x: 0.0 < x < 1.0, "in (0, 1)")),
+    ("solver.max_iter", "max_iter", int, "2000", None),
+    ("solver.mode", "mode", str, "exact",
+     _require(lambda m: m in ("exact", "gauss-seidel"),
+              "exact or gauss-seidel")),
+    ("solver.dense_cap", "dense_cap", int, str(DENSE_SPECTRUM_CAP), None),
+    # source density on the outer boundary, scaled by the amplitude
+    ("truth.series", "series", _series, "cos:2:1.0, sin:3:0.5", None),
+    ("truth.amplitude", "amplitude", float, "1.0", None),
+    ("study.kind", "study_kind", str, "rates", None),
+    # table study
+    ("study.alphas", "alphas", _floats, "1.0, 0.1, 0.01, 0.001, 0.0001",
+     _NONEMPTY),
+    ("study.epsilons", "epsilons", _floats,
+     "0.25, 0.125, 0.0625, 0.03125, 0.015625", _NONEMPTY),
+    ("study.table_delta", "table_delta", float, "0.001", None),
+    # rate study: alpha = alpha_coef * delta^alpha_exp, same for eps;
+    # eps_coef = 0 selects the sharp mesh
+    ("study.deltas", "deltas", _floats,
+     "0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.001953125, "
+     "0.0009765625", _NONEMPTY),
+    ("study.alpha_coef", "alpha_coef", float, "0.5", None),
+    ("study.alpha_exp", "alpha_exp", float, "1.0", None),
+    ("study.eps_coef", "eps_coef", float, "0.25", None),
+    ("study.eps_exp", "eps_exp", float, "0.5", None),
+    # spectrum study
+    ("study.alpha", "spec_alpha", float, "1e-4", None),
+    ("study.epsilon", "spec_epsilon", float, "0.125", None),
+    ("study.spectrum_h0", "spectrum_h0", float, "0.08", _POSITIVE),
+    ("output.directory", "out_dir", str, "out", None),
+    ("output.seed", "seed", int, "1234", None),
+)
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [row[1] for row in SCHEMA]
+    + ["geometry", "tensor", "truth_series", "raw_text"],
+    namespace={"__doc__": "Typed view of the INI configuration: one field "
+               "per SCHEMA row, the objects built from them and the echo."})
 
 
 def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
@@ -150,61 +139,55 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
 
     Overrides use dotted keys, e.g. {"study.kind": "table"}.  Flag values
     take precedence over the file, which takes precedence over defaults.
+    Raises ConfigError for an unknown key or an unusable value.
     """
+    known = {row[0] for row in SCHEMA}
     parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
+    for key, _, _, default, _ in SCHEMA:
+        section, option = key.split(".")
+        parser.read_dict({section: {option: default}})
+    sections = parser.sections()
     if path is not None:
         with open(path) as fh:
             parser.read_file(fh)
+    for section in parser.sections():
+        for option in parser[section]:
+            if f"{section}.{option}" not in known:
+                raise ConfigError(f"{section}.{option}: unknown config key")
+        if section not in sections:
+            raise ConfigError(f"[{section}]: unknown config section")
     for key, value in (overrides or {}).items():
-        section, option = key.split(".", 1)
-        if not parser.has_section(section):
-            parser.add_section(section)
+        section, _, option = key.partition(".")
+        if f"{section}.{parser.optionxform(option)}" not in known:
+            raise ConfigError(f"{key}: unknown config key")
         parser.set(section, option, str(value))
     echo = io.StringIO()
     parser.write(echo)
 
-    geo = AnnulusGeometry(
-        r_inner=parser.getfloat("geometry", "r_inner"),
-        r_outer=parser.getfloat("geometry", "r_outer"),
-        split_radius=parser.getfloat("geometry", "split_radius"),
-    )
-    tensor = ConductivityTensor(
-        sigma_t=parser.getfloat("geometry", "sigma_t"),
-        sigma_r=parser.getfloat("geometry", "sigma_r"),
-    )
-    series = _parse_series(parser.get("truth", "series"),
-                           parser.getfloat("truth", "amplitude"))
+    values = {}
+    for key, attr, parse, _, check in SCHEMA:
+        text = parser.get(*key.split("."))
+        try:
+            values[attr] = parse(text)
+            if check is not None:
+                check(values[attr])
+        except ValueError as err:
+            raise ConfigError(f"{key} = {text!r}: {err}") from None
+    try:
+        geometry = AnnulusGeometry(values["r_inner"], values["r_outer"],
+                                   values["split_radius"])
+    except ValueError as err:
+        raise ConfigError(f"geometry.r_inner, geometry.split_radius, "
+                          f"geometry.r_outer: {err}") from None
+    try:
+        tensor = ConductivityTensor(values["sigma_t"], values["sigma_r"])
+    except ValueError as err:
+        raise ConfigError(f"geometry.sigma_t, geometry.sigma_r: "
+                          f"{err}") from None
     return ExperimentConfig(
-        geometry=geo,
-        tensor=tensor,
-        h0=parser.getfloat("mesh", "h0"),
-        max_levels=parser.getint("mesh", "max_levels"),
-        quad_degree=parser.getint("mesh", "quad_degree"),
-        subdivision=parser.getint("mesh", "subdivision"),
-        sharp_n_angular=parser.getint("mesh", "sharp_n_angular"),
-        sharp_n_radial=parser.getint("mesh", "sharp_n_radial"),
-        rho=parser.getfloat("solver", "rho"),
-        max_iter=parser.getint("solver", "max_iter"),
-        mode=parser.get("solver", "mode"),
-        dense_cap=parser.getint("solver", "dense_cap"),
-        truth_series=series,
-        study_kind=parser.get("study", "kind"),
-        alphas=_floats(parser.get("study", "alphas")),
-        epsilons=_floats(parser.get("study", "epsilons")),
-        table_delta=parser.getfloat("study", "table_delta"),
-        deltas=_floats(parser.get("study", "deltas")),
-        alpha_coef=parser.getfloat("study", "alpha_coef"),
-        alpha_exp=parser.getfloat("study", "alpha_exp"),
-        eps_coef=parser.getfloat("study", "eps_coef"),
-        eps_exp=parser.getfloat("study", "eps_exp"),
-        spec_alpha=parser.getfloat("study", "alpha"),
-        spec_epsilon=parser.getfloat("study", "epsilon"),
-        spectrum_h0=parser.getfloat("study", "spectrum_h0"),
-        out_dir=parser.get("output", "directory"),
-        seed=parser.getint("output", "seed"),
-        raw_text=echo.getvalue(),
-    )
+        **values, geometry=geometry, tensor=tensor,
+        truth_series=values["series"].scaled(values["amplitude"]),
+        raw_text=echo.getvalue())
 
 
 # Reference schedule constants for the two named rate studies.  The fig8
@@ -245,13 +228,6 @@ def apply_preset(name: str, overrides: dict = None) -> dict:
 # ---------------------------------------------------------------------------
 # Shared machinery
 # ---------------------------------------------------------------------------
-
-
-def levels_for(eps: float, h0: float, max_levels: int) -> int:
-    """Band refinement depth so band triangles resolve eps (h_band <= eps)."""
-    if eps >= h0:
-        return 0
-    return min(max_levels, int(math.ceil(math.log2(h0 / eps))))
 
 
 @dataclass

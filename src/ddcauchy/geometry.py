@@ -2,9 +2,8 @@
 
 The computational domain is the annulus D = {r_inner < |x| < r_outer}
 embedded in a bounding box.  All geometric quantities (signed distance,
-phase field, interface weights, closest boundary points, constant-normal
-extensions) are evaluated analytically from the radii; nothing is ever
-interpolated from a mesh.
+phase field, interface weights, closest boundary points) are evaluated
+analytically from the radii; nothing is ever interpolated from a mesh.
 
 Conventions:
     d(x)      signed distance to the annulus boundary, negative inside D
@@ -110,10 +109,6 @@ class PhaseField:
         gradmag = np.where(np.abs(d) < self.epsilon, 0.5 / self.epsilon, 0.0)
         return phi, omega, gradmag
 
-    def in_band(self, points) -> np.ndarray:
-        d = self.geometry.signed_distance(points)
-        return np.abs(d) < self.epsilon
-
     def closest_boundary_point(self, points):
         """Project band points radially onto the nearest boundary circle.
 
@@ -141,23 +136,6 @@ class PhaseField:
         if single:
             return xbar[0], float(d[0])
         return xbar, d
-
-    def extend_constant(self, boundary_values, which: str, points):
-        """Constant-normal extension E_H / E_B of a boundary function.
-
-        ``boundary_values`` is a callable of the polar angle theta.  Points
-        must lie in the band where the matching weight gamma_which is one.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        gamma = self.geometry.boundary_weight(which, pts)
-        if np.any(gamma == 0.0):
-            raise BandError(f"point(s) outside the gamma_{which} = 1 region")
-        xbar, _ = self.closest_boundary_point(pts)
-        theta = np.arctan2(xbar[:, 1], xbar[:, 0])
-        vals = np.asarray(boundary_values(theta), dtype=float)
-        if np.asarray(points).ndim == 1:
-            return float(vals[0])
-        return vals
 
 
 @dataclass(frozen=True)
@@ -246,33 +224,12 @@ def band_integral(field: PhaseField, g, which: str, n_theta: int = 256,
 
 def bulk_integral(field: PhaseField, g, n_theta: int = 256,
                   n_radial: int = 24) -> float:
-    """Quadrature of int g(x) omega(x) dx over the support of omega.
-
-    The radial axis is split at every kink of omega (band edges) so each
-    piece is smooth; Gauss-Legendre is applied per piece.
-    """
+    """Quadrature of int g(x) omega(x) dx over the support of omega:
+    ring_diffuse_integral over r_inner - eps < r < r_outer + eps."""
     geo = field.geometry
-    eps = field.epsilon
-    breaks = np.array([
-        geo.r_inner - eps, geo.r_inner + eps,
-        geo.r_outer - eps, geo.r_outer + eps,
-    ])
-    gl_t, gl_w = np.polynomial.legendre.leggauss(n_radial)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    wt = 2.0 * np.pi / n_theta
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi <= lo:
-            continue
-        rr = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gl_t
-        wr = 0.5 * (hi - lo) * gl_w
-        R, T = np.meshgrid(rr, theta, indexing="ij")
-        pts = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
-        _, omega, _ = field.phase_and_weights(pts)
-        vals = np.asarray(g(pts), dtype=float)
-        integrand = (vals * omega).reshape(len(rr), n_theta)
-        total += float(np.einsum("i,ij,ij->", wr, integrand, R) * wt)
-    return total
+    return ring_diffuse_integral(field, g, geo.r_inner - field.epsilon,
+                                 geo.r_outer + field.epsilon, n_theta,
+                                 n_radial)
 
 
 def ring_diffuse_integral(field: PhaseField, g, r_lo: float, r_hi: float,
@@ -320,10 +277,3 @@ def annulus_integral(geometry: AnnulusGeometry, g, n_theta: int = 256,
     pts = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
     vals = np.asarray(g(pts), dtype=float).reshape(len(rr), n_theta)
     return float(np.einsum("i,ij,ij->", wr, vals, R) * wt)
-
-
-def circle_integral(radius: float, g_theta, n_theta: int = 512) -> float:
-    """Line integral over a circle of a function of the angle."""
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    vals = np.asarray(g_theta(theta), dtype=float)
-    return float(vals.sum() * (2.0 * np.pi / n_theta) * radius)

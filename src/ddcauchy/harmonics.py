@@ -207,13 +207,3 @@ def synthesize_truth(geometry: AnnulusGeometry, tensor: ConductivityTensor,
     f_series = v_field.trace_series(geometry.r_outer)
     return GroundTruth(geometry, tensor, w, u_series, f_series,
                        v_field, p_field)
-
-
-def forward_gain(geometry: AnnulusGeometry, tensor: ConductivityTensor,
-                 kind: str, k: int) -> float:
-    """Trace amplitude of F applied to a unit mode on the inner circle."""
-    f = solve_forward_modes(geometry, tensor, AngularSeries.of((kind, k, 1.0)))
-    return f.trace_series(geometry.r_outer).terms[0].coef
-
-
-DEFAULT_SOURCE = AngularSeries.of(("cos", 2, 1.0), ("sin", 3, 0.5))

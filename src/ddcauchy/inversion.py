@@ -155,33 +155,33 @@ def _periodic_interp(theta: np.ndarray, sample_angles: np.ndarray,
     return np.interp(t, ang_ext, val_ext)
 
 
+def _extend_constant(band_mass: sp.spmatrix, mesh, values_at) -> np.ndarray:
+    """Constant-normal extension onto the nodes supporting a band mass.
+
+    Each node takes the boundary value at its closest boundary point,
+    which lies on the same ray, so ``values_at`` is evaluated at the
+    node's polar angle; zero elsewhere.
+    """
+    nodes = np.flatnonzero(band_mass.diagonal() > 0.0)
+    pts = mesh.vertices[nodes]
+    out = np.zeros(mesh.num_vertices)
+    out[nodes] = values_at(np.arctan2(pts[:, 1], pts[:, 0]))
+    return out
+
+
 def extend_data(f_values: np.ndarray, sample_angles: np.ndarray,
                 ops: OperatorSet) -> np.ndarray:
-    """Constant-normal extension of outer-boundary data into the B-band.
-
-    Nodal values at vertices supporting the B-band mass are set by
-    angular interpolation of f at the closest boundary point (which has
-    the same polar angle); zero elsewhere.
-    """
-    diag = ops.b_b.diagonal()
-    nodes = np.flatnonzero(diag > 0.0)
-    out = np.zeros(ops.mesh.num_vertices)
-    pts = ops.mesh.vertices[nodes]
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    out[nodes] = _periodic_interp(theta, sample_angles, f_values)
-    return out
+    """Extension of nodal outer-boundary data into the B-band, by angular
+    interpolation of f."""
+    return _extend_constant(
+        ops.b_b, ops.mesh,
+        lambda theta: _periodic_interp(theta, sample_angles, f_values))
 
 
 def extend_control(u_theta, ops: OperatorSet) -> np.ndarray:
-    """Constant-normal extension of an inner-boundary function (callable
-    of the angle) onto the H-band nodes; zero elsewhere."""
-    diag = ops.b_h.diagonal()
-    nodes = np.flatnonzero(diag > 0.0)
-    out = np.zeros(ops.mesh.num_vertices)
-    pts = ops.mesh.vertices[nodes]
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    out[nodes] = np.asarray(u_theta(theta), dtype=float)
-    return out
+    """Extension of an inner-boundary function (callable of the angle)
+    into the H-band."""
+    return _extend_constant(ops.b_h, ops.mesh, u_theta)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ angle of the criss-cross background mesh above 26 degrees.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -348,6 +349,17 @@ def _strip_green(mesh: TriMesh) -> TriMesh:
     return TriMesh(mesh.vertices, np.array(tris), mesh.boundary_edges,
                    refinement_level=np.array(levels),
                    metadata=dict(mesh.metadata))
+
+
+MAX_BAND_LEVELS = 6
+
+
+def levels_for(eps: float, h0: float,
+               max_levels: int = MAX_BAND_LEVELS) -> int:
+    """Band refinement depth so band triangles resolve eps (h_band <= eps)."""
+    if eps >= h0:
+        return 0
+    return min(max_levels, int(math.ceil(math.log2(h0 / eps))))
 
 
 def refine_band(mesh: TriMesh, field: PhaseField, levels: int,

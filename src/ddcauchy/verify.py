@@ -30,7 +30,8 @@ from .geometry import (AnnulusGeometry, ConductivityTensor, PhaseField,
                        annulus_integral, band_integral, ring_diffuse_integral)
 from .harmonics import AngularSeries
 from .inversion import SharpSolver
-from .mesh import build_background, mesh_annulus, quadrature, refine_band
+from .mesh import (build_background, levels_for, mesh_annulus, quadrature,
+                   refine_band)
 
 
 @dataclass
@@ -164,7 +165,7 @@ def check_closest_point(geometry: AnnulusGeometry, tol: float = 1e-14):
 def check_adjoint(geometry: AnnulusGeometry, tensor: ConductivityTensor,
                   n_pairs: int = 10, tol: float = 1e-10):
     """|<F u, w> - <u, F* w>| <= tol * ||u|| ||w|| for random pairs."""
-    mesh = mesh_annulus(geometry, 96, 24)
+    mesh = mesh_annulus(geometry, 128, 32)
     solver = SharpSolver(assemble_sharp(mesh, tensor))
     rng = np.random.default_rng(123)
     worst = 0.0
@@ -188,8 +189,7 @@ def _sweep_operators(geometry, tensor, h0=0.15, ks=(2, 3, 4)):
     for k in ks:
         eps = 2.0 ** -k
         field = PhaseField(geometry, eps)
-        levels = max(0, int(np.ceil(np.log2(h0 / eps))))
-        mesh = refine_band(base, field, levels)
+        mesh = refine_band(base, field, levels_for(eps, h0))
         out.append(OperatorSet.build(mesh, field, tensor, rule,
                                      with_identity_stiffness=True))
     return out

@@ -1,11 +1,11 @@
-import numpy as np
 import pytest
 
 from ddcauchy.assembly import OperatorSet, assemble_sharp
 from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import SharpSolver
-from ddcauchy.mesh import build_background, mesh_annulus, quadrature, refine_band
+from ddcauchy.mesh import (build_background, levels_for, mesh_annulus,
+                           quadrature, refine_band)
 
 
 @pytest.fixture(scope="session")
@@ -32,8 +32,7 @@ def make_ops(geometry, tensor, rule, eps, h0=0.15, base=None,
              with_identity=False):
     field = PhaseField(geometry, eps)
     mesh = base if base is not None else build_background(h0)
-    levels = max(0, int(np.ceil(np.log2(h0 / eps))))
-    refined = refine_band(mesh, field, levels)
+    refined = refine_band(mesh, field, levels_for(eps, h0))
     return OperatorSet.build(refined, field, tensor, rule,
                              with_identity_stiffness=with_identity)
 

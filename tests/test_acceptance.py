@@ -1,22 +1,23 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines as they complete (the full suite takes a few minutes; the heavy
-studies are shared between criteria through module-scoped fixtures).
+lines as they complete (the whole test suite takes about a minute; the
+heavy studies are shared between criteria through module-scoped
+fixtures).  Criteria 1-3 run the matching checks of ``ddcauchy.verify``.
 """
 
 import numpy as np
 import pytest
 
 from ddcauchy import experiments as xp
-from ddcauchy.assembly import OperatorSet, assemble_sharp
-from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
-                               PhaseField, annulus_integral, band_integral,
-                               ring_diffuse_integral)
+from ddcauchy.assembly import OperatorSet
+from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
-from ddcauchy.inversion import SharpSolver, diffuse_forward, extend_control
-from ddcauchy.mesh import build_background, mesh_annulus, quadrature, refine_band
+from ddcauchy.inversion import diffuse_forward, extend_control
+from ddcauchy.mesh import build_background, levels_for, quadrature, refine_band
 from ddcauchy.saddle import RieszPreconditioner, build_system, spectrum
+from ddcauchy.verify import (check_adjoint, check_band_measure,
+                             check_integral_order)
 
 GEO = AnnulusGeometry()
 TEN = ConductivityTensor()
@@ -101,59 +102,18 @@ def spectrum_setup():
 
 
 def test_criterion_01_band_measure():
-    worst = 0.0
-    one = lambda p: np.ones(len(p))
-    for k in range(2, 7):
-        field = PhaseField(GEO, 2.0 ** -k)
-        for which, radius in (("H", GEO.r_inner), ("B", GEO.r_outer)):
-            got = band_integral(field, one, which)
-            worst = max(worst, abs(got / (2 * np.pi * radius) - 1.0))
-    report(1, "band-measure identity", worst <= 1e-5,
-           f"max relative deviation {worst:.2e} over eps in 2^-2..2^-6 "
-           f"(tol 1e-5)")
+    check = check_band_measure(GEO, rtol=1e-5)
+    report(1, "band-measure identity", check.passed, check.detail)
 
 
 def test_criterion_02_diffuse_integral_order():
-    eps_list = [2.0 ** -k for k in range(3, 8)]
-    one = lambda p: np.ones(len(p))
-    sq = lambda p: (np.asarray(p) ** 2).sum(axis=1)
-    orders = {}
-    # g = 1: the two-sided defect cancels exactly on this geometry, so the
-    # order is measured on the outer half-ring where it equals pi eps^2/3
-    for label, g, r_lo in (("g=1", one, GEO.split_radius),
-                           ("g=|x|^2", sq, GEO.split_radius)):
-        errs = []
-        for eps in eps_list:
-            field = PhaseField(GEO, eps)
-            diffuse = ring_diffuse_integral(field, g, r_lo,
-                                            GEO.r_outer + eps)
-            sharp = annulus_integral(GEO, g, r_lo=r_lo)
-            errs.append(abs(diffuse - sharp))
-        coef = np.polyfit(np.log(eps_list), np.log(errs), 1)
-        orders[label] = coef[0]
-    ok = all(o >= 1.9 for o in orders.values())
-    report(2, "diffuse-integral order", ok,
-           ", ".join(f"{k}: {v:.3f}" for k, v in orders.items())
-           + " (need >= 1.9; one-sided band defect, see ledger)")
+    check = check_integral_order(GEO, min_order=1.9)
+    report(2, "diffuse-integral order", check.passed, check.detail)
 
 
 def test_criterion_03_adjoint_consistency():
-    mesh = mesh_annulus(GEO, 128, 32)
-    solver = SharpSolver(assemble_sharp(mesh, TEN))
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(10):
-        u = rng.standard_normal(len(solver.inner_angles))
-        w = rng.standard_normal(len(solver.outer_angles))
-        _, fu = solver.forward(u)
-        _, fsw = solver.adjoint(w)
-        lhs = float(fu @ (solver.t_oo @ w))
-        rhs = float(u @ (solver.t_ii @ fsw))
-        worst = max(worst, abs(lhs - rhs)
-                    / (solver.inner_norm(u) * solver.outer_norm(w)))
-    report(3, "adjoint consistency", worst <= 1e-10,
-           f"max |<Fu,w> - <u,F*w>| / (||u|| ||w||) = {worst:.2e} "
-           f"(tol 1e-10)")
+    check = check_adjoint(GEO, TEN, tol=1e-10)
+    report(3, "adjoint consistency", check.passed, check.detail)
 
 
 def test_criterion_04_iteration_robustness(table_run):
@@ -263,7 +223,7 @@ def test_criterion_09_perturbation_decay():
     for k in (3, 4, 5, 6):
         eps = 2.0 ** -k
         field = PhaseField(GEO, eps)
-        mesh = refine_band(base, field, xp.levels_for(eps, h0, 6) + 1)
+        mesh = refine_band(base, field, levels_for(eps, h0) + 1)
         ops = OperatorSet.build(mesh, field, TEN, rule)
         v = diffuse_forward(ops, extend_control(truth.u_dagger, ops))
         a_v = ops.active_v

@@ -59,6 +59,25 @@ def test_spectrum_outputs(tmp_path, capsys):
     assert len(spect) > 100
 
 
-def test_bad_set_flag():
+def test_rates_single_delta_fit_undefined(tmp_path, capsys):
+    code = main(["rates", "--out", str(tmp_path),
+                 "--set", "study.deltas=0.0625",
+                 "--set", "study.eps_coef=0.0"] + FAST)
+    assert code == 0
+    assert "u-slope undefined (1 points)" in capsys.readouterr().out
+
+
+def test_bad_set_flag(capsys):
     with pytest.raises(SystemExit):
         main(["table", "--set", "nonsense"])
+    capsys.readouterr()
+    assert main(["table", "--set", "mesh.hO=0.3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mesh.hO" in err
+    assert "Traceback" not in err
+
+
+def test_verify_passes(capsys):
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 8

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,35 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg.study_kind == "table"
     assert cfg.rho == 1e-8
     assert "h0 = 0.2" in cfg.raw_text
+
+
+@pytest.mark.parametrize("ini, overrides, key", [
+    ("[mesh]\nhO = 0.3\n", {}, "mesh.ho"),
+    ("[bogus]\n", {}, "bogus"),
+    (None, {"mesh.hO": "0.3"}, "mesh.hO"),
+    (None, {"bogus.key": "1"}, "bogus.key"),
+    (None, {"solver.max_iter": "abc"}, "solver.max_iter"),
+    (None, {"study.deltas": "0.1,x"}, "study.deltas"),
+    (None, {"truth.series": "cos:2"}, "truth.series"),
+    (None, {"truth.series": "tan:2:1.0"}, "truth.series"),
+    (None, {"solver.mode": "jacobi"}, "solver.mode"),
+    (None, {"solver.rho": "1.0"}, "solver.rho"),
+    (None, {"solver.rho": "0"}, "solver.rho"),
+    (None, {"mesh.h0": "0"}, "mesh.h0"),
+    (None, {"study.spectrum_h0": "-0.08"}, "study.spectrum_h0"),
+    (None, {"study.deltas": ""}, "study.deltas"),
+    (None, {"study.alphas": " , "}, "study.alphas"),
+    (None, {"study.epsilons": ""}, "study.epsilons"),
+    (None, {"geometry.r_inner": "0.9"}, "geometry.r_inner"),
+    (None, {"geometry.sigma_r": "0"}, "geometry.sigma_r"),
+])
+def test_bad_config_names_key(tmp_path, ini, overrides, key):
+    path = None
+    if ini is not None:
+        path = tmp_path / "bad.ini"
+        path.write_text(ini)
+    with pytest.raises(xp.ConfigError, match=re.escape(key)):
+        xp.load_config(path and str(path), overrides)
 
 
 def test_truth_series_parsing():

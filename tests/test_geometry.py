@@ -106,20 +106,6 @@ def test_closest_point_reconstruction(geometry):
     assert np.abs(rec - pts).max() <= 1e-14
 
 
-def test_extend_constant_examples(geometry):
-    field = PhaseField(geometry, 0.1)
-    val = field.extend_constant(np.cos, "H", np.array([0.35, 0.0]))
-    assert val == pytest.approx(1.0)
-    val = field.extend_constant(lambda t: np.sin(t), "B",
-                                np.array([0.0, 0.95]))
-    assert val == pytest.approx(1.0)
-    vals = field.extend_constant(lambda t: 3.7 * np.ones_like(t), "H",
-                                 np.array([[0.25, 0.0], [0.0, -0.32]]))
-    assert vals == pytest.approx([3.7, 3.7])
-    with pytest.raises(BandError):
-        field.extend_constant(np.cos, "B", np.array([0.35, 0.0]))
-
-
 def test_band_measure_identity(geometry):
     one = lambda p: np.ones(len(p))
     for k in range(2, 7):
