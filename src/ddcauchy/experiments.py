@@ -36,7 +36,8 @@ from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         error_norms, extend_data, sharp_error)
-from .mesh import (MAX_BAND_LEVELS, build_background, levels_for,
+from .mesh import (MAX_BAND_LEVELS, QUAD_DEGREES, SHARP_MIN_ANGULAR,
+                   SHARP_MIN_RADIAL, build_background, levels_for,
                    mesh_annulus, quadrature, refine_band)
 from .saddle import (DENSE_SPECTRUM_CAP, RieszPreconditioner, build_system,
                      detect_bands, spectrum)
@@ -74,6 +75,10 @@ def _require(test, what: str):
     return check
 
 
+def _at_least(low):
+    return _require(lambda n: n >= low, f">= {low}")
+
+
 _POSITIVE = _require(lambda x: x > 0.0, "> 0")
 _NONEMPTY = _require(len, "a non-empty list")
 
@@ -87,11 +92,15 @@ SCHEMA = (
     ("geometry.sigma_t", "sigma_t", float, "1.0", None),
     ("geometry.sigma_r", "sigma_r", float, "0.3", None),
     ("mesh.h0", "h0", float, "0.1", _POSITIVE),
-    ("mesh.max_levels", "max_levels", int, str(MAX_BAND_LEVELS), None),
-    ("mesh.quad_degree", "quad_degree", int, "2", None),
-    ("mesh.subdivision", "subdivision", int, "4", None),
-    ("mesh.sharp_n_angular", "sharp_n_angular", int, "192", None),
-    ("mesh.sharp_n_radial", "sharp_n_radial", int, "48", None),
+    ("mesh.max_levels", "max_levels", int, str(MAX_BAND_LEVELS),
+     _at_least(0)),
+    ("mesh.quad_degree", "quad_degree", int, "2",
+     _require(lambda d: d in QUAD_DEGREES, f"one of {list(QUAD_DEGREES)}")),
+    ("mesh.subdivision", "subdivision", int, "4", _at_least(1)),
+    ("mesh.sharp_n_angular", "sharp_n_angular", int, "192",
+     _at_least(SHARP_MIN_ANGULAR)),
+    ("mesh.sharp_n_radial", "sharp_n_radial", int, "48",
+     _at_least(SHARP_MIN_RADIAL)),
     ("solver.rho", "rho", float, "1e-10",
      _require(lambda x: 0.0 < x < 1.0, "in (0, 1)")),
     ("solver.max_iter", "max_iter", int, "2000", None),
@@ -123,7 +132,7 @@ SCHEMA = (
     ("study.epsilon", "spec_epsilon", float, "0.125", None),
     ("study.spectrum_h0", "spectrum_h0", float, "0.08", _POSITIVE),
     ("output.directory", "out_dir", str, "out", None),
-    ("output.seed", "seed", int, "1234", None),
+    ("output.seed", "seed", int, "1234", _at_least(0)),
 )
 
 ExperimentConfig = make_dataclass(
@@ -139,17 +148,22 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
 
     Overrides use dotted keys, e.g. {"study.kind": "table"}.  Flag values
     take precedence over the file, which takes precedence over defaults.
-    Raises ConfigError for an unknown key or an unusable value.
+    Values are literal text (no %-interpolation).  Raises ConfigError for
+    an unreadable file, an unknown key or an unusable value.
     """
     known = {row[0] for row in SCHEMA}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for key, _, _, default, _ in SCHEMA:
         section, option = key.split(".")
         parser.read_dict({section: {option: default}})
     sections = parser.sections()
     if path is not None:
-        with open(path) as fh:
-            parser.read_file(fh)
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+        except (OSError, configparser.Error) as err:
+            detail = " ".join(str(err).split())  # one line for the CLI
+            raise ConfigError(f"{path}: cannot read config: {detail}") from None
     for section in parser.sections():
         for option in parser[section]:
             if f"{section}.{option}" not in known:

@@ -2,16 +2,19 @@
 
 Two mesh families are provided:
 
-* a uniform background mesh of the bounding box, refined red-green around
-  the phase-field band ({|d| < 2 eps} plus conforming closures), used for
-  all diffuse computations;
+* a uniform background mesh of the bounding box (each square cell split
+  into two right-isosceles triangles along the same diagonal), refined
+  red-green-blue around the phase-field band ({|d| < 2 eps} plus the
+  conforming closure), used for all diffuse computations;
 * a structured polar mesh of the exact annulus with tagged inner/outer
   boundary edges, used by the sharp reference solver.
 
-Red refinement quarters a triangle through its edge midpoints; green
-closures bisect neighbours with exactly one hanging node.  Greens are
-never refined again (they are recombined first), which keeps the minimum
-angle of the criss-cross background mesh above 26 degrees.
+Band refinement works on whole arrays, one step at a time: marked edges
+are closed under "any marked edge marks the triangle's longest edge",
+then every triangle is split green (longest edge bisected), blue (longest
+edge and one leg) or red (quartered through all three midpoints).  Every
+child of a right-isosceles triangle is right-isosceles again, so the
+refined meshes keep a minimum angle of 45 degrees.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ class TriMesh:
     vertices        (n, 2) float coordinates
     triangles       (m, 3) int vertex indices, counterclockwise
     boundary_edges  list of (i, j, tag), tag in {"inner", "outer", "box"}
-    refinement_level per-triangle red-refinement depth
-    green           per-triangle flag for green closure children
-    green_parent    for green triangles, the parent (a, b, c) triple
+    refinement_level per-triangle refinement depth: bisection generation
+                    // 2, so one red split or two bisections add 1
+    green           per-triangle flag for an odd bisection generation
     metadata        free-form provenance (variant, h0, ...)
     """
 
@@ -54,7 +57,6 @@ class TriMesh:
     boundary_edges: list
     refinement_level: np.ndarray = None
     green: np.ndarray = None
-    green_parent: dict = dc_field(default_factory=dict)
     metadata: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
@@ -101,11 +103,7 @@ class TriMesh:
 
     def edges(self):
         """(unique_edges, per-triangle edge indices); edges as sorted pairs."""
-        t = self.triangles
-        raw = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        raw = np.sort(raw, axis=1)
-        uniq, inv = np.unique(raw, axis=0, return_inverse=True)
-        return uniq, inv.reshape(3, -1).T
+        return _edge_numbering(self.triangles, self.num_vertices)
 
     def check_conforming(self) -> None:
         """Audit edge incidence: every edge borders 1 or 2 triangles and
@@ -116,14 +114,19 @@ class TriMesh:
         if bad.size:
             raise MeshError(f"edge {tuple(uniq[bad[0]])} shared by "
                             f"{counts[bad[0]]} triangles")
-        coord_index = {(x, y): i for i, (x, y)
-                       in enumerate(map(tuple, np.round(self.vertices, 12)))}
-        mids = np.round(0.5 * (self.vertices[uniq[:, 0]]
-                               + self.vertices[uniq[:, 1]]), 12)
-        for (i, j), (mx, my) in zip(uniq, mids):
-            k = coord_index.get((mx, my))
-            if k is not None and k not in (i, j):
-                raise MeshError(f"hanging node {k} on edge ({i}, {j})")
+        # match edge midpoints against vertices by rounded coordinates,
+        # as complex numbers (+ 0.0 folds -0.0 into 0.0)
+        mids = 0.5 * (self.vertices[uniq[:, 0]] + self.vertices[uniq[:, 1]])
+        points = np.round(np.vstack([self.vertices, mids]), 12) + 0.0
+        _, cls = np.unique(points[:, 0] + 1j * points[:, 1],
+                           return_inverse=True)
+        vertex_of = np.full(cls.max() + 1, -1, dtype=np.int64)
+        vertex_of[cls[:self.num_vertices]] = np.arange(self.num_vertices)
+        k = vertex_of[cls[self.num_vertices:]]
+        bad = np.flatnonzero((k >= 0) & (k != uniq[:, 0]) & (k != uniq[:, 1]))
+        if bad.size:
+            i, j = uniq[bad[0]]
+            raise MeshError(f"hanging node {k[bad[0]]} on edge ({i}, {j})")
 
     def dump(self) -> str:
         """Plain-text serialization with bit-exact float round-trip."""
@@ -232,125 +235,6 @@ def band_triangles(vertices: np.ndarray, tris: np.ndarray,
     return hit
 
 
-class _Refiner:
-    """Red-green refinement state with incremental edge adjacency."""
-
-    def __init__(self, mesh: TriMesh):
-        self.verts = [tuple(v) for v in mesh.vertices]
-        self.tris = {}
-        self.level = {}
-        self.edge_tris = {}   # sorted pair -> set of active triangle ids
-        self.edge_mid = {}    # sorted pair -> midpoint vertex index
-        self.mid_parent = {}  # midpoint index -> its parent pair
-        self.next_id = 0
-        for t, lev in zip(mesh.triangles, mesh.refinement_level):
-            self._add(tuple(int(v) for v in t), int(lev))
-        # A previously refined input already contains midpoint vertices;
-        # rebuild the registry so they are reused instead of duplicated
-        # (midpoint coordinates are bit-reproducible: 0.5 * (a + b)).
-        coord_of = {v: i for i, v in enumerate(self.verts)}
-        for (u, v) in list(self.edge_tris):
-            pu, pv = self.verts[u], self.verts[v]
-            m = coord_of.get((0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])))
-            if m is not None and m not in (u, v):
-                self.edge_mid[(u, v)] = m
-                self.mid_parent[m] = (u, v)
-
-    @staticmethod
-    def _key(u, v):
-        return (u, v) if u < v else (v, u)
-
-    def _add(self, tri, lev) -> int:
-        tid = self.next_id
-        self.next_id += 1
-        self.tris[tid] = tri
-        self.level[tid] = lev
-        a, b, c = tri
-        for u, v in ((a, b), (b, c), (c, a)):
-            self.edge_tris.setdefault(self._key(u, v), set()).add(tid)
-        return tid
-
-    def _remove(self, tid):
-        tri = self.tris.pop(tid)
-        self.level.pop(tid)
-        a, b, c = tri
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = self._key(u, v)
-            owners = self.edge_tris[key]
-            owners.discard(tid)
-            if not owners:
-                del self.edge_tris[key]
-        return tri
-
-    def _midpoint(self, a, b) -> int:
-        key = self._key(a, b)
-        m = self.edge_mid.get(key)
-        if m is None:
-            pa, pb = self.verts[a], self.verts[b]
-            self.verts.append((0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1])))
-            m = len(self.verts) - 1
-            self.edge_mid[key] = m
-            self.mid_parent[m] = key
-        return m
-
-    def _coarse_blocker(self, tid):
-        """An active triangle holding the full parent edge of one of tid's
-        half-edges, which must split first (2:1 balance)."""
-        a, b, c = self.tris[tid]
-        for u, v in ((a, b), (b, c), (c, a)):
-            for x, m in ((u, v), (v, u)):
-                parent = self.mid_parent.get(m)
-                if parent is not None and x in parent:
-                    owners = self.edge_tris.get(parent)
-                    if owners:
-                        nb = next(iter(owners))
-                        if nb != tid:
-                            return nb
-        return None
-
-    def hanging_edges(self, tid):
-        a, b, c = self.tris[tid]
-        out = []
-        for u, v in ((a, b), (b, c), (c, a)):
-            m = self.edge_mid.get(self._key(u, v))
-            if m is not None:
-                out.append((u, v, m))
-        return out
-
-
-def _strip_green(mesh: TriMesh) -> TriMesh:
-    """Recombine complete green families into their parents.
-
-    Children whose siblings are missing (or whose parent record was lost
-    in serialization) are kept as ordinary triangles; red-refining them
-    later is safe in the right-isosceles family.
-    """
-    if not mesh.green.any():
-        return mesh
-    groups = {}
-    for tid in np.flatnonzero(mesh.green):
-        info = mesh.green_parent.get(int(tid))
-        if info is not None:
-            parent, expected = info
-            groups.setdefault((parent, expected), []).append(int(tid))
-    drop = set()
-    restored = []
-    for (parent, expected), kids in groups.items():
-        if len(kids) == expected:
-            drop.update(kids)
-            restored.append((parent, int(mesh.refinement_level[kids[0]])))
-    keep = np.ones(mesh.num_triangles, dtype=bool)
-    keep[list(drop)] = False
-    tris = [tuple(int(v) for v in t) for t in mesh.triangles[keep]]
-    levels = list(mesh.refinement_level[keep])
-    for parent, lev in restored:
-        tris.append(parent)
-        levels.append(lev)
-    return TriMesh(mesh.vertices, np.array(tris), mesh.boundary_edges,
-                   refinement_level=np.array(levels),
-                   metadata=dict(mesh.metadata))
-
-
 MAX_BAND_LEVELS = 6
 
 
@@ -362,138 +246,113 @@ def levels_for(eps: float, h0: float,
     return min(max_levels, int(math.ceil(math.log2(h0 / eps))))
 
 
+def _edge_numbering(tris: np.ndarray, num_vertices: int):
+    """(unique_edges, per-triangle edge indices) of a triangle array.
+
+    Edge k of a triangle joins its local vertices k and k + 1 (mod 3);
+    unique edges are sorted pairs in lexicographic order.
+    """
+    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    raw = np.sort(raw, axis=1)
+    _, first, inv = np.unique(raw[:, 0] * num_vertices + raw[:, 1],
+                              return_index=True, return_inverse=True)
+    return raw[first], inv.reshape(3, -1).T
+
+
+def _longest_edge_first(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Rotate each (counterclockwise) triangle so its longest edge is (0, 1)."""
+    p = vertices[tris]
+    lengths = np.stack([((p[:, (k + 1) % 3] - p[:, k]) ** 2).sum(axis=1)
+                        for k in range(3)], axis=1)
+    first = np.argmax(lengths, axis=1)
+    cols = (first[:, None] + np.arange(3)) % 3
+    return np.take_along_axis(tris, cols, axis=1)
+
+
+# Children of a triangle (p0, p1, p2) with refinement edge p0-p1, keyed
+# by its split edges (bit k: edge k joining p_k and p_k+1), written as
+# indices into (p0, p1, p2, m01, m12, m20), each child again with its
+# refinement edge first, and the generations each child gains.  Green
+# bisects the refinement edge; blue also bisects the half holding the
+# split leg; red quarters through all three midpoints.
+_SPLITS = {
+    0b000: ([(0, 1, 2)], [0]),
+    0b001: ([(2, 0, 3), (1, 2, 3)], [1, 1]),
+    0b011: ([(2, 0, 3), (3, 1, 4), (2, 3, 4)], [1, 2, 2]),
+    0b101: ([(3, 2, 5), (0, 3, 5), (1, 2, 3)], [2, 2, 1]),
+    0b111: ([(0, 3, 5), (3, 1, 4), (5, 4, 2), (4, 5, 3)], [2, 2, 2, 2]),
+}
+
+
 def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
                 quality_floor_deg: float = 20.0) -> TriMesh:
-    """Red-refine triangles meeting {|d| < 2 eps} ``levels`` times.
+    """Refine triangles meeting {|d| < 2 eps} to ``levels`` red levels.
 
-    Green closures restore conformity afterwards; greens are never split.
+    Red-green-blue refinement with the longest edge as refinement edge
+    (Funken, Praetorius & Wissgott, CMAM 11, 2011), one array pass per
+    step: every band triangle still coarser than the target has all three
+    edges marked; the marking is closed so that a triangle with any
+    marked edge also has its longest edge marked; each marked edge gets
+    one midpoint; every triangle is then split green, blue or red by its
+    marked edges, so the result is conforming by construction.  Each
+    triangle carries its bisection generation (green +1, red +2) and band
+    triangles stop at generation 2 * levels, i.e. at diameter
+    h_bg / 2**levels for background diameter h_bg.  On the right-isosceles
+    background every child is right-isosceles again, so the minimum angle
+    stays 45 degrees.  Refining an already refined mesh continues from its
+    ``refinement_level`` and ``green`` flags.
+
     Raises MeshError if the result violates the minimum-angle floor.
     Intended for background meshes: boundary edges are rebuilt from the
-    edge incidence and tagged "box".
+    edge incidence and tagged "box".  Input vertices keep their indices
+    and coordinates; new vertices are appended.
     """
     if levels < 0:
         raise MeshError("levels must be >= 0")
     if levels == 0:
         return mesh
-    work = _strip_green(mesh)
-    ref = _Refiner(work)
+    verts = mesh.vertices
+    tris = _longest_edge_first(verts, mesh.triangles)
+    gen = 2 * mesh.refinement_level + mesh.green
+    target = 2 * levels
     margin = 2.0 * field.epsilon
-
-    def do_split(tid):
-        stack = [tid]
-        while stack:
-            t = stack[-1]
-            if t not in ref.tris:
-                stack.pop()
-                continue
-            blocker = ref._coarse_blocker(t)
-            if blocker is not None:
-                stack.append(blocker)
-                continue
-            stack.pop()
-            lev = ref.level[t]
-            a, b, c = ref._remove(t)
-            mab = ref._midpoint(a, b)
-            mbc = ref._midpoint(b, c)
-            mca = ref._midpoint(c, a)
-            for child in ((a, mab, mca), (mab, b, mbc), (mca, mbc, c),
-                          (mab, mbc, mca)):
-                ref._add(child, lev + 1)
-
-    for _ in range(levels):
-        ids = np.array(sorted(ref.tris.keys()))
-        tris = np.array([ref.tris[i] for i in ids])
-        verts = np.array(ref.verts)
-        levs = np.array([ref.level[i] for i in ids])
-        hit = band_triangles(verts, tris, field, margin) & (levs < levels)
-        for tid in ids[hit]:
-            if int(tid) in ref.tris:
-                do_split(int(tid))
-
-    # Closure.  Two or more hanging nodes force a red split (iterated).
-    # A single hanging node on the triangle's longest edge is removed by a
-    # green bisection.  A single hanging node on a shorter edge triggers a
-    # 3-way split that also bisects the longest edge (handing its neighbour
-    # a standard green); on the right-isosceles criss-cross family every
-    # child produced here is again right-isosceles, so the minimum angle
-    # never degrades.
-    greens = {}
-
-    def edge_len2(u, v):
-        pu, pv = ref.verts[u], ref.verts[v]
-        return (pu[0] - pv[0]) ** 2 + (pu[1] - pv[1]) ** 2
-
-    def add_oriented(tri, lev, parent):
-        a, b, c = tri
-        pa, pb, pc = ref.verts[a], ref.verts[b], ref.verts[c]
-        det = ((pb[0] - pa[0]) * (pc[1] - pa[1])
-               - (pc[0] - pa[0]) * (pb[1] - pa[1]))
-        if det < 0:
-            tri = (a, c, b)
-        greens[ref._add(tri, lev)] = (parent, 3)
-
     while True:
-        forced = [tid for tid in list(ref.tris)
-                  if len(ref.hanging_edges(tid)) >= 2]
-        if forced:
-            for tid in forced:
-                if tid in ref.tris:
-                    greens.pop(tid, None)
-                    do_split(tid)
-            continue
-        progressed = False
-        for tid in list(ref.tris):
-            if tid not in ref.tris:
-                continue
-            hang = ref.hanging_edges(tid)
-            if len(hang) != 1:
-                continue  # clean, or went >= 2 this sweep: next while pass
-            u, v, m = hang[0]
-            a, b, c = ref.tris[tid]
-            lens = {frozenset((a, b)): edge_len2(a, b),
-                    frozenset((b, c)): edge_len2(b, c),
-                    frozenset((c, a)): edge_len2(c, a)}
-            longest = max(lens, key=lens.get)
-            lev = ref.level[tid]
-            if frozenset((u, v)) == longest:
-                # green bisection toward the opposite vertex; children may
-                # expose deeper midpoints on the half-edges, which the next
-                # sweep picks up again
-                order = {frozenset((a, b)): (a, b, c),
-                         frozenset((b, c)): (b, c, a),
-                         frozenset((c, a)): (c, a, b)}
-                aa, bb, cc = order[frozenset((u, v))]
-                greens.pop(tid, None)
-                ref._remove(tid)
-                for child in ((aa, m, cc), (m, bb, cc)):
-                    greens[ref._add(child, lev)] = ((aa, bb, cc), 2)
-            else:
-                # 3-way split: R opposite the longest edge, P the hanging
-                # edge's other endpoint, Q remaining; mh bisects the
-                # longest edge
-                p_vert, q_vert = tuple(sorted(longest))
-                r_vert = a + b + c - p_vert - q_vert
-                hang_other = u + v - r_vert
-                if hang_other == q_vert:
-                    p_vert, q_vert = q_vert, p_vert
-                mh = ref._midpoint(p_vert, q_vert)
-                greens.pop(tid, None)
-                parent = ref._remove(tid)
-                for child in ((r_vert, m, mh), (m, p_vert, mh),
-                              (r_vert, mh, q_vert)):
-                    add_oriented(child, lev, parent)
-            progressed = True
-        if not progressed:
+        coarse = np.flatnonzero(gen < target)
+        hit = coarse[band_triangles(verts, tris[coarse], field, margin)]
+        if not hit.size:
             break
+        uniq, tri_edges = _edge_numbering(tris, len(verts))
+        marked = np.zeros(len(uniq), dtype=bool)
+        marked[tri_edges[hit]] = True
+        while True:
+            need = marked[tri_edges].any(axis=1) & ~marked[tri_edges[:, 0]]
+            if not need.any():
+                break
+            marked[tri_edges[need, 0]] = True
+        mid = np.full(len(uniq), -1, dtype=np.int64)
+        mid[marked] = len(verts) + np.arange(int(marked.sum()))
+        ends = uniq[marked]
+        verts = np.vstack([verts, 0.5 * (verts[ends[:, 0]]
+                                         + verts[ends[:, 1]])])
+        local = np.hstack([tris, mid[tri_edges]])
+        # the closure leaves only the patterns listed in _SPLITS
+        pattern = (local[:, 3:] >= 0) @ np.array([1, 2, 4])
+        masks = {code: pattern == code for code in _SPLITS}
+        count = np.zeros(len(tris), dtype=np.int64)
+        for code, mask in masks.items():
+            count[mask] = len(_SPLITS[code][1])
+        start = np.cumsum(count) - count
+        new_tris = np.empty((int(count.sum()), 3), dtype=np.int64)
+        new_gen = np.empty(len(new_tris), dtype=np.int64)
+        for code, mask in masks.items():
+            children, gains = _SPLITS[code]
+            slots = start[mask][:, None] + np.arange(len(gains))
+            new_tris[slots] = local[mask][:, children]
+            new_gen[slots] = gen[mask][:, None] + gains
+        tris, gen = new_tris, new_gen
 
-    greens = {tid: parent for tid, parent in greens.items() if tid in ref.tris}
-    ids = sorted(ref.tris.keys())
-    tris = np.array([ref.tris[i] for i in ids])
-    lev = np.array([ref.level[i] for i in ids])
-    grn = np.array([i in greens for i in ids])
-    parent_map = {k: greens[i] for k, i in enumerate(ids) if i in greens}
-    out = TriMesh(np.array(ref.verts), tris, [], refinement_level=lev,
-                  green=grn, green_parent=parent_map,
+    out = TriMesh(verts, tris, [], refinement_level=gen // 2,
+                  green=gen % 2 == 1,
                   metadata=dict(mesh.metadata, band_levels=levels,
                                 band_eps=field.epsilon))
     # boundary edges may have been split; rebuild from edge incidence
@@ -508,6 +367,10 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
     return out
 
 
+SHARP_MIN_ANGULAR = 8
+SHARP_MIN_RADIAL = 2
+
+
 def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
                  n_radial: int) -> TriMesh:
     """Structured polar triangulation of the exact annulus.
@@ -515,8 +378,9 @@ def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
     Vertices lie on n_radial + 1 concentric rings; boundary edges carry
     the tags "inner" (r = r_inner) and "outer" (r = r_outer).
     """
-    if n_angular < 8 or n_radial < 2:
-        raise MeshError("need n_angular >= 8 and n_radial >= 2")
+    if n_angular < SHARP_MIN_ANGULAR or n_radial < SHARP_MIN_RADIAL:
+        raise MeshError(f"need n_angular >= {SHARP_MIN_ANGULAR} and "
+                        f"n_radial >= {SHARP_MIN_RADIAL}")
     radii = np.linspace(geometry.r_inner, geometry.r_outer, n_radial + 1)
     theta = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
     verts = np.empty((n_angular * (n_radial + 1), 2))
@@ -598,6 +462,7 @@ def _dunavant6():
 
 _BASE_RULES[3] = _conical_rule()
 _BASE_RULES[4] = _dunavant6()
+QUAD_DEGREES = tuple(sorted(_BASE_RULES))
 
 
 @dataclass(frozen=True)
@@ -615,9 +480,9 @@ class QuadratureRule:
 
 
 def quadrature(degree: int, subdivision_count: int = 1) -> QuadratureRule:
-    if degree not in _BASE_RULES:
+    if degree not in QUAD_DEGREES:
         raise ValueError(f"unsupported quadrature degree {degree}; "
-                         f"choose from {sorted(_BASE_RULES)}")
+                         f"choose from {list(QUAD_DEGREES)}")
     if subdivision_count < 1:
         raise ValueError("subdivision_count must be >= 1")
     base_pts, base_wts = _BASE_RULES[degree]

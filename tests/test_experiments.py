@@ -42,6 +42,8 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg.study_kind == "table"
     assert cfg.rho == 1e-8
     assert "h0 = 0.2" in cfg.raw_text
+    cfg = xp.load_config(overrides={"output.directory": "50%"})
+    assert cfg.out_dir == "50%"
 
 
 @pytest.mark.parametrize("ini, overrides, key", [
@@ -63,10 +65,24 @@ def test_config_defaults_and_overrides(tmp_path):
     (None, {"study.epsilons": ""}, "study.epsilons"),
     (None, {"geometry.r_inner": "0.9"}, "geometry.r_inner"),
     (None, {"geometry.sigma_r": "0"}, "geometry.sigma_r"),
+    (None, {"mesh.quad_degree": "9"}, "mesh.quad_degree"),
+    (None, {"mesh.subdivision": "0"}, "mesh.subdivision"),
+    (None, {"mesh.max_levels": "-1"}, "mesh.max_levels"),
+    (None, {"mesh.sharp_n_angular": "4"}, "mesh.sharp_n_angular"),
+    (None, {"mesh.sharp_n_radial": "0"}, "mesh.sharp_n_radial"),
+    (None, {"output.seed": "-1"}, "output.seed"),
+    # values are literal text, so a '%' fails to parse like any other
+    # stray character
+    ("[mesh]\nh0 = 10%\n", {}, "mesh.h0"),
+    (None, {"output.seed": "50%"}, "output.seed"),
+    ("h0 = 0.3\n", {}, "bad.ini"),
+    ("MISSING", {}, "missing.ini"),
 ])
 def test_bad_config_names_key(tmp_path, ini, overrides, key):
     path = None
-    if ini is not None:
+    if ini == "MISSING":
+        path = tmp_path / "missing.ini"
+    elif ini is not None:
         path = tmp_path / "bad.ini"
         path.write_text(ini)
     with pytest.raises(xp.ConfigError, match=re.escape(key)):

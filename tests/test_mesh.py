@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ddcauchy.geometry import PhaseField
+from ddcauchy.geometry import AnnulusGeometry, PhaseField
 from ddcauchy.mesh import (MeshError, TriMesh, band_triangles,
                            build_background, mesh_annulus, quadrature,
                            refine_band)
@@ -81,6 +82,29 @@ def test_refine_refined_mesh(geometry):
     second.check_conforming()
     assert second.total_area() == pytest.approx(9.0, abs=1e-12)
     assert second.min_angle() >= 20.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(h0=st.floats(0.05, 0.3), levels=st.integers(1, 4),
+       eps_scale=st.floats(0.5, 2.0))
+def test_refine_band_properties(h0, levels, eps_scale):
+    # eps within a factor 2 of the band mesh size h0 / 2^levels, as the
+    # level rule chooses it, so a draw never builds an oversized mesh
+    geometry = AnnulusGeometry(0.3, 1.0, 0.65)
+    field = PhaseField(geometry, min(eps_scale * h0 / 2.0 ** levels,
+                                     geometry.eps_admissible))
+    m = build_background(h0)
+    out = refine_band(m, field, levels)
+    out.check_conforming()
+    assert out.total_area() == pytest.approx(9.0, abs=1e-12)
+    assert (out.signed_areas() > 0).all()
+    assert out.min_angle() >= 45.0 - 1e-9
+    hit = band_triangles(out.vertices, out.triangles, field,
+                         2.0 * field.epsilon)
+    bound = h0 * math.sqrt(2.0) / 2.0 ** levels + 1e-12
+    assert out.diameters()[hit].max() <= bound
+    assert np.array_equal(out.vertices[:m.num_vertices], m.vertices)
+    assert refine_band(m, field, levels).dump() == out.dump()
 
 
 def test_quality_floor_signal(geometry):
