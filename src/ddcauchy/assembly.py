@@ -13,10 +13,17 @@ Sharp forms on the annulus mesh:
     T_inner, T_outer exact P1 edge mass matrices on the tagged polygons
     mean_vec_sharp   row sums of T_inner
 
-All weights are evaluated analytically at (subdivided) quadrature points;
-elements that never meet the support of the weight are skipped, so the
-matrices carry structural zeros there.  Active DOF sets are read off the
-diagonals afterwards.
+All diffuse forms come from one pass over the bulk support (elements
+whose radial interval meets r_inner - eps < |x| < r_outer + eps).  Cut
+elements, those meeting an open eps-band, carry the configured
+subdivided rule, with the weights evaluated analytically at its points
+once for all four forms; subdivision only serves to resolve the jump of
+|grad omega| at the band edges.  On the remaining plateau elements
+omega = 1 and |grad omega| = 0 exactly, so the bulk mass is the closed
+form P1 mass, the band masses vanish and the stiffness uses the fixed
+6-point degree-4 rule.  Elements that never meet the support of a weight
+are skipped, so the matrices carry structural zeros there.  Active DOF
+sets are read off the diagonals afterwards.
 """
 
 from __future__ import annotations
@@ -27,9 +34,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import ConductivityTensor, PhaseField
-from .mesh import QuadratureRule, TriMesh, _radial_interval
+from .mesh import QuadratureRule, TriMesh, _radial_interval, quadrature
 
 ACTIVE_RTOL = 1e-14
+
+# Stiffness rule on plateau elements (omega = 1 there): the 6-point
+# degree-4 rule, unsubdivided.  Against the subdivided degree-2 rule on
+# every element, K moves by at most 3.0e-7 of its largest entry over the
+# seven fig7 meshes (h0 = 0.1) and 4.1e-7 at h0 = 0.15, eps = 2^-5 (the
+# test bound is 1e-6); an unsubdivided degree-2 rule would give 1e-4.
+PLATEAU_RULE = quadrature(4, 1)
 
 
 class AssemblyError(RuntimeError):
@@ -62,19 +76,29 @@ def _element_geometry(mesh: TriMesh, tri_ids=None):
 
 def _quad_points(mesh: TriMesh, tris: np.ndarray, rule: QuadratureRule):
     """Physical quadrature points, shape (m, q, 2)."""
-    p = mesh.vertices[tris]
-    return np.einsum("qi,mid->mqd", rule.points, p)
+    return np.matmul(rule.points, mesh.vertices[tris])
 
 
-def _support_mask(mesh: TriMesh, field: PhaseField, kind: str) -> np.ndarray:
-    """Elements whose radial interval meets the support of the weight."""
+def _support_masks(mesh: TriMesh, field: PhaseField):
+    """Element masks (bulk, H, B): the element's radial interval meets the
+    support of omega, of the open H-band or of the open B-band."""
     r_low, r_high = _radial_interval(mesh.vertices, mesh.triangles)
     geo = field.geometry
     eps = field.epsilon
-    if kind == "bulk":
-        return (r_high > geo.r_inner - eps) & (r_low < geo.r_outer + eps)
-    radius = geo.r_inner if kind == "H" else geo.r_outer
-    return (r_high > radius - eps) & (r_low < radius + eps)
+
+    def meets(lo, hi):
+        return (r_high > lo) & (r_low < hi)
+
+    return (meets(geo.r_inner - eps, geo.r_outer + eps),
+            meets(geo.r_inner - eps, geo.r_inner + eps),
+            meets(geo.r_outer - eps, geo.r_outer + eps))
+
+
+def _support_mask(mesh: TriMesh, field: PhaseField, kind: str) -> np.ndarray:
+    """Elements whose radial interval meets the support of the weight
+    (kind 'bulk', 'H' or 'B')."""
+    bulk, in_h, in_b = _support_masks(mesh, field)
+    return {"bulk": bulk, "H": in_h, "B": in_b}[kind]
 
 
 def _scatter(ni: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
@@ -85,77 +109,147 @@ def _scatter(ni: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
     return mat.tocsr()
 
 
+@dataclass
+class _Elements:
+    """Elements of one assembly pass, split into cut and plateau ones.
+
+    Cut elements meet an open band; the configured (subdivided) rule runs
+    there, and ``omega``/``gradmag`` hold the phase weights at its points.
+    Plateau elements lie in r_inner + eps <= |x| <= r_outer - eps, where
+    omega = 1 and |grad omega| = 0 exactly.
+    """
+
+    tris: np.ndarray        # (m, 3) vertex ids, in mesh order
+    areas: np.ndarray       # (m,)
+    grads: np.ndarray       # (m, 3, 2)
+    cut: np.ndarray         # (m,) bool
+    in_h: np.ndarray        # (m,) bool: meets the H-band (always cut)
+    in_b: np.ndarray        # (m,) bool: meets the B-band (always cut)
+    points: np.ndarray      # (c, q, 2) rule points on the cut elements
+    omega: np.ndarray       # (c, q)
+    gradmag: np.ndarray     # (c, q)
+
+    @classmethod
+    def select(cls, mesh: TriMesh, field: PhaseField,
+               rule: QuadratureRule) -> "_Elements":
+        """The bulk support of ``field`` on ``mesh``, with ``rule`` on its
+        cut elements."""
+        in_bulk, in_h, in_b = _support_masks(mesh, field)
+        ids = np.flatnonzero(in_bulk)
+        tris, areas, grads = _element_geometry(mesh, ids)
+        in_h, in_b = in_h[ids], in_b[ids]
+        cut = in_h | in_b
+        points = _quad_points(mesh, tris[cut], rule)
+        _, omega, gradmag = field.phase_and_weights(points)
+        return cls(tris, areas, grads, cut, in_h, in_b, points, omega,
+                   gradmag)
+
+    def plateau_points(self, mesh: TriMesh) -> np.ndarray:
+        return _quad_points(mesh, self.tris[~self.cut], PLATEAU_RULE)
+
+
+def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
+                   tensor: ConductivityTensor = None, mass: bool = False,
+                   identity: bool = False, bands=()) -> dict:
+    """Diffuse forms of one (mesh, eps) from one pass over the bulk support.
+
+    Returns a dict with 'k' (stiffness of ``tensor``, if given), 'm'
+    (bulk mass, if ``mass``), 'k_identity' (identity-tensor stiffness, if
+    ``identity``) and one band mass per entry of ``bands`` ('H', 'B').
+    Cut elements use ``rule``; on plateau elements the bulk mass is the
+    closed-form P1 mass and the stiffness uses PLATEAU_RULE, whose only
+    error there is that of integrating the smooth tensor M(x).
+    """
+    el = _Elements.select(mesh, field, rule)
+    cut, areas, n = el.cut, el.areas, mesh.num_vertices
+    lam = rule.points
+    lam_w = rule.weights[:, None, None] * lam[:, :, None] * lam[:, None, :]
+    out = {}
+    if tensor is not None:
+        m_cut = tensor.evaluate(el.points)
+        m_plat = tensor.evaluate(el.plateau_points(mesh))
+        if not (np.all(np.isfinite(m_cut)) and np.all(np.isfinite(m_plat))):
+            raise AssemblyError("conductivity tensor evaluated to "
+                                "non-finite values")
+        # effective tensor per element: area * sum_q w_q omega_q M(x_q)
+        m_eff = np.empty((len(areas), 2, 2))
+        m_eff[cut] = np.einsum("q,mq,mqab->mab", rule.weights, el.omega,
+                               m_cut)
+        m_eff[~cut] = np.einsum("q,mqab->mab", PLATEAU_RULE.weights, m_plat)
+        m_eff *= areas[:, None, None]
+        local = np.einsum("mia,mab,mjb->mij", el.grads, m_eff, el.grads)
+        out["k"] = _scatter(el.tris, local, n)
+    if identity:
+        # per-element int omega, times the identity tensor
+        w_omega = areas.copy()
+        w_omega[cut] *= el.omega @ rule.weights
+        local = np.einsum("mia,mja->mij", el.grads, el.grads)
+        out["k_identity"] = _scatter(el.tris,
+                                     local * w_omega[:, None, None], n)
+    if mass:
+        local = np.empty((len(areas), 3, 3))
+        local[cut] = np.einsum("mq,qij->mij", el.omega, lam_w)
+        local[~cut] = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        local *= areas[:, None, None]
+        out["m"] = _scatter(el.tris, local, n)
+    for which in bands:
+        in_band = el.in_h if which == "H" else el.in_b
+        if not in_band.any():
+            raise AssemblyError(f"no elements meet the {which}-band; "
+                                f"eps or the mesh is misconfigured")
+        rows = in_band[cut]
+        gamma = field.geometry.boundary_weight(which, el.points[rows])
+        local = np.einsum("mq,qij->mij", el.gradmag[rows] * gamma, lam_w)
+        local *= areas[cut][rows][:, None, None]
+        mat = _scatter(el.tris[cut][rows], local, n)
+        if mat.diagonal().max() <= 0.0:
+            raise AssemblyError(f"{which}-band mass is identically zero")
+        out[which] = mat
+    return out
+
+
 def assemble_weighted_stiffness(mesh: TriMesh, tensor: ConductivityTensor,
                                 field: PhaseField,
                                 rule: QuadratureRule) -> sp.csr_matrix:
     """K[i, j] = int omega * grad phi_j . M grad phi_i dx."""
-    mask = _support_mask(mesh, field, "bulk")
-    tris, areas, grads = _element_geometry(mesh, mask)
-    qp = _quad_points(mesh, tris, rule)
-    _, omega, _ = field.phase_and_weights(qp)
-    m_q = tensor.evaluate(qp)
-    if not np.all(np.isfinite(m_q)):
-        raise AssemblyError("conductivity tensor evaluated to non-finite values")
-    # effective tensor per element: area * sum_q w_q omega_q M(x_q)
-    m_eff = np.einsum("q,mq,mqab->mab", rule.weights, omega, m_q)
-    m_eff *= areas[:, None, None]
-    local = np.einsum("mia,mab,mjb->mij", grads, m_eff, grads)
-    return _scatter(tris, local, mesh.num_vertices)
+    return _diffuse_forms(mesh, field, rule, tensor=tensor)["k"]
 
 
 def assemble_bulk_mass(mesh: TriMesh, field: PhaseField,
                        rule: QuadratureRule) -> sp.csr_matrix:
     """M[i, j] = int omega * phi_i phi_j dx."""
-    mask = _support_mask(mesh, field, "bulk")
-    tris, areas, _ = _element_geometry(mesh, mask)
-    qp = _quad_points(mesh, tris, rule)
-    _, omega, _ = field.phase_and_weights(qp)
-    lam = rule.points
-    local = np.einsum("q,mq,qi,qj->mij", rule.weights, omega, lam, lam)
-    local *= areas[:, None, None]
-    return _scatter(tris, local, mesh.num_vertices)
+    return _diffuse_forms(mesh, field, rule, mass=True)["m"]
 
 
 def assemble_band_mass(mesh: TriMesh, field: PhaseField, which: str,
                        rule: QuadratureRule) -> sp.csr_matrix:
     """B[i, j] = int |grad omega| gamma_which * phi_i phi_j dx."""
-    mask = _support_mask(mesh, field, which)
-    if not mask.any():
-        raise AssemblyError(f"no elements meet the {which}-band; "
-                            f"eps or the mesh is misconfigured")
-    tris, areas, _ = _element_geometry(mesh, mask)
-    qp = _quad_points(mesh, tris, rule)
-    _, _, gradmag = field.phase_and_weights(qp)
-    gamma = field.geometry.boundary_weight(which, qp)
-    weight = gradmag * gamma
-    lam = rule.points
-    local = np.einsum("q,mq,qi,qj->mij", rule.weights, weight, lam, lam)
-    local *= areas[:, None, None]
-    out = _scatter(tris, local, mesh.num_vertices)
-    if out.diagonal().max() <= 0.0:
-        raise AssemblyError(f"{which}-band mass is identically zero")
-    return out
+    return _diffuse_forms(mesh, field, rule, bands=(which,))[which]
 
 
 def diffuse_functional(mesh: TriMesh, field: PhaseField, integrand,
                        kind: str, rule: QuadratureRule) -> float:
     """int g * omega dx (kind='bulk') or int g |grad omega| gamma dx
-    (kind='band_H'/'band_B'), by subdivided quadrature on the mesh."""
-    if kind == "bulk":
-        mask = _support_mask(mesh, field, "bulk")
-    elif kind in ("band_H", "band_B"):
-        mask = _support_mask(mesh, field, kind[-1])
-    else:
+    (kind='band_H'/'band_B'), with the cut/plateau split of the forms."""
+    if kind not in ("bulk", "band_H", "band_B"):
         raise ValueError(f"unknown kind {kind!r}")
-    tris, areas, _ = _element_geometry(mesh, mask)
-    qp = _quad_points(mesh, tris, rule)
-    _, omega, gradmag = field.phase_and_weights(qp)
+
+    def g(points):
+        vals = np.asarray(integrand(points.reshape(-1, 2)), dtype=float)
+        return vals.reshape(points.shape[:2])
+
+    el = _Elements.select(mesh, field, rule)
     if kind == "bulk":
-        weight = omega
+        weight = el.omega
+        plateau = np.einsum("q,mq,m->", PLATEAU_RULE.weights,
+                            g(el.plateau_points(mesh)), el.areas[~el.cut])
     else:
-        weight = gradmag * field.geometry.boundary_weight(kind[-1], qp)
-    g = np.asarray(integrand(qp.reshape(-1, 2)), dtype=float).reshape(qp.shape[:2])
-    return float(np.einsum("q,mq,mq,m->", rule.weights, weight, g, areas))
+        weight = el.gradmag * field.geometry.boundary_weight(kind[-1],
+                                                             el.points)
+        plateau = 0.0
+    cut = np.einsum("q,mq,mq,m->", rule.weights, weight, g(el.points),
+                    el.areas[el.cut])
+    return float(cut + plateau)
 
 
 def active_sets(b_h: sp.csr_matrix, k_omega: sp.csr_matrix,
@@ -195,18 +289,15 @@ class OperatorSet:
     def build(cls, mesh: TriMesh, field: PhaseField,
               tensor: ConductivityTensor, rule: QuadratureRule,
               with_identity_stiffness: bool = False) -> "OperatorSet":
-        k_omega = assemble_weighted_stiffness(mesh, tensor, field, rule)
-        m_omega = assemble_bulk_mass(mesh, field, rule)
-        b_h = assemble_band_mass(mesh, field, "H", rule)
-        b_b = assemble_band_mass(mesh, field, "B", rule)
+        forms = _diffuse_forms(mesh, field, rule, tensor=tensor, mass=True,
+                               identity=with_identity_stiffness,
+                               bands=("H", "B"))
+        b_h = forms["H"]
         mean_vec = np.asarray(b_h.sum(axis=1)).ravel()
-        a_u, a_v = active_sets(b_h, k_omega, m_omega)
-        k_id = None
-        if with_identity_stiffness:
-            k_id = assemble_weighted_stiffness(
-                mesh, ConductivityTensor.identity(), field, rule)
-        return cls(mesh, field, tensor, rule, k_omega, m_omega, b_h, b_b,
-                   mean_vec, a_u, a_v, k_identity=k_id)
+        a_u, a_v = active_sets(b_h, forms["k"], forms["m"])
+        return cls(mesh, field, tensor, rule, forms["k"], forms["m"], b_h,
+                   forms["B"], mean_vec, a_u, a_v,
+                   k_identity=forms.get("k_identity"))
 
     def riesz_u(self) -> sp.csr_matrix:
         """U-inner-product Gram matrix on the active control set."""
@@ -250,7 +341,7 @@ def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:
 def assemble_sharp(mesh: TriMesh, tensor: ConductivityTensor,
                    quad_degree: int = 2) -> SharpOperatorSet:
     """Stiffness and boundary mass matrices of the sharp weak form."""
-    from .mesh import boundary_nodes, quadrature
+    from .mesh import boundary_nodes
 
     rule = quadrature(quad_degree, 1)
     tris, areas, grads = _element_geometry(mesh)

@@ -348,9 +348,12 @@ def run_iteration_table(cfg: ExperimentConfig,
     for i, eps in enumerate(cfg.epsilons):
         ops = ws.diffuse_ops(eps)
         f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
+        prec = None  # the row's Riesz factors, built by its first solve
         for j, alpha in enumerate(cfg.alphas):
             sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
-                                   max_iter=cfg.max_iter, mode=cfg.mode)
+                                   max_iter=cfg.max_iter, mode=cfg.mode,
+                                   prec=prec)
+            prec = sol.prec
             iters[i, j] = sol.report.iterations
             conv[i, j] = sol.report.converged
             hist[(eps, alpha)] = sol.report.residual_history

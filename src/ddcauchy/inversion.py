@@ -191,20 +191,33 @@ def extend_control(u_theta, ops: OperatorSet) -> np.ndarray:
 
 @dataclass
 class DiffuseSolution:
-    """Full-length nodal (u, v, p) plus the solver report."""
+    """Full-length nodal (u, v, p), the solver report and the
+    preconditioner of the solve (None when built by hand)."""
 
     u: np.ndarray
     v: np.ndarray
     p: np.ndarray
     report: SolveReport
+    prec: RieszPreconditioner = None
 
 
 def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
                      rho: float = 1e-10, max_iter: int = 2000,
-                     mode: str = "exact") -> DiffuseSolution:
-    """Solve the diffuse Tikhonov saddle system by preconditioned MINRES."""
+                     mode: str = "exact",
+                     prec: RieszPreconditioner = None) -> DiffuseSolution:
+    """Solve the diffuse Tikhonov saddle system by preconditioned MINRES.
+
+    The Riesz blocks depend on ``ops`` only, not on alpha or the data, so
+    a caller solving several alphas on one operator set may pass the
+    ``prec`` of an earlier solution (same ops and mode) instead of
+    factorizing again.
+    """
     system = build_system(ops, alpha, f_tilde)
-    prec = RieszPreconditioner(system, mode=mode)
+    if prec is None:
+        prec = RieszPreconditioner(system, mode=mode)
+    elif prec.system.ops is not ops or prec.mode != mode:
+        raise InversionError("preconditioner belongs to another operator "
+                             "set or mode")
     x, report = minres(system, prec, rho=rho, max_iter=max_iter)
     n = ops.mesh.num_vertices
     u_r, v_r, p_r, _ = system.split(x)
@@ -214,7 +227,7 @@ def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     u[ops.active_u] = u_r
     v[ops.active_v] = v_r
     p[ops.active_v] = p_r
-    return DiffuseSolution(u, v, p, report)
+    return DiffuseSolution(u, v, p, report, prec)
 
 
 def diffuse_forward(ops: OperatorSet, u_band: np.ndarray) -> np.ndarray:
@@ -281,10 +294,13 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth, ops: OperatorSet,
     k_vv = ops.k_omega[np.ix_(a_v, a_v)]
     grad_err = float(np.sqrt(e_v @ (k_vv @ e_v)))
 
-    # dual norm: sqrt(g^T R_H^{-1} g), g the U-pairing of the control error
+    # dual norm: sqrt(g^T R_H^{-1} g), g the U-pairing of the control
+    # error; R_H is solved exactly, by the solve's own factor if it has one
     g = (ops.b_h @ e_u)[a_v]
-    r_h = ops.riesz_h()
-    z = spla.splu(r_h.tocsc()).solve(g)
+    if sol.prec is not None and sol.prec.system.ops is ops:
+        z = sol.prec.solve_h()(g)
+    else:
+        z = spla.splu(ops.riesz_h().tocsc()).solve(g)
     u_err_dual = float(np.sqrt(np.abs(g @ z)))
 
     return ErrorNorms(u_err_band, v_err_band, grad_err, u_err_dual)

@@ -470,7 +470,9 @@ class QuadratureRule:
     """Composite rule: a base rule replicated over uniform sub-triangles.
 
     points are barycentric w.r.t. the parent triangle; weights sum to 1.
-    Subdivision tames the band-edge discontinuity of |grad omega|.
+    Subdivision tames the band-edge discontinuity of |grad omega|, so the
+    diffuse assembly applies a subdivided rule only on elements cut by an
+    eps-band (see ``assembly``); elsewhere the weights are constant.
     """
 
     degree: int

@@ -15,9 +15,11 @@ symmetric for MINRES.
 
 The preconditioner applies the inverse Riesz maps blockwise: B_H on the
 control block, the H-norm matrix (M-weighted stiffness + bulk mass) on
-the state and adjoint blocks, and the scalar <1, 1>_U on the multiplier
-rows.  MINRES stops when the preconditioned residual norm
-sqrt(r^T P^{-1} r), relative to its initial value, falls below rho.
+the state and adjoint blocks (one two-column solve), and the scalar
+<1, 1>_U on the multiplier rows.  The blocks depend on the operator set
+only, so one preconditioner serves every alpha on it.  MINRES stops
+when the preconditioned residual norm sqrt(r^T P^{-1} r), relative to
+its initial value, falls below rho.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ def build_system(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
 
 
 def _sym_gauss_seidel_factory(a: sp.csr_matrix, sweeps: int):
-    """Approximate inverse of SPD ``a`` by symmetric Gauss-Seidel sweeps."""
+    """Approximate inverse of SPD ``a`` by symmetric Gauss-Seidel sweeps;
+    the returned map takes one right-hand side or a column block."""
     lower = sp.tril(a, 0).tocsr()
     upper = sp.triu(a, 0).tocsr()
 
@@ -150,10 +153,18 @@ class RieszPreconditioner:
         nu, nv = s.nu, s.nv
         z = np.empty_like(r)
         z[:nu] = self._apply_u(r[:nu])
-        z[nu:nu + nv] = self._apply_h(r[nu:nu + nv])
-        z[nu + nv:nu + 2 * nv] = self._apply_h(r[nu + nv:nu + 2 * nv])
+        # state and adjoint blocks: one solve with an (nv, 2) right side
+        z[nu:nu + 2 * nv].reshape(2, nv).T[:] = self._apply_h(
+            r[nu:nu + 2 * nv].reshape(2, nv).T)
         z[nu + 2 * nv:] = r[nu + 2 * nv:] / s.mult_scale
         return z
+
+    def solve_h(self):
+        """An exact solver of the H-block Riesz matrix R_H: this
+        preconditioner's own factor in exact mode, a new one otherwise."""
+        if self.mode == "exact":
+            return self._apply_h
+        return spla.splu(self._riesz_h.tocsc()).solve
 
 
 @dataclass

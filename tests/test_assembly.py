@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from ddcauchy.assembly import (AssemblyError, active_sets,
-                               assemble_band_mass, assemble_sharp,
-                               assemble_weighted_stiffness,
+from ddcauchy.assembly import (AssemblyError, _element_geometry, _Elements,
+                               _quad_points, _scatter, _support_mask,
+                               active_sets, assemble_band_mass,
+                               assemble_sharp, assemble_weighted_stiffness,
                                diffuse_functional, dump_matrix)
 from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
                                PhaseField, bulk_integral, band_integral,
@@ -207,3 +209,85 @@ def test_matrix_dump_roundtrip(ops_16):
         vals.append(float.fromhex(v))
     rebuilt = sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
     assert (rebuilt != ops_16.b_h).nnz == 0
+
+
+def subdivided_everywhere(mesh, field, tensor, rule):
+    """Reference: every form with ``rule`` on every element of its support."""
+    out = {}
+    lam = rule.points
+    for kind in ("bulk", "H", "B"):
+        tris, areas, grads = _element_geometry(
+            mesh, _support_mask(mesh, field, kind))
+        qp = _quad_points(mesh, tris, rule)
+        _, omega, gradmag = field.phase_and_weights(qp)
+        if kind == "bulk":
+            m_eff = np.einsum("q,mq,mqab->mab", rule.weights, omega,
+                              tensor.evaluate(qp)) * areas[:, None, None]
+            local = np.einsum("mia,mab,mjb->mij", grads, m_eff, grads)
+            out["k"] = _scatter(tris, local, mesh.num_vertices)
+            weight = omega
+        else:
+            weight = gradmag * field.geometry.boundary_weight(kind, qp)
+        local = np.einsum("q,mq,qi,qj->mij", rule.weights, weight, lam, lam)
+        out["m" if kind == "bulk" else kind] = _scatter(
+            tris, local * areas[:, None, None], mesh.num_vertices)
+    return out
+
+
+def test_cut_plateau_split_matches_subdivided_reference(geometry, tensor,
+                                                        rule):
+    ops = make_ops(geometry, tensor, rule, 2.0 ** -5, h0=0.15)
+    ref = subdivided_everywhere(ops.mesh, ops.field, tensor, rule)
+    got = {"k": ops.k_omega, "m": ops.m_omega, "H": ops.b_h, "B": ops.b_b}
+    for name, tol in (("k", 1e-6), ("m", 1e-13), ("H", 1e-13),
+                      ("B", 1e-13)):
+        a, b = got[name], ref[name]
+        assert np.array_equal(a.indptr, b.indptr), name
+        assert np.array_equal(a.indices, b.indices), name
+        scale = np.abs(b.data).max()
+        assert np.abs(a.data - b.data).max() <= tol * scale, name
+    # stiffness rows of nodes touched by cut elements only: same rule,
+    # same points, so equal up to rounding
+    el = _Elements.select(ops.mesh, ops.field, rule)
+    plateau_nodes = np.unique(el.tris[~el.cut])
+    assert 0 < len(plateau_nodes) < ops.mesh.num_vertices
+    rows = np.setdiff1d(np.arange(ops.mesh.num_vertices), plateau_nodes)
+    diff = (ops.k_omega - ref["k"])[rows]
+    scale = np.abs(ref["k"].data).max()
+    assert np.abs(diff.data).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=15, deadline=None)
+@given(h0=st.floats(0.05, 0.3), log2_eps=st.floats(-6.0, -2.0),
+       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+def test_plateau_elements_have_unit_weights(h0, log2_eps, shift):
+    # shifted background meshes put vertices at arbitrary radii, so band
+    # edges fall anywhere relative to the elements
+    geometry = AnnulusGeometry(0.3, 1.0, 0.65)
+    field = PhaseField(geometry, 2.0 ** log2_eps)
+    base = build_background(h0)
+    mesh = TriMesh(base.vertices + np.array(shift) * h0, base.triangles, [])
+    rule = quadrature(2, 4)
+    el = _Elements.select(mesh, field, rule)
+    plateau = el.tris[~el.cut]
+    _, omega, gradmag = field.phase_and_weights(
+        _quad_points(mesh, plateau, rule))
+    assert np.all(omega == 1.0)
+    assert np.all(gradmag == 0.0)
+
+
+def test_functional_of_one_is_matrix_sum(ops_16):
+    one = lambda p: np.ones(len(p))
+    mesh, field, rule = ops_16.mesh, ops_16.field, ops_16.rule
+    bulk = diffuse_functional(mesh, field, one, "bulk", rule)
+    assert bulk == pytest.approx(ops_16.m_omega.sum(), rel=1e-13)
+    band = diffuse_functional(mesh, field, one, "band_H", rule)
+    assert band == pytest.approx(ops_16.b_h.sum(), rel=1e-13)
+
+
+def test_identity_stiffness_from_the_same_pass(ops_16, rule):
+    ref = assemble_weighted_stiffness(ops_16.mesh,
+                                      ConductivityTensor.identity(),
+                                      ops_16.field, rule)
+    diff = np.abs((ops_16.k_identity - ref).data).max()
+    assert diff <= 1e-13 * np.abs(ref.data).max()

@@ -138,6 +138,27 @@ def test_single_cell_table_and_emit(tmp_path):
     assert echo == cfg.raw_text
 
 
+def test_table_factors_riesz_blocks_once_per_eps_row(monkeypatch):
+    from ddcauchy.saddle import RieszPreconditioner
+
+    factored = []
+    original = RieszPreconditioner.__post_init__
+
+    def counting(prec):
+        factored.append(prec.system.ops)
+        original(prec)
+
+    monkeypatch.setattr(RieszPreconditioner, "__post_init__", counting)
+    cfg = xp.load_config(overrides={
+        "study.kind": "table", "study.alphas": "1.0, 0.1, 0.01",
+        "study.epsilons": "0.25, 0.125", "mesh.h0": "0.2",
+        "mesh.sharp_n_angular": "32", "mesh.sharp_n_radial": "8"})
+    res = xp.run_iteration_table(cfg, xp.Workspace(cfg))
+    assert res.converged.all()
+    assert len(factored) == 2
+    assert len({id(ops) for ops in factored}) == 2
+
+
 def test_emit_empty_results(tmp_path):
     cfg = xp.load_config(overrides={"output.directory": str(tmp_path)})
     xp.emit_outputs(str(tmp_path), cfg)

@@ -9,6 +9,7 @@ from ddcauchy.inversion import (DiffuseSolution, InversionError, SharpSolver,
                                 error_norms, extend_control, extend_data,
                                 sharp_error)
 from ddcauchy.mesh import mesh_annulus
+from ddcauchy.saddle import RieszPreconditioner
 
 from conftest import make_ops
 
@@ -228,6 +229,35 @@ def test_error_norms_homogeneity_and_dual_bound(ops_16, truth):
     assert n2.u_err_dual == pytest.approx(2 * n1.u_err_dual, rel=1e-12)
     # dual norm controlled by the band norm (diffuse trace constant)
     assert n1.u_err_dual <= 2.0 * n1.u_err_band
+
+
+def test_error_norms_reuse_the_solve_factor(ops_16, sharp_solver, truth):
+    f_tilde = extend_data(truth.f_dagger(sharp_solver.outer_angles),
+                          sharp_solver.outer_angles, ops_16)
+    sol = diffuse_tikhonov(ops_16, 1e-2, f_tilde)
+    bare = DiffuseSolution(sol.u, sol.v, sol.p, sol.report)
+    smooth = DiffuseSolution(sol.u, sol.v, sol.p, sol.report,
+                             RieszPreconditioner(sol.prec.system,
+                                                 mode="gauss-seidel"))
+    # the dual norm is exact whatever the solve's preconditioner
+    want = error_norms(bare, truth, ops_16, ops_16.field)
+    assert error_norms(sol, truth, ops_16, ops_16.field) == want
+    assert error_norms(smooth, truth, ops_16, ops_16.field) == want
+
+
+def test_diffuse_tikhonov_reuses_preconditioner(ops_16, sharp_solver,
+                                                truth):
+    f_tilde = extend_data(truth.f_dagger(sharp_solver.outer_angles),
+                          sharp_solver.outer_angles, ops_16)
+    first = diffuse_tikhonov(ops_16, 1e-1, f_tilde)
+    again = diffuse_tikhonov(ops_16, 1e-2, f_tilde, prec=first.prec)
+    fresh = diffuse_tikhonov(ops_16, 1e-2, f_tilde)
+    assert again.prec is first.prec
+    assert np.array_equal(again.u, fresh.u)
+    assert again.report.residual_history == fresh.report.residual_history
+    with pytest.raises(InversionError):
+        diffuse_tikhonov(ops_16, 1e-2, f_tilde, mode="gauss-seidel",
+                         prec=first.prec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ddcauchy.inversion import extend_control
-from ddcauchy.saddle import (RieszPreconditioner, SaddleError, build_system,
+from ddcauchy.saddle import (RieszPreconditioner, SaddleError,
+                             _sym_gauss_seidel_factory, build_system,
                              detect_bands, minres, spectrum)
 
 from conftest import make_ops
@@ -113,6 +115,40 @@ def test_preconditioner_smoother_mode(ops_16):
     assert np.linalg.norm(zs - ze) <= 0.5 * np.linalg.norm(ze)
     with pytest.raises(ValueError):
         RieszPreconditioner(system, mode="bogus")
+
+
+def test_two_column_h_solve_matches_single_solves(ops_16):
+    system = build_system(ops_16, 0.5, np.zeros(ops_16.mesh.num_vertices))
+    nu, nv = system.nu, system.nv
+    r = np.random.default_rng(6).standard_normal(system.size)
+    state, adjoint = r[nu:nu + nv], r[nu + nv:nu + 2 * nv]
+    r_h = ops_16.riesz_h()
+    # exact mode: one (nv, 2) solve, bit-identical to two single ones
+    z = RieszPreconditioner(system, mode="exact").apply(r)
+    lu = spla.splu(r_h.tocsc())
+    assert np.array_equal(z[nu:nu + nv], lu.solve(state))
+    assert np.array_equal(z[nu + nv:nu + 2 * nv], lu.solve(adjoint))
+    # gauss-seidel mode: the sweeps take the column block too
+    z = RieszPreconditioner(system, mode="gauss-seidel", sweeps=3).apply(r)
+    smooth = _sym_gauss_seidel_factory(r_h, 3)
+    for got, block in ((z[nu:nu + nv], state),
+                       (z[nu + nv:nu + 2 * nv], adjoint)):
+        want = smooth(block)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_preconditioner_reused_across_alphas(ops_16):
+    n = ops_16.mesh.num_vertices
+    f = np.zeros(n)
+    f[ops_16.active_v] = 1.0
+    first = RieszPreconditioner(build_system(ops_16, 1.0, f))
+    system = build_system(ops_16, 1e-3, f)
+    x_reused, rep_reused = minres(system, first, rho=1e-10)
+    x_fresh, rep_fresh = minres(system, RieszPreconditioner(system),
+                                rho=1e-10)
+    assert rep_reused.iterations == rep_fresh.iterations
+    assert rep_reused.residual_history == rep_fresh.residual_history
+    assert np.array_equal(x_reused, x_fresh)
 
 
 class _IdentitySystem:
