@@ -67,7 +67,7 @@ def cmd_solve(args):
     ops = ws.diffuse_ops(eps)
     f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
     sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
-                           max_iter=cfg.max_iter, mode=cfg.mode)
+                           max_iter=cfg.max_iter)
     norms = error_norms(sol, ws.truth, ops, ops.field)
     print(f"diffuse solve: delta={delta:g} alpha={alpha:g} eps={eps:g} "
           f"iters={sol.report.iterations} converged={sol.report.converged}")

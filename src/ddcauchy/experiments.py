@@ -80,7 +80,10 @@ def _at_least(low):
 
 
 _POSITIVE = _require(lambda x: x > 0.0, "> 0")
+_NONNEGATIVE = _require(lambda x: x >= 0.0, ">= 0")
 _NONEMPTY = _require(len, "a non-empty list")
+_POSITIVE_LIST = _require(lambda xs: len(xs) and all(x > 0.0 for x in xs),
+                          "a non-empty list of values > 0")
 
 # One row per settable key: (dotted key, attribute, parser, default, check).
 # The INI defaults, the ExperimentConfig fields and the typing done by
@@ -103,10 +106,7 @@ SCHEMA = (
      _at_least(SHARP_MIN_RADIAL)),
     ("solver.rho", "rho", float, "1e-10",
      _require(lambda x: 0.0 < x < 1.0, "in (0, 1)")),
-    ("solver.max_iter", "max_iter", int, "2000", None),
-    ("solver.mode", "mode", str, "exact",
-     _require(lambda m: m in ("exact", "gauss-seidel"),
-              "exact or gauss-seidel")),
+    ("solver.max_iter", "max_iter", int, "2000", _at_least(1)),
     ("solver.dense_cap", "dense_cap", int, str(DENSE_SPECTRUM_CAP), None),
     # source density on the outer boundary, scaled by the amplitude
     ("truth.series", "series", _series, "cos:2:1.0, sin:3:0.5", None),
@@ -114,21 +114,21 @@ SCHEMA = (
     ("study.kind", "study_kind", str, "rates", None),
     # table study
     ("study.alphas", "alphas", _floats, "1.0, 0.1, 0.01, 0.001, 0.0001",
-     _NONEMPTY),
+     _POSITIVE_LIST),
     ("study.epsilons", "epsilons", _floats,
      "0.25, 0.125, 0.0625, 0.03125, 0.015625", _NONEMPTY),
-    ("study.table_delta", "table_delta", float, "0.001", None),
+    ("study.table_delta", "table_delta", float, "0.001", _NONNEGATIVE),
     # rate study: alpha = alpha_coef * delta^alpha_exp, same for eps;
     # eps_coef = 0 selects the sharp mesh
     ("study.deltas", "deltas", _floats,
      "0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.001953125, "
-     "0.0009765625", _NONEMPTY),
-    ("study.alpha_coef", "alpha_coef", float, "0.5", None),
+     "0.0009765625", _POSITIVE_LIST),
+    ("study.alpha_coef", "alpha_coef", float, "0.5", _POSITIVE),
     ("study.alpha_exp", "alpha_exp", float, "1.0", None),
-    ("study.eps_coef", "eps_coef", float, "0.25", None),
+    ("study.eps_coef", "eps_coef", float, "0.25", _NONNEGATIVE),
     ("study.eps_exp", "eps_exp", float, "0.5", None),
-    # spectrum study
-    ("study.alpha", "spec_alpha", float, "1e-4", None),
+    # spectrum study; alpha = 0 is the zero-alpha spectrum
+    ("study.alpha", "spec_alpha", float, "1e-4", _NONNEGATIVE),
     ("study.epsilon", "spec_epsilon", float, "0.125", None),
     ("study.spectrum_h0", "spectrum_h0", float, "0.08", _POSITIVE),
     ("output.directory", "out_dir", str, "out", None),
@@ -193,6 +193,13 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"geometry.r_inner, geometry.split_radius, "
                           f"geometry.r_outer: {err}") from None
+    cap = geometry.eps_admissible
+    for key, eps in (("study.epsilons", values["epsilons"]),
+                     ("study.epsilon", [values["spec_epsilon"]])):
+        if not all(0.0 < e <= cap for e in eps):
+            raise ConfigError(f"{key} = {parser.get(*key.split('.'))!r}: "
+                              f"must lie in (0, {cap:g}], the admissible "
+                              f"band width of the geometry")
     try:
         tensor = ConductivityTensor(values["sigma_t"], values["sigma_r"])
     except ValueError as err:
@@ -351,14 +358,13 @@ def run_iteration_table(cfg: ExperimentConfig,
         prec = None  # the row's Riesz factors, built by its first solve
         for j, alpha in enumerate(cfg.alphas):
             sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
-                                   max_iter=cfg.max_iter, mode=cfg.mode,
-                                   prec=prec)
+                                   max_iter=cfg.max_iter, prec=prec)
             prec = sol.prec
             iters[i, j] = sol.report.iterations
             conv[i, j] = sol.report.converged
             hist[(eps, alpha)] = sol.report.residual_history
-    params = {"delta": cfg.table_delta, "rho": cfg.rho, "mode": cfg.mode,
-              "h0": cfg.h0, "seed": cfg.seed}
+    params = {"delta": cfg.table_delta, "rho": cfg.rho, "h0": cfg.h0,
+              "seed": cfg.seed}
     return TableResult(list(cfg.alphas), list(cfg.epsilons), iters, conv,
                        hist, params)
 
@@ -418,7 +424,7 @@ def run_rate_study(cfg: ExperimentConfig, ws: Workspace = None) -> RateResult:
         ops = ws.diffuse_ops(eps)
         f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
         sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
-                               max_iter=cfg.max_iter, mode=cfg.mode)
+                               max_iter=cfg.max_iter)
         norms = error_norms(sol, ws.truth, ops, ops.field)
         rows.append(RateRow(delta, alpha, eps, sol.report.iterations,
                             sol.report.converged, norms.u_err_band,
@@ -432,8 +438,7 @@ def run_rate_study(cfg: ExperimentConfig, ws: Workspace = None) -> RateResult:
         v_fit = fit_loglog_slope([(r.delta, r.v_err_band) for r in rows])
     params = {"alpha_coef": cfg.alpha_coef, "alpha_exp": cfg.alpha_exp,
               "eps_coef": cfg.eps_coef, "eps_exp": cfg.eps_exp,
-              "rho": cfg.rho, "mode": cfg.mode, "h0": cfg.h0,
-              "seed": cfg.seed}
+              "rho": cfg.rho, "h0": cfg.h0, "seed": cfg.seed}
     return RateResult(rows, u_fit, v_fit, params)
 
 
@@ -455,7 +460,7 @@ def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
     f0 = np.zeros(mesh.num_vertices)
     system = build_system(ops, cfg.spec_alpha, f0,
                           allow_zero_alpha=cfg.spec_alpha == 0.0)
-    prec = RieszPreconditioner(system, mode="exact")
+    prec = RieszPreconditioner(system)
     eigs = spectrum(system, prec, dense_cap=cfg.dense_cap)
     bands = (detect_bands(eigs, cfg.spec_alpha) if cfg.spec_alpha > 0.0
              else {})
@@ -489,7 +494,8 @@ def _write(path: str, text: str) -> None:
 def emit_outputs(out_dir: str, cfg: ExperimentConfig, table: TableResult = None,
                  rates: dict = None, spect: SpectrumResult = None,
                  truth_csv: str = None) -> list:
-    """Write CSVs, the verbatim config echo and the plot script.
+    """Write the CSVs of the given results, the verbatim config echo and
+    the plot script; a result not given writes no file.
 
     ``rates`` maps a schedule label to a RateResult so several schedules
     can share one rates.csv.  Returns the list of paths written.
@@ -506,10 +512,10 @@ def emit_outputs(out_dir: str, cfg: ExperimentConfig, table: TableResult = None,
     if truth_csv is not None:
         emit("truth.csv", truth_csv)
 
-    lines = ["schedule,delta,alpha,epsilon,h0,levels,rho,mode,seed,iters,"
-             "converged,u_err_band,v_err_band,grad_err,u_err_dual,"
-             "u_err_sharp"]
     if rates:
+        lines = ["schedule,delta,alpha,epsilon,h0,levels,rho,seed,iters,"
+                 "converged,u_err_band,v_err_band,grad_err,u_err_dual,"
+                 "u_err_sharp"]
         for label in sorted(rates):
             res = rates[label]
             for r in sorted(res.rows, key=lambda r: (-r.delta, r.epsilon)):
@@ -517,27 +523,32 @@ def emit_outputs(out_dir: str, cfg: ExperimentConfig, table: TableResult = None,
                        if r.epsilon > 0 else 0)
                 lines.append(",".join([
                     label, _fmt(r.delta), _fmt(r.alpha), _fmt(r.epsilon),
-                    _fmt(cfg.h0), _fmt(lev), _fmt(cfg.rho), cfg.mode,
-                    _fmt(cfg.seed), _fmt(r.iterations), _fmt(r.converged),
+                    _fmt(cfg.h0), _fmt(lev), _fmt(cfg.rho), _fmt(cfg.seed),
+                    _fmt(r.iterations), _fmt(r.converged),
                     _fmt(r.u_err_band), _fmt(r.v_err_band), _fmt(r.grad_err),
                     _fmt(r.u_err_dual), _fmt(r.u_err_sharp)]))
-    emit("rates.csv", "\n".join(lines) + "\n")
+        emit("rates.csv", "\n".join(lines) + "\n")
 
-    lines = ["eps\\alpha"]
-    if table:
-        header = ["eps\\alpha"] + [_fmt(a) for a in table.alphas]
-        lines = [",".join(header)]
+    if table is not None:
+        lines = [",".join(["eps\\alpha"] + [_fmt(a) for a in table.alphas])]
         for i, eps in enumerate(table.epsilons):
             row = [_fmt(eps)] + [str(int(n)) for n in table.iterations[i]]
             lines.append(",".join(row))
-        flagged = np.argwhere(~table.converged)
-        for i, j in flagged:
+        for i, j in np.argwhere(~table.converged):
             lines.append(f"# not converged: eps={_fmt(table.epsilons[i])} "
                          f"alpha={_fmt(table.alphas[j])}")
-    emit("table.csv", "\n".join(lines) + "\n")
+        emit("table.csv", "\n".join(lines) + "\n")
 
-    lines = ["index,eigenvalue"]
+        lines = ["context,iteration,residual"]
+        for (eps, alpha) in sorted(table.residual_histories):
+            hist = table.residual_histories[(eps, alpha)]
+            ctx = f"eps={_fmt(eps)};alpha={_fmt(alpha)}"
+            for it, r in enumerate(hist, start=1):
+                lines.append(f"{ctx},{it},{_fmt(r)}")
+        emit("residuals.csv", "\n".join(lines) + "\n")
+
     if spect is not None:
+        lines = ["index,eigenvalue"]
         for key in sorted(spect.bands):
             val = spect.bands[key]
             if isinstance(val, (list, tuple)):
@@ -549,16 +560,7 @@ def emit_outputs(out_dir: str, cfg: ExperimentConfig, table: TableResult = None,
                      f"{_fmt(spect.epsilon)} size {spect.params['size']}")
         for i, v in enumerate(spect.eigenvalues):
             lines.append(f"{i},{_fmt(v)}")
-    emit("spectrum.csv", "\n".join(lines) + "\n")
-
-    lines = ["context,iteration,residual"]
-    if table:
-        for (eps, alpha) in sorted(table.residual_histories):
-            hist = table.residual_histories[(eps, alpha)]
-            ctx = f"eps={_fmt(eps)};alpha={_fmt(alpha)}"
-            for it, r in enumerate(hist, start=1):
-                lines.append(f"{ctx},{it},{_fmt(r)}")
-    emit("residuals.csv", "\n".join(lines) + "\n")
+        emit("spectrum.csv", "\n".join(lines) + "\n")
 
     emit("plot_results.py", _plot_script())
     return written
@@ -569,8 +571,9 @@ def _plot_script() -> str:
     return '''#!/usr/bin/env python3
 """Plot rate curves (with reference slopes 1/2 and 2/3) and the spectrum.
 
-Reads rates.csv and spectrum.csv from this directory; writes rates.png
-and spectrum.png next to them.  Only needs numpy + matplotlib.
+Reads rates.csv and spectrum.csv from this directory, when present;
+writes rates.png and spectrum.png next to them.  Only needs numpy +
+matplotlib.
 """
 import csv
 import os
@@ -582,10 +585,17 @@ import numpy as np
 
 here = os.path.dirname(os.path.abspath(__file__))
 
-rows = []
-with open(os.path.join(here, "rates.csv")) as fh:
-    for rec in csv.DictReader(fh):
-        rows.append(rec)
+
+def read_csv(name):
+    """Records of one CSV (comment lines skipped); none if it is absent."""
+    path = os.path.join(here, name)
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+
+
+rows = read_csv("rates.csv")
 if rows:
     fig, ax = plt.subplots(figsize=(6, 5))
     labels = sorted({r["schedule"] for r in rows})
@@ -611,13 +621,8 @@ if rows:
     ax.legend()
     fig.savefig(os.path.join(here, "rates.png"), bbox_inches="tight")
 
-eigs = []
-with open(os.path.join(here, "spectrum.csv")) as fh:
-    body = (ln for ln in fh if not ln.startswith("#"))
-    for rec in csv.DictReader(body):
-        eigs.append(float(rec["eigenvalue"]))
-if eigs:
-    eigs = np.array(eigs)
+eigs = np.array([float(rec["eigenvalue"]) for rec in read_csv("spectrum.csv")])
+if len(eigs):
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.semilogy(np.arange(len(eigs)), np.abs(eigs), ".", ms=3)
     ax.set_xlabel("index")

@@ -152,8 +152,8 @@ class ConductivityTensor:
     sigma_r: float = 0.3
 
     def __post_init__(self):
-        if self.sigma_t <= 0 or self.sigma_r <= 0:
-            raise ValueError("eigenvalues of M must be positive")
+        if not (0.0 < self.sigma_t < np.inf and 0.0 < self.sigma_r < np.inf):
+            raise ValueError("eigenvalues of M must be positive and finite")
 
     @classmethod
     def identity(cls) -> "ConductivityTensor":

@@ -203,21 +203,20 @@ class DiffuseSolution:
 
 def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
                      rho: float = 1e-10, max_iter: int = 2000,
-                     mode: str = "exact",
                      prec: RieszPreconditioner = None) -> DiffuseSolution:
     """Solve the diffuse Tikhonov saddle system by preconditioned MINRES.
 
     The Riesz blocks depend on ``ops`` only, not on alpha or the data, so
     a caller solving several alphas on one operator set may pass the
-    ``prec`` of an earlier solution (same ops and mode) instead of
+    ``prec`` of an earlier solution on the same ops instead of
     factorizing again.
     """
     system = build_system(ops, alpha, f_tilde)
     if prec is None:
-        prec = RieszPreconditioner(system, mode=mode)
-    elif prec.system.ops is not ops or prec.mode != mode:
+        prec = RieszPreconditioner(system)
+    elif prec.system.ops is not ops:
         raise InversionError("preconditioner belongs to another operator "
-                             "set or mode")
+                             "set")
     x, report = minres(system, prec, rho=rho, max_iter=max_iter)
     n = ops.mesh.num_vertices
     u_r, v_r, p_r, _ = system.split(x)

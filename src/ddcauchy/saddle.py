@@ -13,13 +13,14 @@ restricted to the active DOF sets.  The two scalar multipliers enforce
 the mean constraints <v, 1>_U = <p, 1>_U = 0 while keeping the matrix
 symmetric for MINRES.
 
-The preconditioner applies the inverse Riesz maps blockwise: B_H on the
-control block, the H-norm matrix (M-weighted stiffness + bulk mass) on
-the state and adjoint blocks (one two-column solve), and the scalar
-<1, 1>_U on the multiplier rows.  The blocks depend on the operator set
-only, so one preconditioner serves every alpha on it.  MINRES stops
-when the preconditioned residual norm sqrt(r^T P^{-1} r), relative to
-its initial value, falls below rho.
+The preconditioner applies the inverse Riesz maps blockwise and exactly,
+by one sparse LU factor per block: B_H on the control block, the H-norm
+matrix (M-weighted stiffness + bulk mass) on the state and adjoint
+blocks (one two-column solve), and the scalar <1, 1>_U on the
+multiplier rows.  The blocks depend on the operator set only, so one
+preconditioner serves every alpha on it.  MINRES stops when the
+preconditioned residual norm sqrt(r^T P^{-1} r), relative to its
+initial value, falls below rho.
 """
 
 from __future__ import annotations
@@ -93,29 +94,11 @@ def build_system(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     return SaddleSystem(mat, rhs, alpha, nu, nv, ops, mult_scale)
 
 
-def _sym_gauss_seidel_factory(a: sp.csr_matrix, sweeps: int):
-    """Approximate inverse of SPD ``a`` by symmetric Gauss-Seidel sweeps;
-    the returned map takes one right-hand side or a column block."""
-    lower = sp.tril(a, 0).tocsr()
-    upper = sp.triu(a, 0).tocsr()
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        z = np.zeros_like(r)
-        for _ in range(sweeps):
-            z += spla.spsolve_triangular(lower, r - a @ z, lower=True)
-            z += spla.spsolve_triangular(upper, r - a @ z, lower=False)
-        return z
-
-    return apply
-
-
 @dataclass
 class RieszPreconditioner:
     """Block-diagonal inverse Riesz map for the saddle system."""
 
     system: SaddleSystem
-    mode: str = "exact"          # "exact" or "gauss-seidel"
-    sweeps: int = 3
     _apply_u: object = field(default=None, repr=False)
     _apply_h: object = field(default=None, repr=False)
     _riesz_u: sp.csr_matrix = field(default=None, repr=False)
@@ -125,21 +108,15 @@ class RieszPreconditioner:
         ops = self.system.ops
         self._riesz_u = ops.riesz_u()
         self._riesz_h = ops.riesz_h()
-        if self.mode == "exact":
-            try:
-                lu_u = spla.splu(self._riesz_u.tocsc())
-                lu_h = spla.splu(self._riesz_h.tocsc())
-            except RuntimeError as err:
-                raise SaddleError(
-                    f"Riesz block factorization failed ({err}); "
-                    f"active sets are inconsistent") from err
-            self._apply_u = lu_u.solve
-            self._apply_h = lu_h.solve
-        elif self.mode == "gauss-seidel":
-            self._apply_u = _sym_gauss_seidel_factory(self._riesz_u, self.sweeps)
-            self._apply_h = _sym_gauss_seidel_factory(self._riesz_h, self.sweeps)
-        else:
-            raise ValueError(f"unknown preconditioner mode {self.mode!r}")
+        try:
+            lu_u = spla.splu(self._riesz_u.tocsc())
+            lu_h = spla.splu(self._riesz_h.tocsc())
+        except RuntimeError as err:
+            raise SaddleError(
+                f"Riesz block factorization failed ({err}); "
+                f"active sets are inconsistent") from err
+        self._apply_u = lu_u.solve
+        self._apply_h = lu_h.solve
 
     def matrix(self) -> sp.csr_matrix:
         """The Riesz (not inverted) block matrix; SPD on the active sets."""
@@ -160,11 +137,9 @@ class RieszPreconditioner:
         return z
 
     def solve_h(self):
-        """An exact solver of the H-block Riesz matrix R_H: this
-        preconditioner's own factor in exact mode, a new one otherwise."""
-        if self.mode == "exact":
-            return self._apply_h
-        return spla.splu(self._riesz_h.tocsc()).solve
+        """The exact solver of the H-block Riesz matrix R_H: this
+        preconditioner's own factor."""
+        return self._apply_h
 
 
 @dataclass
@@ -268,7 +243,7 @@ def spectrum(system: SaddleSystem, prec: RieszPreconditioner,
     """Eigenvalues of the Riesz-preconditioned operator, sorted ascending.
 
     Solves the generalized symmetric problem A q = lambda P q with P the
-    (SPD) Riesz block matrix, densely.  Requires the exact mode cap.
+    (SPD) Riesz block matrix, densely, for systems up to ``dense_cap``.
     """
     n = system.size
     if n > dense_cap:

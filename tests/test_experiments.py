@@ -1,5 +1,6 @@
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ def test_config_defaults_and_overrides(tmp_path):
     (None, {"output.seed": "50%"}, "output.seed"),
     ("h0 = 0.3\n", {}, "bad.ini"),
     ("MISSING", {}, "missing.ini"),
+    (None, {"study.table_delta": "-1"}, "study.table_delta"),
+    (None, {"study.deltas": "0.1, -0.1"}, "study.deltas"),
+    (None, {"study.alphas": "1.0, -1"}, "study.alphas"),
+    (None, {"study.alpha": "-1"}, "study.alpha"),
+    (None, {"study.epsilons": "0.125, 0"}, "study.epsilons"),
+    (None, {"study.epsilons": "0.5"}, "study.epsilons"),
+    (None, {"study.epsilon": "0"}, "study.epsilon"),
+    (None, {"study.epsilon": "0.3"}, "study.epsilon"),
+    (None, {"solver.max_iter": "0"}, "solver.max_iter"),
+    (None, {"study.alpha_coef": "0"}, "study.alpha_coef"),
+    (None, {"study.eps_coef": "-0.25"}, "study.eps_coef"),
+    (None, {"geometry.sigma_r": "nan"}, "geometry.sigma_r"),
 ])
 def test_bad_config_names_key(tmp_path, ini, overrides, key):
     path = None
@@ -125,8 +138,8 @@ def test_single_cell_table_and_emit(tmp_path):
     assert res.converged.all()
     files = xp.emit_outputs(cfg.out_dir, cfg, table=res)
     names = {os.path.basename(f) for f in files}
-    assert names == {"config.echo", "rates.csv", "table.csv",
-                     "spectrum.csv", "residuals.csv", "plot_results.py"}
+    assert names == {"config.echo", "table.csv", "residuals.csv",
+                     "plot_results.py"}
     table = open(os.path.join(cfg.out_dir, "table.csv")).read()
     assert table.splitlines()[0] == "eps\\alpha,0.1"
     # residual history rows carry the (eps, alpha) context
@@ -161,10 +174,11 @@ def test_table_factors_riesz_blocks_once_per_eps_row(monkeypatch):
 
 def test_emit_empty_results(tmp_path):
     cfg = xp.load_config(overrides={"output.directory": str(tmp_path)})
-    xp.emit_outputs(str(tmp_path), cfg)
-    for name in ("rates.csv", "table.csv", "spectrum.csv", "residuals.csv"):
-        lines = open(os.path.join(tmp_path, name)).read().splitlines()
-        assert len(lines) == 1  # headers only
+    files = xp.emit_outputs(str(tmp_path), cfg)
+    # no results, no CSVs: nothing header-only is written
+    assert sorted(os.listdir(tmp_path)) == ["config.echo", "plot_results.py"]
+    assert sorted(os.path.basename(f) for f in files) == sorted(
+        os.listdir(tmp_path))
 
 
 def test_rates_csv_schema_and_determinism(tmp_path):
@@ -181,7 +195,7 @@ def test_rates_csv_schema_and_determinism(tmp_path):
     header = open(os.path.join(cfg.out_dir, "rates.csv")).readline().strip()
     assert header.split(",") == [
         "schedule", "delta", "alpha", "epsilon", "h0", "levels", "rho",
-        "mode", "seed", "iters", "converged", "u_err_band", "v_err_band",
+        "seed", "iters", "converged", "u_err_band", "v_err_band",
         "grad_err", "u_err_dual", "u_err_sharp"]
     # byte-identical rerun
     overrides["output.directory"] = str(tmp_path / "b")
@@ -247,3 +261,19 @@ def test_single_delta_rate_fit_undefined():
     res = xp.run_rate_study(cfg)
     assert len(res.rows) == 1
     assert not res.u_fit.defined
+
+
+def test_plot_script_skips_absent_csvs(tmp_path, monkeypatch):
+    """The emitted plot script runs when no rates or spectrum CSV exists
+    (matplotlib stubbed: only the file handling is under test)."""
+    import runpy
+    from unittest import mock
+
+    plt = mock.MagicMock()
+    plt.subplots.return_value = (mock.MagicMock(), mock.MagicMock())
+    monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=plt))
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+    cfg = xp.load_config(overrides={"output.directory": str(tmp_path)})
+    xp.emit_outputs(str(tmp_path), cfg)
+    runpy.run_path(str(tmp_path / "plot_results.py"))
+    plt.subplots.assert_not_called()
