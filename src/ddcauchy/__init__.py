@@ -11,14 +11,14 @@ spectra and convergence-rate studies.
 from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, synthesize_truth
 from .mesh import TriMesh, build_background, mesh_annulus, quadrature, refine_band
-from .assembly import OperatorSet, SharpOperatorSet, assemble_sharp
+from .assembly import OperatorSet, assemble_sharp
 
 __all__ = [
     "AnnulusGeometry", "ConductivityTensor", "PhaseField",
     "AngularSeries", "synthesize_truth",
     "TriMesh", "build_background", "mesh_annulus", "quadrature",
     "refine_band",
-    "OperatorSet", "SharpOperatorSet", "assemble_sharp",
+    "OperatorSet", "assemble_sharp",
 ]
 
 __version__ = "0.1.0"

@@ -7,11 +7,14 @@ Diffuse forms on the background mesh:
     B_H, B_B = <u, v> weighted by |grad omega| gamma_H/B  (band masses)
     mean_vec = <basis_i, 1> in the U-norm = row sums of B_H
 
-Sharp forms on the annulus mesh:
+The sharp reference (eps = 0) is the same OperatorSet on the polar
+annulus mesh, where |grad omega| gamma_H and |grad omega| gamma_B become
+the measures of the inner and outer circles:
 
-    K_D              stiffness with M at quadrature points
-    T_inner, T_outer exact P1 edge mass matrices on the tagged polygons
-    mean_vec_sharp   row sums of T_inner
+    K_omega  = K_D, the stiffness of M on the exact annulus
+    M_omega  = the P1 mass of the annulus
+    B_H, B_B = T_inner, T_outer, exact P1 edge masses of the tagged
+               polygons, so mean_vec = row sums of T_inner
 
 All diffuse forms come from one pass over the bulk support (elements
 whose radial interval meets r_inner - eps < |x| < r_outer + eps).  Cut
@@ -28,6 +31,7 @@ sets are read off the diagonals afterwards.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,12 @@ ACTIVE_RTOL = 1e-14
 # seven fig7 meshes (h0 = 0.1) and 4.1e-7 at h0 = 0.15, eps = 2^-5 (the
 # test bound is 1e-6); an unsubdivided degree-2 rule would give 1e-4.
 PLATEAU_RULE = quadrature(4, 1)
+
+# Stiffness rule of the sharp reference on the polar annulus mesh.
+SHARP_RULE = quadrature(2, 1)
+
+# Closed-form P1 element mass over the element area.
+_P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
 class AssemblyError(RuntimeError):
@@ -150,12 +160,12 @@ class _Elements:
 
 def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
                    tensor: ConductivityTensor = None, mass: bool = False,
-                   identity: bool = False, bands=()) -> dict:
+                   bands=()) -> dict:
     """Diffuse forms of one (mesh, eps) from one pass over the bulk support.
 
     Returns a dict with 'k' (stiffness of ``tensor``, if given), 'm'
-    (bulk mass, if ``mass``), 'k_identity' (identity-tensor stiffness, if
-    ``identity``) and one band mass per entry of ``bands`` ('H', 'B').
+    (bulk mass, if ``mass``) and one band mass per entry of ``bands``
+    ('H', 'B').
     Cut elements use ``rule``; on plateau elements the bulk mass is the
     closed-form P1 mass and the stiffness uses PLATEAU_RULE, whose only
     error there is that of integrating the smooth tensor M(x).
@@ -179,17 +189,10 @@ def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
         m_eff *= areas[:, None, None]
         local = np.einsum("mia,mab,mjb->mij", el.grads, m_eff, el.grads)
         out["k"] = _scatter(el.tris, local, n)
-    if identity:
-        # per-element int omega, times the identity tensor
-        w_omega = areas.copy()
-        w_omega[cut] *= el.omega @ rule.weights
-        local = np.einsum("mia,mja->mij", el.grads, el.grads)
-        out["k_identity"] = _scatter(el.tris,
-                                     local * w_omega[:, None, None], n)
     if mass:
         local = np.empty((len(areas), 3, 3))
         local[cut] = np.einsum("mq,qij->mij", el.omega, lam_w)
-        local[~cut] = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        local[~cut] = _P1_MASS
         local *= areas[:, None, None]
         out["m"] = _scatter(el.tris, local, n)
     for which in bands:
@@ -270,7 +273,12 @@ def active_sets(b_h: sp.csr_matrix, k_omega: sp.csr_matrix,
 
 @dataclass
 class OperatorSet:
-    """Assembled diffuse operators plus bookkeeping for one (mesh, eps)."""
+    """Assembled operators plus bookkeeping for one (mesh, eps).
+
+    eps = 0 is the sharp reference on the polar annulus mesh (built by
+    ``assemble_sharp``; ``field`` is None there).  ``mean_vec`` and the
+    active DOF sets are derived from the forms.
+    """
 
     mesh: TriMesh
     field: PhaseField
@@ -280,24 +288,23 @@ class OperatorSet:
     m_omega: sp.csr_matrix
     b_h: sp.csr_matrix
     b_b: sp.csr_matrix
-    mean_vec: np.ndarray
-    active_u: np.ndarray
-    active_v: np.ndarray
-    k_identity: sp.csr_matrix = None  # plain-Laplacian variant, on demand
+    mean_vec: np.ndarray = dataclasses.field(init=False)
+    active_u: np.ndarray = dataclasses.field(init=False)
+    active_v: np.ndarray = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        self.mean_vec = np.asarray(self.b_h.sum(axis=1)).ravel()
+        self.active_u, self.active_v = active_sets(self.b_h, self.k_omega,
+                                                   self.m_omega)
 
     @classmethod
     def build(cls, mesh: TriMesh, field: PhaseField,
-              tensor: ConductivityTensor, rule: QuadratureRule,
-              with_identity_stiffness: bool = False) -> "OperatorSet":
+              tensor: ConductivityTensor,
+              rule: QuadratureRule) -> "OperatorSet":
         forms = _diffuse_forms(mesh, field, rule, tensor=tensor, mass=True,
-                               identity=with_identity_stiffness,
                                bands=("H", "B"))
-        b_h = forms["H"]
-        mean_vec = np.asarray(b_h.sum(axis=1)).ravel()
-        a_u, a_v = active_sets(b_h, forms["k"], forms["m"])
-        return cls(mesh, field, tensor, rule, forms["k"], forms["m"], b_h,
-                   forms["B"], mean_vec, a_u, a_v,
-                   k_identity=forms.get("k_identity"))
+        return cls(mesh, field, tensor, rule, forms["k"], forms["m"],
+                   forms["H"], forms["B"])
 
     def riesz_u(self) -> sp.csr_matrix:
         """U-inner-product Gram matrix on the active control set."""
@@ -307,20 +314,6 @@ class OperatorSet:
         """H-inner-product Gram matrix (M-stiffness + bulk mass) on active_v."""
         r = (self.k_omega + self.m_omega)
         return r[np.ix_(self.active_v, self.active_v)].tocsr()
-
-
-@dataclass
-class SharpOperatorSet:
-    """Operators of the sharp reference problem on the annulus mesh."""
-
-    mesh: TriMesh
-    tensor: ConductivityTensor
-    k_d: sp.csr_matrix
-    t_inner: sp.csr_matrix
-    t_outer: sp.csr_matrix
-    mean_vec_sharp: np.ndarray
-    inner_nodes: np.ndarray
-    outer_nodes: np.ndarray
 
 
 def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:
@@ -338,24 +331,23 @@ def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble_sharp(mesh: TriMesh, tensor: ConductivityTensor,
-                   quad_degree: int = 2) -> SharpOperatorSet:
-    """Stiffness and boundary mass matrices of the sharp weak form."""
-    from .mesh import boundary_nodes
+def assemble_sharp(mesh: TriMesh,
+                   tensor: ConductivityTensor) -> OperatorSet:
+    """The eps = 0 operator set on the polar annulus mesh.
 
-    rule = quadrature(quad_degree, 1)
+    Its active sets are the inner ring (control) and all nodes (state);
+    ``mesh_annulus`` numbers each ring in increasing angle.
+    """
     tris, areas, grads = _element_geometry(mesh)
-    qp = _quad_points(mesh, tris, rule)
-    m_q = tensor.evaluate(qp)
-    m_eff = np.einsum("q,mqab->mab", rule.weights, m_q) * areas[:, None, None]
+    m_q = tensor.evaluate(_quad_points(mesh, tris, SHARP_RULE))
+    m_eff = (np.einsum("q,mqab->mab", SHARP_RULE.weights, m_q)
+             * areas[:, None, None])
     local = np.einsum("mia,mab,mjb->mij", grads, m_eff, grads)
-    k_d = _scatter(tris, local, mesh.num_vertices)
-    t_inner = _edge_mass(mesh, "inner")
-    t_outer = _edge_mass(mesh, "outer")
-    mean_vec = np.asarray(t_inner.sum(axis=1)).ravel()
-    return SharpOperatorSet(mesh, tensor, k_d, t_inner, t_outer, mean_vec,
-                            boundary_nodes(mesh, "inner"),
-                            boundary_nodes(mesh, "outer"))
+    n = mesh.num_vertices
+    return OperatorSet(mesh, None, tensor, SHARP_RULE,
+                       _scatter(tris, local, n),
+                       _scatter(tris, areas[:, None, None] * _P1_MASS, n),
+                       _edge_mass(mesh, "inner"), _edge_mass(mesh, "outer"))
 
 
 def dump_matrix(mat: sp.spmatrix) -> str:

@@ -12,7 +12,8 @@ verify    analytic property suite (band measure, integral orders, adjoint,
 Every subcommand but verify accepts --config FILE (INI) and repeated
 --set section.key=value overrides; command-line values win over the file.
 The rates/table subcommands also accept --preset fig7|fig8.  An unknown
-key or unusable value is reported as one line on stderr, exit code 2.
+key or unusable value, and a solve flag out of range, is reported as one
+line on stderr, exit code 2.
 """
 
 from __future__ import annotations
@@ -50,12 +51,28 @@ def _overrides(args, preset=None):
     return ov
 
 
+class FlagError(ValueError):
+    """A command-line flag out of range; the message names the flag."""
+
+
+def _check_solve_flags(delta, alpha, eps, eps_cap):
+    # every comparison with nan is False, so nan fails each test
+    for flag, value, ok, what in (
+            ("--delta", delta, 0.0 <= delta < np.inf, "a finite number >= 0"),
+            ("--alpha", alpha, 0.0 < alpha < np.inf, "a finite number > 0"),
+            ("--epsilon", eps, eps == 0.0 or 0.0 < eps <= eps_cap,
+             f"0 or in (0, {eps_cap:g}]")):
+        if not ok:
+            raise FlagError(f"{flag} {value:g}: must be {what}")
+
+
 def cmd_solve(args):
     ov = _overrides(args)
     ov.setdefault("study.kind", "solve")
     cfg = xp.load_config(args.config, ov)
-    ws = xp.Workspace(cfg)
     delta, alpha, eps = args.delta, args.alpha, args.epsilon
+    _check_solve_flags(delta, alpha, eps, cfg.geometry.eps_admissible)
+    ws = xp.Workspace(cfg)
     f_del = ws.noisy_data(delta)
     if eps == 0.0:
         u, v, p = ws.sharp_solver.tikhonov(alpha, f_del)
@@ -178,6 +195,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except xp.ConfigError as err:
         print(f"ddcauchy: config error: {err}", file=sys.stderr)
+        return 2
+    except FlagError as err:
+        print(f"ddcauchy: {err}", file=sys.stderr)
         return 2
 
 

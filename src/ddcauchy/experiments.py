@@ -52,8 +52,16 @@ class ConfigError(ValueError):
     """Unknown or unusable configuration; the message names the key."""
 
 
+def _finite(text: str) -> float:
+    """The one float parser of the config: rejects nan and +-inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def _floats(text: str) -> list:
-    return [float(p) for p in text.split(",") if p.strip()]
+    return [_finite(p) for p in text.split(",") if p.strip()]
 
 
 def _series(text: str) -> AngularSeries:
@@ -64,7 +72,7 @@ def _series(text: str) -> AngularSeries:
         if len(parts) != 3:
             raise ValueError(f"term {piece!r} is not kind:wavenumber:coef")
         kind, k, coef = parts
-        terms.append((kind.strip(), int(k), float(coef)))
+        terms.append((kind.strip(), int(k), _finite(coef)))
     return AngularSeries.of(*terms)
 
 
@@ -89,12 +97,12 @@ _POSITIVE_LIST = _require(lambda xs: len(xs) and all(x > 0.0 for x in xs),
 # The INI defaults, the ExperimentConfig fields and the typing done by
 # load_config all come from this table.
 SCHEMA = (
-    ("geometry.r_inner", "r_inner", float, "0.3", None),
-    ("geometry.r_outer", "r_outer", float, "1.0", None),
-    ("geometry.split_radius", "split_radius", float, "0.65", None),
-    ("geometry.sigma_t", "sigma_t", float, "1.0", None),
-    ("geometry.sigma_r", "sigma_r", float, "0.3", None),
-    ("mesh.h0", "h0", float, "0.1", _POSITIVE),
+    ("geometry.r_inner", "r_inner", _finite, "0.3", None),
+    ("geometry.r_outer", "r_outer", _finite, "1.0", None),
+    ("geometry.split_radius", "split_radius", _finite, "0.65", None),
+    ("geometry.sigma_t", "sigma_t", _finite, "1.0", None),
+    ("geometry.sigma_r", "sigma_r", _finite, "0.3", None),
+    ("mesh.h0", "h0", _finite, "0.1", _POSITIVE),
     ("mesh.max_levels", "max_levels", int, str(MAX_BAND_LEVELS),
      _at_least(0)),
     ("mesh.quad_degree", "quad_degree", int, "2",
@@ -104,33 +112,34 @@ SCHEMA = (
      _at_least(SHARP_MIN_ANGULAR)),
     ("mesh.sharp_n_radial", "sharp_n_radial", int, "48",
      _at_least(SHARP_MIN_RADIAL)),
-    ("solver.rho", "rho", float, "1e-10",
+    ("solver.rho", "rho", _finite, "1e-10",
      _require(lambda x: 0.0 < x < 1.0, "in (0, 1)")),
     ("solver.max_iter", "max_iter", int, "2000", _at_least(1)),
-    ("solver.dense_cap", "dense_cap", int, str(DENSE_SPECTRUM_CAP), None),
+    ("solver.dense_cap", "dense_cap", int, str(DENSE_SPECTRUM_CAP),
+     _at_least(1)),
     # source density on the outer boundary, scaled by the amplitude
     ("truth.series", "series", _series, "cos:2:1.0, sin:3:0.5", None),
-    ("truth.amplitude", "amplitude", float, "1.0", None),
+    ("truth.amplitude", "amplitude", _finite, "1.0", None),
     ("study.kind", "study_kind", str, "rates", None),
     # table study
     ("study.alphas", "alphas", _floats, "1.0, 0.1, 0.01, 0.001, 0.0001",
      _POSITIVE_LIST),
     ("study.epsilons", "epsilons", _floats,
      "0.25, 0.125, 0.0625, 0.03125, 0.015625", _NONEMPTY),
-    ("study.table_delta", "table_delta", float, "0.001", _NONNEGATIVE),
+    ("study.table_delta", "table_delta", _finite, "0.001", _NONNEGATIVE),
     # rate study: alpha = alpha_coef * delta^alpha_exp, same for eps;
     # eps_coef = 0 selects the sharp mesh
     ("study.deltas", "deltas", _floats,
      "0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.001953125, "
      "0.0009765625", _POSITIVE_LIST),
-    ("study.alpha_coef", "alpha_coef", float, "0.5", _POSITIVE),
-    ("study.alpha_exp", "alpha_exp", float, "1.0", None),
-    ("study.eps_coef", "eps_coef", float, "0.25", _NONNEGATIVE),
-    ("study.eps_exp", "eps_exp", float, "0.5", None),
+    ("study.alpha_coef", "alpha_coef", _finite, "0.5", _POSITIVE),
+    ("study.alpha_exp", "alpha_exp", _finite, "1.0", None),
+    ("study.eps_coef", "eps_coef", _finite, "0.25", _NONNEGATIVE),
+    ("study.eps_exp", "eps_exp", _finite, "0.5", None),
     # spectrum study; alpha = 0 is the zero-alpha spectrum
-    ("study.alpha", "spec_alpha", float, "1e-4", _NONNEGATIVE),
-    ("study.epsilon", "spec_epsilon", float, "0.125", None),
-    ("study.spectrum_h0", "spectrum_h0", float, "0.08", _POSITIVE),
+    ("study.alpha", "spec_alpha", _finite, "1e-4", _NONNEGATIVE),
+    ("study.epsilon", "spec_epsilon", _finite, "0.125", None),
+    ("study.spectrum_h0", "spectrum_h0", _finite, "0.08", _POSITIVE),
     ("output.directory", "out_dir", str, "out", None),
     ("output.seed", "seed", int, "1234", _at_least(0)),
 )

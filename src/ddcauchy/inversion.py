@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import OperatorSet, SharpOperatorSet
+from .assembly import OperatorSet
 from .geometry import PhaseField
 from .harmonics import GroundTruth
 from .saddle import RieszPreconditioner, SolveReport, build_system, minres
@@ -35,28 +35,40 @@ class InversionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _mean_constrained_solver(k: sp.spmatrix, mean: np.ndarray):
+    """Solver of K v = load subject to <mean, v> = 0.
+
+    Factors the symmetric augmented matrix [[K, m], [m^T, 0]] once by
+    sparse LU; the returned function takes a load of K's length.
+    """
+    m_col = sp.csr_matrix(mean[:, None])
+    aug = sp.bmat([[k, m_col], [m_col.T, None]], format="csc")
+    try:
+        lu = spla.splu(aug)
+    except RuntimeError as err:
+        raise InversionError(f"singular augmented system: {err}") from err
+    n = k.shape[0]
+    return lambda load: lu.solve(np.append(load, 0.0))[:n]
+
+
 class SharpSolver:
     """Forward/adjoint/Tikhonov solves on the exact annulus mesh.
 
-    The forward map takes a Neumann flux u on the inner boundary to the
-    potential trace on the outer one; the mean constraint <v, 1>_inner = 0
-    is imposed by one scalar multiplier to keep the system symmetric.
+    ``ops`` is the eps = 0 operator set of ``assemble_sharp``.  The
+    forward map takes a Neumann flux u on the inner boundary to the
+    potential trace on the outer one; the mean constraint
+    <v, 1>_inner = 0 is imposed by one scalar multiplier to keep the
+    system symmetric.
     """
 
-    def __init__(self, ops: SharpOperatorSet):
+    def __init__(self, ops: OperatorSet):
         self.ops = ops
-        n = ops.mesh.num_vertices
-        m_col = sp.csr_matrix(ops.mean_vec_sharp[:, None])
-        aug = sp.bmat([[ops.k_d, m_col], [m_col.T, None]], format="csc")
-        try:
-            self._lu = spla.splu(aug)
-        except RuntimeError as err:
-            raise InversionError(f"singular augmented system: {err}") from err
-        self._n = n
-        self.inner = ops.inner_nodes
-        self.outer = ops.outer_nodes
-        self.t_ii = ops.t_inner[np.ix_(self.inner, self.inner)].tocsr()
-        self.t_oo = ops.t_outer[np.ix_(self.outer, self.outer)].tocsr()
+        self._n = ops.mesh.num_vertices
+        self._solve = _mean_constrained_solver(ops.k_omega, ops.mean_vec)
+        self.inner = ops.active_u
+        self.outer = np.flatnonzero(ops.b_b.diagonal() > 0.0)
+        self.t_ii = ops.b_h[np.ix_(self.inner, self.inner)].tocsr()
+        self.t_oo = ops.b_b[np.ix_(self.outer, self.outer)].tocsr()
         self.inner_angles = np.mod(np.arctan2(
             ops.mesh.vertices[self.inner, 1],
             ops.mesh.vertices[self.inner, 0]), 2.0 * np.pi)
@@ -64,25 +76,23 @@ class SharpSolver:
             ops.mesh.vertices[self.outer, 1],
             ops.mesh.vertices[self.outer, 0]), 2.0 * np.pi)
 
-    def _solve_augmented(self, load: np.ndarray) -> np.ndarray:
-        rhs = np.zeros(self._n + 1)
-        rhs[:self._n] = load
-        return self._lu.solve(rhs)[:self._n]
+    def _boundary_load(self, nodes: np.ndarray, values: np.ndarray):
+        load = np.zeros(self._n)
+        load[nodes] = values
+        return load
 
     def forward(self, u_inner: np.ndarray):
         """State field and its trace f = v | outer for flux u on the inner
-        boundary (nodal values in the order of ``inner_nodes``)."""
-        load = np.zeros(self._n)
-        load[self.inner] = u_inner
-        v = self._solve_augmented(self.ops.t_inner @ load)
+        boundary (nodal values in the order of ``inner``)."""
+        v = self._solve(self.ops.b_h @ self._boundary_load(self.inner,
+                                                           u_inner))
         return v, v[self.outer]
 
     def adjoint(self, w_outer: np.ndarray):
         """Adjoint field and its trace u = p | inner for density w on the
         outer boundary."""
-        load = np.zeros(self._n)
-        load[self.outer] = w_outer
-        p = self._solve_augmented(self.ops.t_outer @ load)
+        p = self._solve(self.ops.b_b @ self._boundary_load(self.outer,
+                                                           w_outer))
         return p, p[self.inner]
 
     def inner_norm(self, u_inner: np.ndarray) -> float:
@@ -94,31 +104,16 @@ class SharpSolver:
     def tikhonov(self, alpha: float, f_outer: np.ndarray):
         """Direct solve of the sharp Tikhonov saddle system.
 
-        Unknowns (u on inner nodes, v, p, mu_v, mu_p); returns nodal
-        (u_inner, v, p).  Serves as the eps = 0 reference.
+        The system is ``build_system`` on the eps = 0 operators, factored
+        by sparse LU; returns nodal (u_inner, v, p).  Serves as the
+        eps = 0 reference.
         """
         if alpha <= 0.0:
             raise InversionError(f"alpha must be positive, got {alpha}")
-        ops = self.ops
-        n = self._n
-        nb = len(self.inner)
-        t_all_i = ops.t_inner[:, self.inner].tocsr()     # (n, nb)
-        m_col = sp.csr_matrix(ops.mean_vec_sharp[:, None])
-        mat = sp.bmat([
-            [alpha * self.t_ii, None, -t_all_i.T, None, None],
-            [None, ops.t_outer, ops.k_d, m_col, None],
-            [-t_all_i, ops.k_d, None, None, m_col],
-            [None, m_col.T, None, None, None],
-            [None, None, m_col.T, None, None],
-        ], format="csc")
-        rhs = np.zeros(mat.shape[0])
-        load = np.zeros(n)
-        load[self.outer] = f_outer
-        rhs[nb:nb + n] = ops.t_outer @ load
-        sol = spla.splu(mat).solve(rhs)
-        u = sol[:nb]
-        v = sol[nb:nb + n]
-        p = sol[nb + n:nb + 2 * n]
+        system = build_system(self.ops, alpha,
+                              self._boundary_load(self.outer, f_outer))
+        sol = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        u, v, p, _ = system.split(sol)
         return u, v, p
 
 
@@ -236,14 +231,10 @@ def diffuse_forward(ops: OperatorSet, u_band: np.ndarray) -> np.ndarray:
     constraint, by a direct augmented solve.
     """
     a_v = ops.active_v
-    k_vv = ops.k_omega[np.ix_(a_v, a_v)]
-    m_col = sp.csr_matrix(ops.mean_vec[a_v][:, None])
-    aug = sp.bmat([[k_vv, m_col], [m_col.T, None]], format="csc")
-    rhs = np.zeros(len(a_v) + 1)
-    rhs[:len(a_v)] = (ops.b_h @ u_band)[a_v]
-    sol = spla.splu(aug).solve(rhs)
+    solve = _mean_constrained_solver(ops.k_omega[np.ix_(a_v, a_v)],
+                                     ops.mean_vec[a_v])
     v = np.zeros(ops.mesh.num_vertices)
-    v[a_v] = sol[:len(a_v)]
+    v[a_v] = solve((ops.b_h @ u_band)[a_v])
     return v
 
 

@@ -375,8 +375,10 @@ def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
                  n_radial: int) -> TriMesh:
     """Structured polar triangulation of the exact annulus.
 
-    Vertices lie on n_radial + 1 concentric rings; boundary edges carry
-    the tags "inner" (r = r_inner) and "outer" (r = r_outer).
+    Vertices lie on n_radial + 1 concentric rings, numbered ring by ring
+    from the inner one and in increasing angle in [0, 2 pi) within a
+    ring; boundary edges carry the tags "inner" (r = r_inner) and
+    "outer" (r = r_outer).
     """
     if n_angular < SHARP_MIN_ANGULAR or n_radial < SHARP_MIN_RADIAL:
         raise MeshError(f"need n_angular >= {SHARP_MIN_ANGULAR} and "
@@ -407,15 +409,6 @@ def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
     return TriMesh(verts, np.array(tris), bedges,
                    metadata={"variant": "polar", "n_angular": n_angular,
                              "n_radial": n_radial})
-
-
-def boundary_nodes(mesh: TriMesh, tag: str) -> np.ndarray:
-    """Vertex indices on a tagged boundary, sorted by polar angle."""
-    ids = sorted({i for e in mesh.boundary_edges if e[2] == tag
-                  for i in e[:2]})
-    ids = np.array(ids, dtype=np.int64)
-    ang = np.arctan2(mesh.vertices[ids, 1], mesh.vertices[ids, 0])
-    return ids[np.argsort(np.mod(ang, 2.0 * np.pi), kind="stable")]
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,9 @@ def build_system(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     """Assemble the symmetric saddle system for data vector f_tilde.
 
     ``f_tilde`` is a full-length nodal vector supported on the B-band
-    (the constant-normal extension of the measured data).
+    (the constant-normal extension of the measured data).  On the eps = 0
+    operator set of ``assemble_sharp`` this is the sharp reference
+    system, with f_tilde the data on the outer ring.
     """
     if alpha <= 0.0 and not (allow_zero_alpha and alpha == 0.0):
         raise SaddleError(f"alpha must be positive, got {alpha}")

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorSet, assemble_sharp
+from .experiments import fit_loglog_slope
 from .geometry import (AnnulusGeometry, ConductivityTensor, PhaseField,
                        annulus_integral, band_integral, ring_diffuse_integral)
 from .harmonics import AngularSeries
@@ -39,14 +40,6 @@ class VerifyCheck:
     name: str
     passed: bool
     detail: str
-
-
-def _fit_order(eps_list, errs) -> float:
-    x = np.log(eps_list)
-    y = np.log(errs)
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return float(coef[0])
 
 
 def check_band_measure(geometry: AnnulusGeometry, rtol: float = 1e-5):
@@ -92,7 +85,7 @@ def check_integral_order(geometry: AnnulusGeometry, min_order: float = 1.9):
             diffuse = ring_diffuse_integral(field, g, lo, hi)
             sharp = annulus_integral(geometry, g, r_lo=r_lo, r_hi=r_hi)
             errs.append(abs(diffuse - sharp))
-        orders[label] = _fit_order(eps_list, errs)
+        orders[label] = fit_loglog_slope(zip(eps_list, errs)).slope
     ok = all(o >= min_order for o in orders.values())
     detail = ", ".join(f"{k}: {v:.2f}" for k, v in orders.items())
     return VerifyCheck("integral-order", ok,
@@ -138,7 +131,7 @@ def check_extension_error(geometry: AnnulusGeometry,
             return (v - ev) ** 2
 
         errs.append(np.sqrt(band_integral(field, diff_sq, "B", n_theta=512)))
-    order = _fit_order(eps_list, errs)
+    order = fit_loglog_slope(zip(eps_list, errs)).slope
     return VerifyCheck("extension-error", order >= min_order,
                        f"fitted order {order:.2f} (need >= {min_order})")
 
@@ -182,7 +175,9 @@ def check_adjoint(geometry: AnnulusGeometry, tensor: ConductivityTensor,
                        f"max normalized defect {worst:.2e} (tol {tol:g})")
 
 
-def _sweep_operators(geometry, tensor, h0=0.15, ks=(2, 3, 4)):
+def _sweep_operators(geometry, h0=0.15, ks=(2, 3, 4)):
+    """Operator sets over an eps sweep with M = I, so that k_omega is the
+    plain omega-weighted Laplacian K_I."""
     base = build_background(h0)
     rule = quadrature(2, 4)
     out = []
@@ -190,17 +185,16 @@ def _sweep_operators(geometry, tensor, h0=0.15, ks=(2, 3, 4)):
         eps = 2.0 ** -k
         field = PhaseField(geometry, eps)
         mesh = refine_band(base, field, levels_for(eps, h0))
-        out.append(OperatorSet.build(mesh, field, tensor, rule,
-                                     with_identity_stiffness=True))
+        out.append(OperatorSet.build(mesh, field,
+                                     ConductivityTensor.identity(), rule))
     return out
 
 
-def check_diffuse_trace(geometry: AnnulusGeometry,
-                        tensor: ConductivityTensor, factor: float = 2.0):
+def check_diffuse_trace(geometry: AnnulusGeometry, factor: float = 2.0):
     """sup ||v||_band^2 / ||v||_H^2 stays bounded across eps (within a
     factor of its value at the coarsest eps), for a smooth test family."""
     ratios = []
-    for ops in _sweep_operators(geometry, tensor):
+    for ops in _sweep_operators(geometry):
         mesh = ops.mesh
         pts = mesh.vertices
         fams = [np.ones(len(pts)),
@@ -210,7 +204,7 @@ def check_diffuse_trace(geometry: AnnulusGeometry,
         worst = 0.0
         for v in fams:
             num = float(v @ (ops.b_h @ v))
-            den = float(v @ (ops.k_identity @ v)) + float(v @ (ops.m_omega @ v))
+            den = float(v @ (ops.k_omega @ v)) + float(v @ (ops.m_omega @ v))
             worst = max(worst, num / den)
         ratios.append(worst)
     ok = max(ratios) <= factor * ratios[0]
@@ -219,16 +213,15 @@ def check_diffuse_trace(geometry: AnnulusGeometry,
                        f" (max within {factor}x of first)")
 
 
-def check_poincare(geometry: AnnulusGeometry, tensor: ConductivityTensor,
-                   floor_factor: float = 0.5):
+def check_poincare(geometry: AnnulusGeometry, floor_factor: float = 0.5):
     """Smallest eigenvalue of (K_I + B_H) against M_omega on the active
     state set, uniformly bounded below across eps."""
     import scipy.sparse.linalg as spla
 
     vals = []
-    for ops in _sweep_operators(geometry, tensor):
+    for ops in _sweep_operators(geometry):
         a_v = ops.active_v
-        a = (ops.k_identity + ops.b_h)[np.ix_(a_v, a_v)].tocsc()
+        a = (ops.k_omega + ops.b_h)[np.ix_(a_v, a_v)].tocsc()
         m = ops.m_omega[np.ix_(a_v, a_v)].tocsc()
         lam = spla.eigsh(a, k=1, M=m, sigma=0.0, which="LM",
                          v0=np.ones(a.shape[0]),
@@ -251,7 +244,7 @@ def run_verify(geometry: AnnulusGeometry = None,
         check_extension_error(geometry),
         check_closest_point(geometry),
         check_adjoint(geometry, tensor),
-        check_diffuse_trace(geometry, tensor),
-        check_poincare(geometry, tensor),
+        check_diffuse_trace(geometry),
+        check_poincare(geometry),
     ]
     return checks

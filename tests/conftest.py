@@ -28,20 +28,18 @@ def background_coarse():
     return build_background(0.15)
 
 
-def make_ops(geometry, tensor, rule, eps, h0=0.15, base=None,
-             with_identity=False):
+def make_ops(geometry, tensor, rule, eps, h0=0.15, base=None):
     field = PhaseField(geometry, eps)
     mesh = base if base is not None else build_background(h0)
     refined = refine_band(mesh, field, levels_for(eps, h0))
-    return OperatorSet.build(refined, field, tensor, rule,
-                             with_identity_stiffness=with_identity)
+    return OperatorSet.build(refined, field, tensor, rule)
 
 
 @pytest.fixture(scope="session")
 def ops_16(geometry, tensor, rule, background_coarse):
     """Operators at eps = 2^-4 on the coarse background."""
     return make_ops(geometry, tensor, rule, 2.0 ** -4,
-                    base=background_coarse, with_identity=True)
+                    base=background_coarse)
 
 
 @pytest.fixture(scope="session")

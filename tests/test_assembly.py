@@ -63,12 +63,15 @@ def test_restricted_blocks_positive_definite(ops_16):
     assert lam[0] > 0
 
 
-def test_dirichlet_energy_of_x_matches_bulk_area(ops_16, geometry):
+def test_dirichlet_energy_of_x_matches_bulk_area(geometry, rule,
+                                                 background_coarse):
     # v(x, y) = x with M = I: energy = int omega dx (annulus area exactly,
     # by the two-sided defect cancellation), up to quadrature error
-    v = ops_16.mesh.vertices[:, 0]
-    energy = float(v @ (ops_16.k_identity @ v))
-    oracle = bulk_integral(ops_16.field, lambda p: np.ones(len(p)))
+    ops = make_ops(geometry, ConductivityTensor.identity(), rule, 2.0 ** -4,
+                   base=background_coarse)
+    v = ops.mesh.vertices[:, 0]
+    energy = float(v @ (ops.k_omega @ v))
+    oracle = bulk_integral(ops.field, lambda p: np.ones(len(p)))
     assert oracle == pytest.approx(0.91 * np.pi, rel=1e-12)
     assert energy == pytest.approx(oracle, rel=2e-3)
 
@@ -177,15 +180,22 @@ def test_sharp_operators(geometry, tensor):
     mesh = mesh_annulus(geometry, 128, 24)
     ops = assemble_sharp(mesh, tensor)
     ones = np.ones(mesh.num_vertices)
-    assert np.abs(ops.k_d @ ones).max() <= 1e-12
-    assert ops.t_outer.sum() == pytest.approx(2 * np.pi, rel=2e-4)
-    assert ops.t_inner.sum() == pytest.approx(2 * np.pi * 0.3, rel=2e-4)
-    assert np.asarray(ops.t_inner.sum(axis=1)).ravel() == pytest.approx(
-        ops.mean_vec_sharp)
+    assert ops.field is None
+    assert np.abs(ops.k_omega @ ones).max() <= 1e-12
+    assert ops.b_b.sum() == pytest.approx(2 * np.pi, rel=2e-4)
+    assert ops.b_h.sum() == pytest.approx(2 * np.pi * 0.3, rel=2e-4)
+    assert np.asarray(ops.b_h.sum(axis=1)).ravel() == pytest.approx(
+        ops.mean_vec)
+    # the P1 mass integrates 1 to the area of the inscribed polygons
+    area = 0.5 * 128 * np.sin(2 * np.pi / 128) * (1.0 - 0.3 ** 2)
+    assert ops.m_omega.sum() == pytest.approx(area, rel=1e-13)
+    # active sets: the inner ring for the control, every node for the state
+    assert np.array_equal(ops.active_u, np.arange(128))
+    assert np.array_equal(ops.active_v, np.arange(mesh.num_vertices))
     # Dirichlet energy of log|x| with M = I is 2 pi ln(r_out / r_in)
     iso = assemble_sharp(mesh, ConductivityTensor.identity())
     v = np.log(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
-    energy = float(v @ (iso.k_d @ v))
+    energy = float(v @ (iso.k_omega @ v))
     assert energy == pytest.approx(2 * np.pi * np.log(1.0 / 0.3), rel=2e-3)
 
 
@@ -284,10 +294,3 @@ def test_functional_of_one_is_matrix_sum(ops_16):
     band = diffuse_functional(mesh, field, one, "band_H", rule)
     assert band == pytest.approx(ops_16.b_h.sum(), rel=1e-13)
 
-
-def test_identity_stiffness_from_the_same_pass(ops_16, rule):
-    ref = assemble_weighted_stiffness(ops_16.mesh,
-                                      ConductivityTensor.identity(),
-                                      ops_16.field, rule)
-    diff = np.abs((ops_16.k_identity - ref).data).max()
-    assert diff <= 1e-13 * np.abs(ref.data).max()

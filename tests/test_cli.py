@@ -77,6 +77,24 @@ def test_bad_set_flag(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--delta", "0.001", "--alpha", "0", "--epsilon", "0"], "--alpha"),
+    (["--delta", "-1", "--alpha", "0.01", "--epsilon", "0"], "--delta"),
+    (["--delta", "0.001", "--alpha", "0.01", "--epsilon", "0.5"],
+     "--epsilon"),
+    (["--delta", "nan", "--alpha", "0.01", "--epsilon", "0"], "--delta"),
+    (["--delta", "0.001", "--alpha", "inf", "--epsilon", "0"], "--alpha"),
+    (["--delta", "0.001", "--alpha", "0.01", "--epsilon", "-0.125"],
+     "--epsilon"),
+])
+def test_solve_flags_checked(capsys, flags, flag):
+    assert main(["solve"] + flags + FAST) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and flag in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -90,6 +90,13 @@ def test_config_defaults_and_overrides(tmp_path):
     (None, {"study.alpha_coef": "0"}, "study.alpha_coef"),
     (None, {"study.eps_coef": "-0.25"}, "study.eps_coef"),
     (None, {"geometry.sigma_r": "nan"}, "geometry.sigma_r"),
+    (None, {"truth.amplitude": "nan"}, "truth.amplitude"),
+    (None, {"study.table_delta": "inf"}, "study.table_delta"),
+    (None, {"study.alpha_exp": "nan"}, "study.alpha_exp"),
+    (None, {"mesh.h0": "inf"}, "mesh.h0"),
+    (None, {"geometry.r_outer": "inf"}, "geometry.r_outer"),
+    (None, {"study.deltas": "0.1,nan"}, "study.deltas"),
+    (None, {"solver.dense_cap": "0"}, "solver.dense_cap"),
 ])
 def test_bad_config_names_key(tmp_path, ini, overrides, key):
     path = None

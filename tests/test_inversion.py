@@ -73,9 +73,17 @@ def test_sharp_adjoint_zero_and_consistency(sharp_solver):
         assert abs(lhs - rhs) <= 1e-10 * scale
 
 
+def test_sharp_boundary_nodes_in_increasing_angle(sharp_solver):
+    for nodes, angles in ((sharp_solver.inner, sharp_solver.inner_angles),
+                          (sharp_solver.outer, sharp_solver.outer_angles)):
+        assert len(nodes) == 128
+        assert np.all(np.diff(angles) > 0.0)
+        assert angles[0] == 0.0 and angles[-1] < 2.0 * np.pi
+
+
 def test_default_ground_truth_mean_free(sharp_solver, truth):
     u_nodal = truth.u_dagger(sharp_solver.inner_angles)
-    mean = sharp_solver.ops.mean_vec_sharp[sharp_solver.inner] @ u_nodal
+    mean = sharp_solver.ops.mean_vec[sharp_solver.inner] @ u_nodal
     assert abs(mean) <= 1e-12 * sharp_solver.inner_norm(u_nodal)
 
 
