@@ -13,7 +13,8 @@ Every subcommand but verify accepts --config FILE (INI) and repeated
 --set section.key=value overrides; command-line values win over the file.
 The rates/table subcommands also accept --preset fig7|fig8.  An unknown
 key or unusable value, and a solve flag out of range, is reported as one
-line on stderr, exit code 2.
+line on stderr, exit code 2.  A solve or rates error that is not finite
+is named on one stderr line, exit code 1.
 """
 
 from __future__ import annotations
@@ -66,6 +67,17 @@ def _check_solve_flags(delta, alpha, eps, eps_cap):
             raise FlagError(f"{flag} {value:g}: must be {what}")
 
 
+def _finite_errors(errors) -> int:
+    """Exit status of a run by its reported errors ((name, value) pairs):
+    1 with one stderr line naming the first that is not finite, else 0."""
+    for name, value in errors:
+        if not np.isfinite(value):
+            print(f"ddcauchy: {name} is not finite ({value})",
+                  file=sys.stderr)
+            return 1
+    return 0
+
+
 def cmd_solve(args):
     ov = _overrides(args)
     ov.setdefault("study.kind", "solve")
@@ -80,17 +92,19 @@ def cmd_solve(args):
         err = sharp_error(u, ws.sharp_solver, ws.truth)
         print(f"sharp solve: delta={delta:g} alpha={alpha:g} "
               f"u_err_sharp={err:.6e}")
-        return 0
+        return _finite_errors([("u_err_sharp", err)])
     ops = ws.diffuse_ops(eps)
     f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
     sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
                            max_iter=cfg.max_iter)
-    norms = error_norms(sol, ws.truth, ops, ops.field)
+    norms = error_norms(sol, ws.truth, ops)
     print(f"diffuse solve: delta={delta:g} alpha={alpha:g} eps={eps:g} "
           f"iters={sol.report.iterations} converged={sol.report.converged}")
     print(f"  u_err_band={norms.u_err_band:.6e} "
           f"v_err_band={norms.v_err_band:.6e} "
           f"grad_err={norms.grad_err:.6e} u_err_dual={norms.u_err_dual:.6e}")
+    if _finite_errors(vars(norms).items()):
+        return 1
     return 0 if sol.report.converged else 1
 
 
@@ -112,10 +126,12 @@ def cmd_rates(args):
     cfg = xp.load_config(args.config, _overrides(args, args.preset))
     ws = xp.Workspace(cfg)
     res = xp.run_rate_study(cfg, ws)
+    errors = []
     for r in res.rows:
         err = r.u_err_sharp if r.epsilon == 0.0 else r.u_err_band
         print(f"delta={r.delta:<12g} alpha={r.alpha:<10g} eps={r.epsilon:<8g}"
               f" iters={r.iterations:<4d} u_err={err:.6e}")
+        errors.append((f"u_err at delta={r.delta:g}", err))
     label = args.preset or "rates"
     u_fit, v_fit = res.u_fit, res.v_fit
     if u_fit.defined:
@@ -127,6 +143,8 @@ def cmd_rates(args):
     fixture = truth_fixture_csv(ws.truth, ws.sharp_solver)
     xp.emit_outputs(cfg.out_dir, cfg, rates={label: res}, truth_csv=fixture)
     print(f"outputs in {cfg.out_dir}/")
+    if _finite_errors(errors):
+        return 1
     return 0 if all(r.converged for r in res.rows) else 1
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -214,10 +214,33 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"geometry.sigma_t, geometry.sigma_r: "
                           f"{err}") from None
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         **values, geometry=geometry, tensor=tensor,
         truth_series=values["series"].scaled(values["amplitude"]),
         raw_text=echo.getvalue())
+    _check_schedule(cfg)
+    return cfg
+
+
+def _check_schedule(cfg: ExperimentConfig) -> None:
+    """Every configured delta must give alpha finite and > 0 and, unless
+    eps_coef = 0 selects the sharp mesh, eps in (0, eps_admissible]."""
+    cap = cfg.geometry.eps_admissible
+    need = "alpha finite and > 0" + (
+        f" and eps in (0, {cap:g}]" if cfg.eps_coef > 0.0 else "")
+    for delta in cfg.deltas:
+        try:
+            alpha, eps = _schedule(cfg, delta)
+            ok = 0.0 < alpha < np.inf and (cfg.eps_coef == 0.0
+                                           or 0.0 < eps <= cap)
+            got = f"alpha = {alpha:g}, eps = {eps:g}"
+        except OverflowError:
+            ok, got = False, "an overflow"
+        if not ok:
+            raise ConfigError(
+                f"study.deltas, study.alpha_coef, study.alpha_exp, "
+                f"study.eps_coef, study.eps_exp: delta = {delta:g} gives "
+                f"{got}; the schedule needs {need}")
 
 
 # Reference schedule constants for the two named rate studies.  The fig8
@@ -262,13 +285,18 @@ def apply_preset(name: str, overrides: dict = None) -> dict:
 
 @dataclass
 class Workspace:
-    """Caches meshes/operators shared across sweep cells."""
+    """What the cells of a study share: the background mesh, the sharp
+    solver (which factors nothing until it solves) and the ground truth.
+
+    Operator sets are built per ``diffuse_ops`` call and not kept: every
+    study asks for each eps once, and a caller solving several alphas on
+    one eps keeps its own operator set.
+    """
 
     cfg: ExperimentConfig
     background: object = None
     sharp_solver: SharpSolver = None
     truth: GroundTruth = None
-    _ops_cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
         cfg = self.cfg
@@ -280,16 +308,13 @@ class Workspace:
                                       cfg.truth_series)
 
     def diffuse_ops(self, eps: float) -> OperatorSet:
-        key = float(eps)
-        if key not in self._ops_cache:
-            cfg = self.cfg
-            pf = PhaseField(cfg.geometry, eps)
-            levels = levels_for(eps, cfg.h0, cfg.max_levels)
-            mesh = refine_band(self.background, pf, levels)
-            rule = quadrature(cfg.quad_degree, cfg.subdivision)
-            self._ops_cache[key] = OperatorSet.build(mesh, pf, cfg.tensor,
-                                                     rule)
-        return self._ops_cache[key]
+        """The diffuse operator set at eps on the band-refined background."""
+        cfg = self.cfg
+        pf = PhaseField(cfg.geometry, eps)
+        mesh = refine_band(self.background, pf,
+                           levels_for(eps, cfg.h0, cfg.max_levels))
+        rule = quadrature(cfg.quad_degree, cfg.subdivision)
+        return OperatorSet.build(mesh, pf, cfg.tensor, rule)
 
     def noisy_data(self, delta: float):
         """f_delta on the sharp outer boundary for the configured seed."""
@@ -312,16 +337,13 @@ class RateFit:
     defined: bool = True
 
 
-def fit_loglog_slope(points, window=None) -> RateFit:
+def fit_loglog_slope(points) -> RateFit:
     """Ordinary least squares on (log delta, log error).
 
-    ``points`` is a sequence of (delta, error) pairs; ``window`` optionally
-    restricts to deltas within [lo, hi].  Nonpositive values are rejected.
+    ``points`` is a sequence of (delta, error) pairs.  Nonpositive values
+    are rejected.
     """
     pts = [(float(d), float(e)) for d, e in points]
-    if window is not None:
-        lo, hi = window
-        pts = [(d, e) for d, e in pts if lo <= d <= hi]
     if any(d <= 0.0 or e <= 0.0 for d, e in pts):
         raise ValueError("log-log fit requires positive deltas and errors")
     if len(pts) < 2:
@@ -349,7 +371,6 @@ class TableResult:
     iterations: np.ndarray       # (n_eps, n_alpha)
     converged: np.ndarray        # bool, same shape
     residual_histories: dict     # (eps, alpha) -> list
-    params: dict
 
 
 def run_iteration_table(cfg: ExperimentConfig,
@@ -372,10 +393,8 @@ def run_iteration_table(cfg: ExperimentConfig,
             iters[i, j] = sol.report.iterations
             conv[i, j] = sol.report.converged
             hist[(eps, alpha)] = sol.report.residual_history
-    params = {"delta": cfg.table_delta, "rho": cfg.rho, "h0": cfg.h0,
-              "seed": cfg.seed}
     return TableResult(list(cfg.alphas), list(cfg.epsilons), iters, conv,
-                       hist, params)
+                       hist)
 
 
 @dataclass
@@ -397,12 +416,13 @@ class RateResult:
     rows: list
     u_fit: RateFit
     v_fit: RateFit
-    params: dict
 
 
 def _schedule(cfg: ExperimentConfig, delta: float):
+    """(alpha, eps) of the rate study at one delta; eps is 0 when
+    eps_coef = 0 selects the sharp mesh."""
     alpha = cfg.alpha_coef * delta ** cfg.alpha_exp
-    eps = cfg.eps_coef * delta ** cfg.eps_exp
+    eps = cfg.eps_coef * delta ** cfg.eps_exp if cfg.eps_coef > 0.0 else 0.0
     return alpha, eps
 
 
@@ -425,16 +445,11 @@ def run_rate_study(cfg: ExperimentConfig, ws: Workspace = None) -> RateResult:
                                 float("nan"), float("nan"), float("nan"),
                                 float("nan"), err_sharp))
             continue
-        if eps > ws.cfg.geometry.eps_admissible:
-            raise ValueError(
-                f"eps rule gives {eps:.4f} at delta={delta:g}, beyond the "
-                f"admissible {ws.cfg.geometry.eps_admissible}; shrink the "
-                f"delta range or the eps rule")
         ops = ws.diffuse_ops(eps)
         f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
         sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
                                max_iter=cfg.max_iter)
-        norms = error_norms(sol, ws.truth, ops, ops.field)
+        norms = error_norms(sol, ws.truth, ops)
         rows.append(RateRow(delta, alpha, eps, sol.report.iterations,
                             sol.report.converged, norms.u_err_band,
                             norms.v_err_band, norms.grad_err,
@@ -445,10 +460,7 @@ def run_rate_study(cfg: ExperimentConfig, ws: Workspace = None) -> RateResult:
     else:
         u_fit = fit_loglog_slope([(r.delta, r.u_err_band) for r in rows])
         v_fit = fit_loglog_slope([(r.delta, r.v_err_band) for r in rows])
-    params = {"alpha_coef": cfg.alpha_coef, "alpha_exp": cfg.alpha_exp,
-              "eps_coef": cfg.eps_coef, "eps_exp": cfg.eps_exp,
-              "rho": cfg.rho, "h0": cfg.h0, "seed": cfg.seed}
-    return RateResult(rows, u_fit, v_fit, params)
+    return RateResult(rows, u_fit, v_fit)
 
 
 @dataclass
@@ -457,7 +469,7 @@ class SpectrumResult:
     bands: dict
     alpha: float
     epsilon: float
-    params: dict
+    size: int            # order of the KKT system
 
 
 def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
@@ -473,9 +485,8 @@ def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
     eigs = spectrum(system, prec, dense_cap=cfg.dense_cap)
     bands = (detect_bands(eigs, cfg.spec_alpha) if cfg.spec_alpha > 0.0
              else {})
-    params = {"h0": cfg.spectrum_h0, "size": system.size, "seed": cfg.seed}
     return SpectrumResult(eigs, bands, cfg.spec_alpha, cfg.spec_epsilon,
-                          params)
+                          system.size)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +577,7 @@ def emit_outputs(out_dir: str, cfg: ExperimentConfig, table: TableResult = None,
                 text = "none" if val is None else _fmt(val)
             lines.append(f"# band {key}: {text}")
         lines.append(f"# alpha {_fmt(spect.alpha)} epsilon "
-                     f"{_fmt(spect.epsilon)} size {spect.params['size']}")
+                     f"{_fmt(spect.epsilon)} size {spect.size}")
         for i, v in enumerate(spect.eigenvalues):
             lines.append(f"{i},{_fmt(v)}")
         emit("spectrum.csv", "\n".join(lines) + "\n")

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import OperatorSet
-from .geometry import PhaseField
 from .harmonics import GroundTruth
 from .saddle import RieszPreconditioner, SolveReport, build_system, minres
 
@@ -31,24 +30,37 @@ class InversionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Sharp solver (exact mesh)
+# Mean-constrained forward solve (diffuse and sharp)
 # ---------------------------------------------------------------------------
 
 
-def _mean_constrained_solver(k: sp.spmatrix, mean: np.ndarray):
-    """Solver of K v = load subject to <mean, v> = 0.
+def diffuse_forward(ops: OperatorSet, load: np.ndarray) -> np.ndarray:
+    """Solve K_omega x = load on the active state set with <mean_vec, x> = 0.
 
-    Factors the symmetric augmented matrix [[K, m], [m^T, 0]] once by
-    sparse LU; the returned function takes a load of K's length.
+    ``load`` is full-length, of shape (n,) or (n, k); one sparse LU of the
+    symmetric augmented matrix [[K, m], [m^T, 0]] serves all k columns.
+    Returns x of the load's shape, zero off ``ops.active_v``.  This is the
+    diffuse forward problem for the load B_H u, and on the sharp operator
+    set the forward (B_H) and adjoint (B_B) problems of ``SharpSolver``.
     """
-    m_col = sp.csr_matrix(mean[:, None])
-    aug = sp.bmat([[k, m_col], [m_col.T, None]], format="csc")
+    a_v = ops.active_v
+    m_col = sp.csr_matrix(ops.mean_vec[a_v][:, None])
+    aug = sp.bmat([[ops.k_omega[np.ix_(a_v, a_v)], m_col], [m_col.T, None]],
+                  format="csc")
     try:
         lu = spla.splu(aug)
     except RuntimeError as err:
         raise InversionError(f"singular augmented system: {err}") from err
-    n = k.shape[0]
-    return lambda load: lu.solve(np.append(load, 0.0))[:n]
+    rhs = np.zeros((len(a_v) + 1,) + load.shape[1:])
+    rhs[:-1] = load[a_v]
+    x = np.zeros(load.shape)
+    x[a_v] = lu.solve(rhs)[:-1]
+    return x
+
+
+# ---------------------------------------------------------------------------
+# Sharp solver (exact mesh)
+# ---------------------------------------------------------------------------
 
 
 class SharpSolver:
@@ -58,13 +70,12 @@ class SharpSolver:
     forward map takes a Neumann flux u on the inner boundary to the
     potential trace on the outer one; the mean constraint
     <v, 1>_inner = 0 is imposed by one scalar multiplier to keep the
-    system symmetric.
+    system symmetric.  Nothing is factored up front: each forward or
+    adjoint call factors its system once for all its columns.
     """
 
     def __init__(self, ops: OperatorSet):
         self.ops = ops
-        self._n = ops.mesh.num_vertices
-        self._solve = _mean_constrained_solver(ops.k_omega, ops.mean_vec)
         self.inner = ops.active_u
         self.outer = np.flatnonzero(ops.b_b.diagonal() > 0.0)
         self.t_ii = ops.b_h[np.ix_(self.inner, self.inner)].tocsr()
@@ -77,22 +88,23 @@ class SharpSolver:
             ops.mesh.vertices[self.outer, 0]), 2.0 * np.pi)
 
     def _boundary_load(self, nodes: np.ndarray, values: np.ndarray):
-        load = np.zeros(self._n)
+        load = np.zeros((self.ops.mesh.num_vertices,) + np.shape(values)[1:])
         load[nodes] = values
         return load
 
     def forward(self, u_inner: np.ndarray):
         """State field and its trace f = v | outer for flux u on the inner
-        boundary (nodal values in the order of ``inner``)."""
-        v = self._solve(self.ops.b_h @ self._boundary_load(self.inner,
-                                                           u_inner))
+        boundary (nodal values in the order of ``inner``, shape (nb,) or
+        (nb, k) for k fluxes)."""
+        v = diffuse_forward(self.ops, self.ops.b_h @ self._boundary_load(
+            self.inner, u_inner))
         return v, v[self.outer]
 
     def adjoint(self, w_outer: np.ndarray):
         """Adjoint field and its trace u = p | inner for density w on the
-        outer boundary."""
-        p = self._solve(self.ops.b_b @ self._boundary_load(self.outer,
-                                                           w_outer))
+        outer boundary (shape (nb,) or (nb, k))."""
+        p = diffuse_forward(self.ops, self.ops.b_b @ self._boundary_load(
+            self.outer, w_outer))
         return p, p[self.inner]
 
     def inner_norm(self, u_inner: np.ndarray) -> float:
@@ -138,18 +150,6 @@ def add_noise(f_values: np.ndarray, delta: float, seed: int,
     return np.asarray(f_values, dtype=float) + (delta / norm) * eta
 
 
-def _periodic_interp(theta: np.ndarray, sample_angles: np.ndarray,
-                     sample_values: np.ndarray) -> np.ndarray:
-    """Linear interpolation of periodic nodal data in the angle."""
-    order = np.argsort(sample_angles, kind="stable")
-    ang = sample_angles[order]
-    val = sample_values[order]
-    ang_ext = np.concatenate([ang, ang[:1] + 2.0 * np.pi])
-    val_ext = np.concatenate([val, val[:1]])
-    t = np.mod(theta, 2.0 * np.pi)
-    return np.interp(t, ang_ext, val_ext)
-
-
 def _extend_constant(band_mass: sp.spmatrix, mesh, values_at) -> np.ndarray:
     """Constant-normal extension onto the nodes supporting a band mass.
 
@@ -166,11 +166,12 @@ def _extend_constant(band_mass: sp.spmatrix, mesh, values_at) -> np.ndarray:
 
 def extend_data(f_values: np.ndarray, sample_angles: np.ndarray,
                 ops: OperatorSet) -> np.ndarray:
-    """Extension of nodal outer-boundary data into the B-band, by angular
-    interpolation of f."""
+    """Extension of nodal outer-boundary data into the B-band, by periodic
+    linear interpolation of f in the angle."""
     return _extend_constant(
         ops.b_b, ops.mesh,
-        lambda theta: _periodic_interp(theta, sample_angles, f_values))
+        lambda theta: np.interp(theta, sample_angles, f_values,
+                                period=2.0 * np.pi))
 
 
 def extend_control(u_theta, ops: OperatorSet) -> np.ndarray:
@@ -224,20 +225,6 @@ def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     return DiffuseSolution(u, v, p, report, prec)
 
 
-def diffuse_forward(ops: OperatorSet, u_band: np.ndarray) -> np.ndarray:
-    """State of the diffuse forward problem for band control values u.
-
-    Solves K_omega v = B_H u on the active state set with the U-mean
-    constraint, by a direct augmented solve.
-    """
-    a_v = ops.active_v
-    solve = _mean_constrained_solver(ops.k_omega[np.ix_(a_v, a_v)],
-                                     ops.mean_vec[a_v])
-    v = np.zeros(ops.mesh.num_vertices)
-    v[a_v] = solve((ops.b_h @ u_band)[a_v])
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Error norms
 # ---------------------------------------------------------------------------
@@ -249,11 +236,10 @@ class ErrorNorms:
     v_err_band: float
     grad_err: float
     u_err_dual: float
-    u_err_sharp: float = float("nan")
 
 
-def error_norms(sol: DiffuseSolution, truth: GroundTruth, ops: OperatorSet,
-                field: PhaseField) -> ErrorNorms:
+def error_norms(sol: DiffuseSolution, truth: GroundTruth,
+                ops: OperatorSet) -> ErrorNorms:
     """Band/dual error norms of a diffuse solution against the exact truth.
 
     The control truth is extended constantly off the inner circle, the
@@ -274,7 +260,7 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth, ops: OperatorSet,
     # normal derivative vanishes on the outer circle)
     v_truth = np.zeros(n)
     pts = mesh.vertices[a_v]
-    r_clamp = field.geometry.r_inner - field.epsilon
+    r_clamp = ops.field.geometry.r_inner - ops.field.epsilon
     v_truth[a_v] = truth.v_field(pts, r_min=r_clamp)
     e_v_full = sol.v - v_truth
     b_vv = ops.b_b[np.ix_(a_v, a_v)]

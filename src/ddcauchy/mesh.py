@@ -5,7 +5,8 @@ Two mesh families are provided:
 * a uniform background mesh of the bounding box (each square cell split
   into two right-isosceles triangles along the same diagonal), refined
   red-green-blue around the phase-field band ({|d| < 2 eps} plus the
-  conforming closure), used for all diffuse computations;
+  conforming closure), used for all diffuse computations; it carries no
+  boundary edges, since no diffuse form integrates over the box boundary;
 * a structured polar mesh of the exact annulus with tagged inner/outer
   boundary edges, used by the sharp reference solver.
 
@@ -45,27 +46,22 @@ class TriMesh:
 
     vertices        (n, 2) float coordinates
     triangles       (m, 3) int vertex indices, counterclockwise
-    boundary_edges  list of (i, j, tag), tag in {"inner", "outer", "box"}
-    refinement_level per-triangle refinement depth: bisection generation
-                    // 2, so one red split or two bisections add 1
-    green           per-triangle flag for an odd bisection generation
-    metadata        free-form provenance (variant, h0, ...)
+    boundary_edges  list of (i, j, tag), tag in {"inner", "outer"}; only
+                    the polar annulus mesh has any
+    generation      per-triangle number of bisections since the
+                    background triangle (a green split adds 1, a red 2)
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: list
-    refinement_level: np.ndarray = None
-    green: np.ndarray = None
-    metadata: dict = dc_field(default_factory=dict)
+    boundary_edges: list = dc_field(default_factory=list)
+    generation: np.ndarray = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        if self.refinement_level is None:
-            self.refinement_level = np.zeros(len(self.triangles), dtype=np.int64)
-        if self.green is None:
-            self.green = np.zeros(len(self.triangles), dtype=bool)
+        if self.generation is None:
+            self.generation = np.zeros(len(self.triangles), dtype=np.int64)
 
     @property
     def num_vertices(self) -> int:
@@ -134,9 +130,8 @@ class TriMesh:
         out.write(f"vertices {self.num_vertices} triangles {self.num_triangles}\n")
         for x, y in self.vertices:
             out.write(f"{x.hex()} {y.hex()}\n")
-        for (a, b, c), lev, grn in zip(self.triangles, self.refinement_level,
-                                       self.green):
-            out.write(f"{a} {b} {c} {lev} {int(grn)}\n")
+        for (a, b, c), gen in zip(self.triangles, self.generation):
+            out.write(f"{a} {b} {c} {gen}\n")
         out.write(f"boundary_edges {len(self.boundary_edges)}\n")
         for i, j, tag in self.boundary_edges:
             out.write(f"{i} {j} {tag}\n")
@@ -151,14 +146,13 @@ class TriMesh:
                           for ln in lines[1:1 + nv]])
         tri_rows = [ln.split() for ln in lines[1 + nv:1 + nv + nt]]
         tris = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in tri_rows])
-        levels = np.array([int(r[3]) for r in tri_rows])
-        greens = np.array([bool(int(r[4])) for r in tri_rows])
+        gens = np.array([int(r[3]) for r in tri_rows])
         nb = int(lines[1 + nv + nt].split()[1])
         bedges = []
         for ln in lines[2 + nv + nt:2 + nv + nt + nb]:
             i, j, tag = ln.split()
             bedges.append((int(i), int(j), tag))
-        return cls(verts, tris, bedges, refinement_level=levels, green=greens)
+        return cls(verts, tris, bedges, gens)
 
 
 def build_background(h0: float, half_width: float = BBOX_HALF,
@@ -187,14 +181,7 @@ def build_background(h0: float, half_width: float = BBOX_HALF,
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    bedges = []
-    for i in range(n):
-        bedges.append((vid(i, 0), vid(i + 1, 0), "box"))
-        bedges.append((vid(i + 1, n), vid(i, n), "box"))
-        bedges.append((vid(0, i + 1), vid(0, i), "box"))
-        bedges.append((vid(n, i), vid(n, i + 1), "box"))
-    return TriMesh(verts, np.array(tris), bedges,
-                   metadata={"variant": "2-split", "h0": h0, "n": n})
+    return TriMesh(verts, np.array(tris))
 
 
 def _radial_interval(vertices: np.ndarray, tris: np.ndarray):
@@ -300,12 +287,12 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
     h_bg / 2**levels for background diameter h_bg.  On the right-isosceles
     background every child is right-isosceles again, so the minimum angle
     stays 45 degrees.  Refining an already refined mesh continues from its
-    ``refinement_level`` and ``green`` flags.
+    ``generation``.
 
     Raises MeshError if the result violates the minimum-angle floor.
-    Intended for background meshes: boundary edges are rebuilt from the
-    edge incidence and tagged "box".  Input vertices keep their indices
-    and coordinates; new vertices are appended.
+    Intended for background meshes, so the result has no boundary edges.
+    Input vertices keep their indices and coordinates; new vertices are
+    appended.
     """
     if levels < 0:
         raise MeshError("levels must be >= 0")
@@ -313,7 +300,7 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
         return mesh
     verts = mesh.vertices
     tris = _longest_edge_first(verts, mesh.triangles)
-    gen = 2 * mesh.refinement_level + mesh.green
+    gen = mesh.generation
     target = 2 * levels
     margin = 2.0 * field.epsilon
     while True:
@@ -351,14 +338,7 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
             new_gen[slots] = gen[mask][:, None] + gains
         tris, gen = new_tris, new_gen
 
-    out = TriMesh(verts, tris, [], refinement_level=gen // 2,
-                  green=gen % 2 == 1,
-                  metadata=dict(mesh.metadata, band_levels=levels,
-                                band_eps=field.epsilon))
-    # boundary edges may have been split; rebuild from edge incidence
-    uniq, per_tri = out.edges()
-    counts = np.bincount(per_tri.ravel(), minlength=len(uniq))
-    out.boundary_edges = [(int(i), int(j), "box") for i, j in uniq[counts == 1]]
+    out = TriMesh(verts, tris, generation=gen)
     angle = out.min_angle()
     if angle < quality_floor_deg:
         worst = int(np.argmin(out.signed_areas()))
@@ -406,9 +386,7 @@ def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
     for j in range(n_angular):
         bedges.append((vid(0, j + 1), vid(0, j), "inner"))
         bedges.append((vid(n_radial, j), vid(n_radial, j + 1), "outer"))
-    return TriMesh(verts, np.array(tris), bedges,
-                   metadata={"variant": "polar", "n_angular": n_angular,
-                             "n_radial": n_radial})
+    return TriMesh(verts, np.array(tris), bedges)
 
 
 # ---------------------------------------------------------------------------

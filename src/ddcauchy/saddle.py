@@ -259,14 +259,19 @@ def spectrum(system: SaddleSystem, prec: RieszPreconditioner,
     return np.sort(vals)
 
 
-def detect_bands(eigs: np.ndarray, alpha: float, jump_factor: float = 8.0):
+# Smallest ratio of consecutive eigenvalues that separates isolated
+# eigenvalues from a band.
+BAND_JUMP_FACTOR = 8.0
+
+
+def detect_bands(eigs: np.ndarray, alpha: float):
     """Classify a preconditioned-KKT spectrum into its three bands.
 
     Returns a dict with the negative band, the O(alpha) band, the O(1)
     band (as (min, max) tuples) and the list of isolated eigenvalues
     falling outside all three.  Band edges are found by the largest
-    relative jump between consecutive positive eigenvalues in the gap
-    region above 2 alpha.
+    relative jump (at least BAND_JUMP_FACTOR) between consecutive
+    positive eigenvalues in the gap region above 2 alpha.
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
     neg = eigs[eigs < 0.0]
@@ -279,7 +284,7 @@ def detect_bands(eigs: np.ndarray, alpha: float, jump_factor: float = 8.0):
     if len(rest) >= 2:
         ratios = rest[1:] / rest[:-1]
         cut = int(np.argmax(ratios))
-        if ratios[cut] >= jump_factor:
+        if ratios[cut] >= BAND_JUMP_FACTOR:
             isolated_pos = list(rest[:cut + 1])
             big = rest[cut + 1:]
         else:
@@ -294,7 +299,7 @@ def detect_bands(eigs: np.ndarray, alpha: float, jump_factor: float = 8.0):
     if len(neg_mag) >= 2:
         ratios = neg_mag[1:] / neg_mag[:-1]
         cut = int(np.argmax(ratios))
-        if ratios[cut] >= jump_factor:
+        if ratios[cut] >= BAND_JUMP_FACTOR:
             isolated_neg = list(-neg_mag[:cut + 1])
     bands = {
         "negative": (float(neg.min()), float(neg.max())),

@@ -161,12 +161,14 @@ def check_adjoint(geometry: AnnulusGeometry, tensor: ConductivityTensor,
     mesh = mesh_annulus(geometry, 128, 32)
     solver = SharpSolver(assemble_sharp(mesh, tensor))
     rng = np.random.default_rng(123)
+    draws = [(rng.standard_normal(len(solver.inner)),
+              rng.standard_normal(len(solver.outer)))
+             for _ in range(n_pairs)]
+    u_all, w_all = (np.column_stack(block) for block in zip(*draws))
+    _, fu_all = solver.forward(u_all)
+    _, fsw_all = solver.adjoint(w_all)
     worst = 0.0
-    for _ in range(n_pairs):
-        u = rng.standard_normal(len(solver.inner_angles))
-        w = rng.standard_normal(len(solver.outer_angles))
-        _, fu = solver.forward(u)
-        _, fsw = solver.adjoint(w)
+    for u, w, fu, fsw in zip(u_all.T, w_all.T, fu_all.T, fsw_all.T):
         lhs = float(fu @ (solver.t_oo @ w))
         rhs = float(u @ (solver.t_ii @ fsw))
         scale = solver.inner_norm(u) * solver.outer_norm(w)

@@ -225,7 +225,8 @@ def test_criterion_09_perturbation_decay():
         field = PhaseField(GEO, eps)
         mesh = refine_band(base, field, levels_for(eps, h0) + 1)
         ops = OperatorSet.build(mesh, field, TEN, rule)
-        v = diffuse_forward(ops, extend_control(truth.u_dagger, ops))
+        v = diffuse_forward(ops, ops.b_h @ extend_control(truth.u_dagger,
+                                                          ops))
         a_v = ops.active_v
         vt = np.zeros(mesh.num_vertices)
         vt[a_v] = truth.v_field(mesh.vertices[a_v],

@@ -95,6 +95,16 @@ def test_solve_flags_checked(capsys, flags, flag):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("epsilon, name", [("0", "u_err_sharp"),
+                                            ("0.125", "u_err_band")])
+def test_non_finite_error_exits_1(capsys, epsilon, name):
+    # noise of norm 1e300 overflows the error norms
+    assert main(["solve", "--delta", "1e300", "--alpha", "0.01",
+                 "--epsilon", epsilon] + FAST) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and name in err[0] and "not finite" in err[0]
+
+
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

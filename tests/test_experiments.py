@@ -21,10 +21,7 @@ def test_fit_loglog_examples():
     assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-12)
 
 
-def test_fit_loglog_window_and_errors():
-    pts = [(1.0, 1.0), (0.1, 0.2), (0.01, 0.04)]
-    fit = xp.fit_loglog_slope(pts, window=(0.005, 0.5))
-    assert fit.n_points == 2
+def test_fit_loglog_errors():
     with pytest.raises(ValueError):
         xp.fit_loglog_slope([(1.0, 0.0), (0.1, 1.0)])
     degenerate = xp.fit_loglog_slope([(1.0, 1.0)])
@@ -97,6 +94,11 @@ def test_config_defaults_and_overrides(tmp_path):
     (None, {"geometry.r_outer": "inf"}, "geometry.r_outer"),
     (None, {"study.deltas": "0.1,nan"}, "study.deltas"),
     (None, {"solver.dense_cap": "0"}, "solver.dense_cap"),
+    # the rate schedule is checked for every configured delta
+    (None, {"study.deltas": "0.0625", "study.eps_exp": "-1"},
+     "study.eps_exp"),
+    (None, {"study.alpha_exp": "400"}, "study.alpha_exp"),
+    (None, {"study.alpha_exp": "-400"}, "study.alpha_exp"),
 ])
 def test_bad_config_names_key(tmp_path, ini, overrides, key):
     path = None
@@ -156,6 +158,26 @@ def test_single_cell_table_and_emit(tmp_path):
     # config echoed verbatim
     echo = open(os.path.join(cfg.out_dir, "config.echo")).read()
     assert echo == cfg.raw_text
+
+
+def test_workspace_setup_factors_nothing(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    factored = []
+    original = spla.splu
+
+    def counting(*args, **kwargs):
+        factored.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    cfg = xp.load_config(overrides={
+        "mesh.sharp_n_angular": "32", "mesh.sharp_n_radial": "8"})
+    ws = xp.Workspace(cfg)
+    assert factored == []
+    # the sharp solver factors when it first solves
+    ws.sharp_solver.forward(np.ones(len(ws.sharp_solver.inner)))
+    assert len(factored) == 1
 
 
 def test_table_factors_riesz_blocks_once_per_eps_row(monkeypatch):
@@ -226,15 +248,6 @@ def test_rate_study_sharp_mode():
     assert not res.v_fit.defined
 
 
-def test_rate_study_rejects_inadmissible_eps():
-    cfg = xp.load_config(overrides={
-        "study.kind": "rates", "study.deltas": "0.0625",
-        "study.eps_coef": "35.0", "study.eps_exp": "0.6666666666666666",
-        "mesh.sharp_n_angular": "48", "mesh.sharp_n_radial": "12"})
-    with pytest.raises(ValueError):
-        xp.run_rate_study(cfg)
-
-
 def test_spectrum_study_smoke():
     cfg = xp.load_config(overrides={
         "study.kind": "spectrum", "study.alpha": "1e-3",
@@ -242,7 +255,7 @@ def test_spectrum_study_smoke():
         "mesh.sharp_n_angular": "32", "mesh.sharp_n_radial": "8"})
     res = xp.run_spectrum_study(cfg)
     assert res.bands["negative"][1] < 0
-    assert len(res.eigenvalues) == res.params["size"]
+    assert len(res.eigenvalues) == res.size
 
 
 def test_fig8_schedule_monotonicity():

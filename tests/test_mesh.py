@@ -14,7 +14,7 @@ def test_background_counts():
     m = build_background(1.5)
     assert m.num_vertices == 9
     assert m.num_triangles == 8
-    assert m.metadata["variant"] == "2-split"
+    assert m.boundary_edges == []
     # vertex count (ceil(3/h0)+1)^2, triangle count 2 ceil(3/h0)^2
     for h0 in (3.0, 0.7, 0.31):
         n = math.ceil(3.0 / h0)
@@ -84,6 +84,20 @@ def test_refine_refined_mesh(geometry):
     assert second.min_angle() >= 20.0
 
 
+def test_refined_mesh_continues_from_generation(geometry):
+    field = PhaseField(geometry, 0.0625)
+    first = refine_band(build_background(0.15), field, 2)
+    assert first.boundary_edges == []
+    assert first.generation.max() == 4
+    again = refine_band(first, field, 2)
+    assert np.array_equal(again.vertices, first.vertices)
+    assert np.array_equal(again.triangles, first.triangles)
+    assert refine_band(first, field, 3).generation.max() == 6
+    # without its generation the same mesh is refined once more
+    reset = TriMesh(first.vertices, first.triangles)
+    assert refine_band(reset, field, 2).num_triangles > first.num_triangles
+
+
 @settings(max_examples=15, deadline=None)
 @given(h0=st.floats(0.05, 0.3), levels=st.integers(1, 4),
        eps_scale=st.floats(0.5, 2.0))
@@ -149,7 +163,7 @@ def test_dump_load_roundtrip(geometry):
     m2 = TriMesh.load(text)
     assert np.array_equal(m2.vertices, m.vertices)
     assert np.array_equal(m2.triangles, m.triangles)
-    assert np.array_equal(m2.green, m.green)
+    assert np.array_equal(m2.generation, m.generation)
     assert m2.dump() == text
 
 
