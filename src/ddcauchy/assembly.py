@@ -348,13 +348,3 @@ def assemble_sharp(mesh: TriMesh,
                        _scatter(tris, local, n),
                        _scatter(tris, areas[:, None, None] * _P1_MASS, n),
                        _edge_mass(mesh, "inner"), _edge_mass(mesh, "outer"))
-
-
-def dump_matrix(mat: sp.spmatrix) -> str:
-    """Coordinate (row, col, value) text dump for external verification."""
-    coo = mat.tocoo()
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    order = np.lexsort((coo.col, coo.row))
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        lines.append(f"{r} {c} {v.hex()}")
-    return "\n".join(lines) + "\n"

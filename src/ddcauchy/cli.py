@@ -12,7 +12,8 @@ verify    analytic property suite (band measure, integral orders, adjoint,
 Every subcommand but verify accepts --config FILE (INI) and repeated
 --set section.key=value overrides; command-line values win over the file.
 The rates/table subcommands also accept --preset fig7|fig8.  An unknown
-key or unusable value, and a solve flag out of range, is reported as one
+key or unusable value, a malformed --set, an output directory that
+cannot be created and a solve flag out of range are each reported as one
 line on stderr, exit code 2.  A solve or rates error that is not finite
 is named on one stderr line, exit code 1.
 """
@@ -20,12 +21,12 @@ is named on one stderr line, exit code 1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from . import experiments as xp
-from .inversion import diffuse_tikhonov, error_norms, extend_data
 from .verify import run_verify
 
 
@@ -45,7 +46,7 @@ def _overrides(args, preset=None):
     for item in args.overrides:
         key, _, value = item.partition("=")
         if not _ or "." not in key:
-            raise SystemExit(f"bad --set {item!r}; expected section.key=value")
+            raise FlagError(f"--set {item!r}: expected section.key=value")
         ov[key.strip()] = value.strip()
     if args.out:
         ov["output.directory"] = args.out
@@ -53,7 +54,8 @@ def _overrides(args, preset=None):
 
 
 class FlagError(ValueError):
-    """A command-line flag out of range; the message names the flag."""
+    """A malformed or out-of-range command-line flag; the message names
+    the flag."""
 
 
 def _check_solve_flags(delta, alpha, eps, eps_cap):
@@ -78,40 +80,42 @@ def _finite_errors(errors) -> int:
     return 0
 
 
+def _out_dir(cfg) -> None:
+    """Create the output directory before the study runs."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as err:
+        raise xp.ConfigError(f"output.directory = {cfg.out_dir!r}: cannot "
+                             f"create the directory: {err.strerror}") from None
+
+
 def cmd_solve(args):
     ov = _overrides(args)
     ov.setdefault("study.kind", "solve")
     cfg = xp.load_config(args.config, ov)
     delta, alpha, eps = args.delta, args.alpha, args.epsilon
     _check_solve_flags(delta, alpha, eps, cfg.geometry.eps_admissible)
-    ws = xp.Workspace(cfg)
-    f_del = ws.noisy_data(delta)
+    row = xp.rate_cell(cfg, xp.Workspace(cfg), delta, alpha, eps)
     if eps == 0.0:
-        u, v, p = ws.sharp_solver.tikhonov(alpha, f_del)
-        from .inversion import sharp_error
-        err = sharp_error(u, ws.sharp_solver, ws.truth)
         print(f"sharp solve: delta={delta:g} alpha={alpha:g} "
-              f"u_err_sharp={err:.6e}")
-        return _finite_errors([("u_err_sharp", err)])
-    ops = ws.diffuse_ops(eps)
-    f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
-    sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
-                           max_iter=cfg.max_iter)
-    norms = error_norms(sol, ws.truth, ops)
-    print(f"diffuse solve: delta={delta:g} alpha={alpha:g} eps={eps:g} "
-          f"iters={sol.report.iterations} converged={sol.report.converged}")
-    print(f"  u_err_band={norms.u_err_band:.6e} "
-          f"v_err_band={norms.v_err_band:.6e} "
-          f"grad_err={norms.grad_err:.6e} u_err_dual={norms.u_err_dual:.6e}")
-    if _finite_errors(vars(norms).items()):
+              f"u_err_sharp={row.u_err_sharp:.6e}")
+        names = ("u_err_sharp",)
+    else:
+        print(f"diffuse solve: delta={delta:g} alpha={alpha:g} eps={eps:g} "
+              f"iters={row.iterations} converged={row.converged}")
+        print(f"  u_err_band={row.u_err_band:.6e} "
+              f"v_err_band={row.v_err_band:.6e} "
+              f"grad_err={row.grad_err:.6e} u_err_dual={row.u_err_dual:.6e}")
+        names = ("u_err_band", "v_err_band", "grad_err", "u_err_dual")
+    if _finite_errors((name, getattr(row, name)) for name in names):
         return 1
-    return 0 if sol.report.converged else 1
+    return 0 if row.converged else 1
 
 
 def cmd_table(args):
     cfg = xp.load_config(args.config, _overrides(args, args.preset))
-    ws = xp.Workspace(cfg)
-    res = xp.run_iteration_table(cfg, ws)
+    _out_dir(cfg)
+    res = xp.run_iteration_table(cfg)
     header = "eps\\alpha " + " ".join(f"{a:>8g}" for a in res.alphas)
     print(header)
     for i, eps in enumerate(res.epsilons):
@@ -124,6 +128,7 @@ def cmd_table(args):
 
 def cmd_rates(args):
     cfg = xp.load_config(args.config, _overrides(args, args.preset))
+    _out_dir(cfg)
     ws = xp.Workspace(cfg)
     res = xp.run_rate_study(cfg, ws)
     errors = []
@@ -139,8 +144,7 @@ def cmd_rates(args):
               + (f", v-slope {v_fit.slope:.3f}" if v_fit.defined else ""))
     else:
         print(f"u-slope undefined ({u_fit.n_points} points)")
-    from .inversion import truth_fixture_csv
-    fixture = truth_fixture_csv(ws.truth, ws.sharp_solver)
+    fixture = xp.truth_fixture_csv(ws.truth, ws.sharp_solver)
     xp.emit_outputs(cfg.out_dir, cfg, rates={label: res}, truth_csv=fixture)
     print(f"outputs in {cfg.out_dir}/")
     if _finite_errors(errors):
@@ -150,6 +154,7 @@ def cmd_rates(args):
 
 def cmd_spectrum(args):
     cfg = xp.load_config(args.config, _overrides(args))
+    _out_dir(cfg)
     res = xp.run_spectrum_study(cfg)
     eigs = res.eigenvalues
     print(f"{len(eigs)} eigenvalues, range [{eigs.min():.4g}, "

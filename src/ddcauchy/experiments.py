@@ -5,7 +5,7 @@ Studies
 table     MINRES iteration counts over an (alpha, eps) grid at fixed delta
 rates     noise sweep with alpha/eps schedules, error norms and log-log fits
 spectrum  dense preconditioned spectrum on a coarse mesh, band detection
-solve     a single (delta, alpha, eps) triple
+solve     one rate-study cell, at a given (delta, alpha, eps)
 
 Configuration is a flat INI file with sections [geometry], [mesh],
 [solver], [truth], [study], [output] and the keys of SCHEMA; every value
@@ -36,6 +36,7 @@ from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         error_norms, extend_data, sharp_error)
+from .inversion import truth_fixture_csv  # noqa: F401  the CLI's fixture
 from .mesh import (MAX_BAND_LEVELS, QUAD_DEGREES, SHARP_MIN_ANGULAR,
                    SHARP_MIN_RADIAL, build_background, levels_for,
                    mesh_annulus, quadrature, refine_band)
@@ -426,6 +427,29 @@ def _schedule(cfg: ExperimentConfig, delta: float):
     return alpha, eps
 
 
+def rate_cell(cfg: ExperimentConfig, ws: Workspace, delta: float,
+              alpha: float, eps: float) -> RateRow:
+    """One cell of a rate study: the noisy data at delta, the Tikhonov
+    solve at (alpha, eps) and its errors.  eps = 0 solves the sharp
+    reference and reports only u_err_sharp; a diffuse cell reports the
+    band and dual norms, with u_err_sharp nan."""
+    nan = float("nan")
+    f_del = ws.noisy_data(delta)
+    if eps == 0.0:
+        u, _, _ = ws.sharp_solver.tikhonov(alpha, f_del)
+        err_sharp = sharp_error(u, ws.sharp_solver, ws.truth)
+        return RateRow(delta, alpha, 0.0, 0, True, nan, nan, nan, nan,
+                       err_sharp)
+    ops = ws.diffuse_ops(eps)
+    f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
+    sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
+                           max_iter=cfg.max_iter)
+    norms = error_norms(sol, ws.truth, ops)
+    return RateRow(delta, alpha, eps, sol.report.iterations,
+                   sol.report.converged, norms.u_err_band, norms.v_err_band,
+                   norms.grad_err, norms.u_err_dual, nan)
+
+
 def run_rate_study(cfg: ExperimentConfig, ws: Workspace = None) -> RateResult:
     """Noise sweep under the configured (alpha, eps) schedules.
 
@@ -433,28 +457,9 @@ def run_rate_study(cfg: ExperimentConfig, ws: Workspace = None) -> RateResult:
     the u-fit then uses the sharp L2 control error.
     """
     ws = ws or Workspace(cfg)
-    rows = []
-    sharp_mode = cfg.eps_coef == 0.0
-    for delta in cfg.deltas:
-        alpha, eps = _schedule(cfg, delta)
-        f_del = ws.noisy_data(delta)
-        if sharp_mode:
-            u, v, p = ws.sharp_solver.tikhonov(alpha, f_del)
-            err_sharp = sharp_error(u, ws.sharp_solver, ws.truth)
-            rows.append(RateRow(delta, alpha, 0.0, 0, True,
-                                float("nan"), float("nan"), float("nan"),
-                                float("nan"), err_sharp))
-            continue
-        ops = ws.diffuse_ops(eps)
-        f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
-        sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
-                               max_iter=cfg.max_iter)
-        norms = error_norms(sol, ws.truth, ops)
-        rows.append(RateRow(delta, alpha, eps, sol.report.iterations,
-                            sol.report.converged, norms.u_err_band,
-                            norms.v_err_band, norms.grad_err,
-                            norms.u_err_dual, float("nan")))
-    if sharp_mode:
+    rows = [rate_cell(cfg, ws, delta, *_schedule(cfg, delta))
+            for delta in cfg.deltas]
+    if cfg.eps_coef == 0.0:
         u_fit = fit_loglog_slope([(r.delta, r.u_err_sharp) for r in rows])
         v_fit = RateFit(float("nan"), float("nan"), float("nan"), 0, False)
     else:

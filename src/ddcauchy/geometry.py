@@ -196,30 +196,38 @@ class ConductivityTensor:
 # ---------------------------------------------------------------------------
 
 
-def band_integral(field: PhaseField, g, which: str, n_theta: int = 256,
-                  n_radial: int = 24) -> float:
-    """Quadrature of int g(x) |grad omega| gamma_which dx over one band.
+def _polar_ring(f, center: float, half: float, n_theta: int,
+                n_radial: int) -> float:
+    """int f(x) r dr dtheta over the ring |r - center| < half.
 
     Tensor-product rule in polar coordinates: Gauss-Legendre across the
-    band width, trapezoid (spectrally accurate for periodic integrands)
-    in the angle.  ``g`` maps an (n, 2) array of points to values.
+    ring, trapezoid (spectrally accurate for periodic integrands) in the
+    angle.  ``f`` maps an (n, 2) array of points to values.
     """
-    geo = field.geometry
-    radius = geo.r_inner if which == "H" else geo.r_outer
-    eps = field.epsilon
     gl_t, gl_w = np.polynomial.legendre.leggauss(n_radial)
-    rr = radius + eps * gl_t
-    wr = eps * gl_w
+    rr = center + half * gl_t
+    wr = half * gl_w
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    wt = 2.0 * np.pi / n_theta
     R, T = np.meshgrid(rr, theta, indexing="ij")
     pts = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
-    _, _, gradmag = field.phase_and_weights(pts)
-    gamma = geo.boundary_weight(which, pts)
-    vals = np.asarray(g(pts), dtype=float)
-    integrand = (vals * gradmag * gamma).reshape(len(rr), n_theta)
-    # polar area element r dr dtheta
-    return float(np.einsum("i,ij,ij->", wr, integrand, R) * wt)
+    vals = np.asarray(f(pts), dtype=float).reshape(n_radial, n_theta)
+    return float(np.einsum("i,ij,ij->", wr, vals, R) * (2.0 * np.pi / n_theta))
+
+
+def band_integral(field: PhaseField, g, which: str, n_theta: int = 256,
+                  n_radial: int = 24) -> float:
+    """Quadrature of int g(x) |grad omega| gamma_which dx over one band,
+    the ring of half-width eps around r_inner (H) or r_outer (B).
+    ``g`` maps an (n, 2) array of points to values."""
+    geo = field.geometry
+
+    def integrand(pts):
+        _, _, gradmag = field.phase_and_weights(pts)
+        vals = np.asarray(g(pts), dtype=float)
+        return vals * gradmag * geo.boundary_weight(which, pts)
+
+    radius = geo.r_inner if which == "H" else geo.r_outer
+    return _polar_ring(integrand, radius, field.epsilon, n_theta, n_radial)
 
 
 def bulk_integral(field: PhaseField, g, n_theta: int = 256,
@@ -245,19 +253,15 @@ def ring_diffuse_integral(field: PhaseField, g, r_lo: float, r_hi: float,
     kinks = [geo.r_inner - eps, geo.r_inner + eps,
              geo.r_outer - eps, geo.r_outer + eps]
     breaks = sorted({r_lo, r_hi, *[k for k in kinks if r_lo < k < r_hi]})
-    gl_t, gl_w = np.polynomial.legendre.leggauss(n_radial)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    wt = 2.0 * np.pi / n_theta
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        rr = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gl_t
-        wr = 0.5 * (hi - lo) * gl_w
-        R, T = np.meshgrid(rr, theta, indexing="ij")
-        pts = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
+
+    def integrand(pts):
         _, omega, _ = field.phase_and_weights(pts)
-        vals = np.asarray(g(pts), dtype=float)
-        integrand = (vals * omega).reshape(len(rr), n_theta)
-        total += float(np.einsum("i,ij,ij->", wr, integrand, R) * wt)
+        return np.asarray(g(pts), dtype=float) * omega
+
+    total = 0.0  # summed in order: sum() compensates on Python >= 3.12
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        total += _polar_ring(integrand, 0.5 * (hi + lo), 0.5 * (hi - lo),
+                             n_theta, n_radial)
     return total
 
 
@@ -266,14 +270,7 @@ def annulus_integral(geometry: AnnulusGeometry, g, n_theta: int = 256,
                      r_hi: float = None) -> float:
     """Quadrature of int g dx over the exact (sharp) annulus, optionally
     restricted to a sub-ring."""
-    gl_t, gl_w = np.polynomial.legendre.leggauss(n_radial)
     lo = geometry.r_inner if r_lo is None else max(r_lo, geometry.r_inner)
     hi = geometry.r_outer if r_hi is None else min(r_hi, geometry.r_outer)
-    rr = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gl_t
-    wr = 0.5 * (hi - lo) * gl_w
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    wt = 2.0 * np.pi / n_theta
-    R, T = np.meshgrid(rr, theta, indexing="ij")
-    pts = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
-    vals = np.asarray(g(pts), dtype=float).reshape(len(rr), n_theta)
-    return float(np.einsum("i,ij,ij->", wr, vals, R) * wt)
+    return _polar_ring(g, 0.5 * (hi + lo), 0.5 * (hi - lo), n_theta,
+                       n_radial)

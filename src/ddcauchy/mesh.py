@@ -20,7 +20,6 @@ refined meshes keep a minimum angle of 45 degrees.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -123,36 +122,6 @@ class TriMesh:
         if bad.size:
             i, j = uniq[bad[0]]
             raise MeshError(f"hanging node {k[bad[0]]} on edge ({i}, {j})")
-
-    def dump(self) -> str:
-        """Plain-text serialization with bit-exact float round-trip."""
-        out = io.StringIO()
-        out.write(f"vertices {self.num_vertices} triangles {self.num_triangles}\n")
-        for x, y in self.vertices:
-            out.write(f"{x.hex()} {y.hex()}\n")
-        for (a, b, c), gen in zip(self.triangles, self.generation):
-            out.write(f"{a} {b} {c} {gen}\n")
-        out.write(f"boundary_edges {len(self.boundary_edges)}\n")
-        for i, j, tag in self.boundary_edges:
-            out.write(f"{i} {j} {tag}\n")
-        return out.getvalue()
-
-    @classmethod
-    def load(cls, text: str) -> "TriMesh":
-        lines = text.strip().splitlines()
-        head = lines[0].split()
-        nv, nt = int(head[1]), int(head[3])
-        verts = np.array([[float.fromhex(a) for a in ln.split()]
-                          for ln in lines[1:1 + nv]])
-        tri_rows = [ln.split() for ln in lines[1 + nv:1 + nv + nt]]
-        tris = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in tri_rows])
-        gens = np.array([int(r[3]) for r in tri_rows])
-        nb = int(lines[1 + nv + nt].split()[1])
-        bedges = []
-        for ln in lines[2 + nv + nt:2 + nv + nt + nb]:
-            i, j, tag = ln.split()
-            bedges.append((int(i), int(j), tag))
-        return cls(verts, tris, bedges, gens)
 
 
 def build_background(h0: float, half_width: float = BBOX_HALF,

@@ -25,7 +25,6 @@ initial value, falls below rho.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ class SaddleSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    alpha: float
     nu: int                 # number of active control DOFs
     nv: int                 # number of active state DOFs
     ops: OperatorSet
@@ -93,7 +91,7 @@ def build_system(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     rhs = np.zeros(mat.shape[0])
     rhs[nu:nu + nv] = (ops.b_b @ f_tilde)[a_v]
     mult_scale = float(ops.mean_vec.sum())
-    return SaddleSystem(mat, rhs, alpha, nu, nv, ops, mult_scale)
+    return SaddleSystem(mat, rhs, nu, nv, ops, mult_scale)
 
 
 @dataclass
@@ -151,8 +149,6 @@ class SolveReport:
     iterations: int
     residual_history: list
     converged: bool
-    wall_time: float
-    rho: float
 
 
 def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
@@ -161,7 +157,9 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
 
     Returns (x, SolveReport).  residual_history[k] is the norm ratio after
     k+1 iterations; the history is nonincreasing in exact arithmetic.
-    Hitting max_iter reports converged=False instead of raising.
+    Hitting max_iter reports converged=False instead of raising; a
+    right-hand side that is not finite returns x all nan after 0
+    iterations, not converged.
     """
     if not (0.0 < rho < 1.0):
         raise SaddleError(f"rho must be in (0, 1), got {rho}")
@@ -170,13 +168,14 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
     n = len(b)
     x = np.zeros(n)
     history: list = []
-    t0 = time.perf_counter()
 
     r1 = b.copy()
     y = prec.apply(r1)
     beta1 = float(np.sqrt(r1 @ y))
     if beta1 == 0.0:
-        return x, SolveReport(0, history, True, time.perf_counter() - t0, rho)
+        return x, SolveReport(0, history, True)
+    if not np.isfinite(beta1):
+        return np.full(n, np.nan), SolveReport(0, history, False)
 
     oldb = 0.0
     beta = beta1
@@ -233,8 +232,7 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
             converged = history[-1] < rho
             break
 
-    return x, SolveReport(k, history, converged,
-                          time.perf_counter() - t0, rho)
+    return x, SolveReport(k, history, converged)
 
 
 DENSE_SPECTRUM_CAP = 4000

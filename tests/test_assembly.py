@@ -7,7 +7,7 @@ from ddcauchy.assembly import (AssemblyError, _element_geometry, _Elements,
                                _quad_points, _scatter, _support_mask,
                                active_sets, assemble_band_mass,
                                assemble_sharp, assemble_weighted_stiffness,
-                               diffuse_functional, dump_matrix)
+                               diffuse_functional)
 from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
                                PhaseField, bulk_integral, band_integral,
                                annulus_integral)
@@ -203,22 +203,6 @@ def test_sharp_untagged_boundary_signal(geometry, tensor):
     mesh = build_background(1.0)  # box mesh has no inner/outer tags
     with pytest.raises(AssemblyError):
         assemble_sharp(mesh, tensor)
-
-
-def test_matrix_dump_roundtrip(ops_16):
-    text = dump_matrix(ops_16.b_h)
-    lines = text.strip().splitlines()
-    n, m, nnz = (int(x) for x in lines[0].split())
-    assert (n, m) == ops_16.b_h.shape
-    assert nnz == len(lines) - 1
-    rows, cols, vals = [], [], []
-    for ln in lines[1:]:
-        r, c, v = ln.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float.fromhex(v))
-    rebuilt = sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
-    assert (rebuilt != ops_16.b_h).nnz == 0
 
 
 def subdivided_everywhere(mesh, field, tensor, rule):

@@ -68,13 +68,32 @@ def test_rates_single_delta_fit_undefined(tmp_path, capsys):
 
 
 def test_bad_set_flag(capsys):
-    with pytest.raises(SystemExit):
-        main(["table", "--set", "nonsense"])
-    capsys.readouterr()
-    assert main(["table", "--set", "mesh.hO=0.3"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "mesh.hO" in err
-    assert "Traceback" not in err
+    for item, named in (("nonsense", "'nonsense'"), ("=3", "'=3'"),
+                        ("mesh.hO=0.3", "mesh.hO")):
+        assert main(["table", "--set", item]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.count("\n") == 1 and err.startswith("ddcauchy: ")
+        assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["table", "rates", "spectrum"])
+def test_unusable_out_dir_exits_2(tmp_path, capsys, monkeypatch, command):
+    def no_study(*args):
+        raise AssertionError("the study ran")
+
+    for study in ("run_iteration_table", "run_rate_study",
+                  "run_spectrum_study", "Workspace"):
+        monkeypatch.setattr(f"ddcauchy.experiments.{study}", no_study)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main([command, "--out", str(out)] + FAST) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "output.directory" in captured.err
 
 
 @pytest.mark.parametrize("flags, flag", [

@@ -67,12 +67,18 @@ def test_refine_band_non_band_vertices_untouched(geometry):
     assert np.array_equal(out.vertices[:m.num_vertices], m.vertices)
 
 
+def mesh_bytes(mesh):
+    """The mesh arrays as bytes, for bit-exact comparison."""
+    return (mesh.vertices.tobytes(), mesh.triangles.tobytes(),
+            mesh.generation.tobytes())
+
+
 def test_refine_band_deterministic(geometry):
     m = build_background(0.12)
     field = PhaseField(geometry, 0.0625)
-    a = refine_band(m, field, 2).dump()
-    b = refine_band(m, field, 2).dump()
-    assert a == b
+    a = refine_band(m, field, 2)
+    b = refine_band(m, field, 2)
+    assert mesh_bytes(a) == mesh_bytes(b)
 
 
 def test_refine_refined_mesh(geometry):
@@ -118,7 +124,7 @@ def test_refine_band_properties(h0, levels, eps_scale):
     bound = h0 * math.sqrt(2.0) / 2.0 ** levels + 1e-12
     assert out.diameters()[hit].max() <= bound
     assert np.array_equal(out.vertices[:m.num_vertices], m.vertices)
-    assert refine_band(m, field, levels).dump() == out.dump()
+    assert mesh_bytes(refine_band(m, field, levels)) == mesh_bytes(out)
 
 
 def test_quality_floor_signal(geometry):
@@ -155,16 +161,6 @@ def test_mesh_annulus_boundary(geometry):
     assert length == pytest.approx(2 * np.pi * 0.3, rel=2e-3)
     for i, j, _ in inner:
         assert np.hypot(*m.vertices[i]) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_dump_load_roundtrip(geometry):
-    m = refine_band(build_background(0.4), PhaseField(geometry, 0.125), 1)
-    text = m.dump()
-    m2 = TriMesh.load(text)
-    assert np.array_equal(m2.vertices, m.vertices)
-    assert np.array_equal(m2.triangles, m.triangles)
-    assert np.array_equal(m2.generation, m.generation)
-    assert m2.dump() == text
 
 
 def test_quadrature_examples():

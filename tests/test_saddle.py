@@ -40,6 +40,15 @@ def test_zero_data_gives_zero_solution(ops_16):
     assert np.all(x == 0.0)
 
 
+def test_non_finite_rhs_stops_at_once(ops_16):
+    system = build_system(ops_16, 1.0, np.zeros(ops_16.mesh.num_vertices))
+    system.rhs[system.nu] = np.inf
+    x, report = minres(system, RieszPreconditioner(system), rho=1e-10)
+    assert report.iterations == 0
+    assert not report.converged
+    assert np.isnan(x).all()
+
+
 def test_third_row_consistency_matrices(ops_16):
     """Row 3 applied to a manufactured pair reproduces the bilinear form
     b(u, v; .) computed from the operator matrices directly."""

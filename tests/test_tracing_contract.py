@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` times the package's layers by swapping named
 functions and methods for timing wrappers, and hands MINRES a proxy of
 the KKT matrix.  These tests load that file read-only and check that
-every name it wraps still resolves, and that a sharp and a diffuse
-Tikhonov solve under an installed recorder equal their untraced results.
+every name it wraps still resolves, that a sharp and a diffuse
+Tikhonov solve under an installed recorder equal their untraced results,
+and that a traced rate study records each layer of every cell once.
 """
 
 import importlib.util
@@ -59,3 +60,27 @@ def test_traced_solves_equal_untraced(ops_16, sharp_solver, truth):
     assert layers["saddle.matvec"][0] > 0
     metrics = tracer.layer_metrics(1.0)
     assert metrics["inversion.sharp_tikhonov.calls"] == 1
+
+
+def test_traced_rate_cells_record_every_layer():
+    spans = load_spans()
+    small = {"mesh.h0": "0.2", "mesh.sharp_n_angular": "48",
+             "mesh.sharp_n_radial": "12", "study.deltas": "0.0625, 0.03125"}
+    diffuse = experiments.load_config(overrides=small)
+    sharp = experiments.load_config(overrides=dict(
+        small, **{"study.eps_coef": "0.0", "study.eps_exp": "0.0"}))
+    # the sharp study runs on the diffuse study's Workspace, as fig8 does
+    ws = experiments.Workspace(diffuse)
+    for cfg, per_delta in (
+            (diffuse, ("experiments.diffuse_ops", "inversion.extend_data",
+                       "inversion.diffuse_tikhonov", "inversion.error_norms",
+                       "saddle.riesz_factor")),
+            (sharp, ("inversion.sharp_tikhonov",))):
+        plain = experiments.run_rate_study(cfg, ws)
+        tracer = spans.Tracer()
+        with tracer:
+            traced = experiments.run_rate_study(cfg, ws)
+        assert repr(traced.rows) == repr(plain.rows)
+        layers = tracer.layers()
+        for name in per_delta:
+            assert layers.get(name, (0,))[0] == len(cfg.deltas), name
