@@ -80,6 +80,13 @@ def _finite_errors(errors) -> int:
     return 0
 
 
+def _quiet_overflow():
+    """Silence numpy's overflow and invalid-value warnings around a study
+    whose reported errors ``_finite_errors`` checks: a non-finite result
+    is then named on its one stderr line instead."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _out_dir(cfg) -> None:
     """Create the output directory before the study runs."""
     try:
@@ -95,7 +102,8 @@ def cmd_solve(args):
     cfg = xp.load_config(args.config, ov)
     delta, alpha, eps = args.delta, args.alpha, args.epsilon
     _check_solve_flags(delta, alpha, eps, cfg.geometry.eps_admissible)
-    row = xp.rate_cell(cfg, xp.Workspace(cfg), delta, alpha, eps)
+    with _quiet_overflow():
+        row = xp.rate_cell(cfg, xp.Workspace(cfg), delta, alpha, eps)
     if eps == 0.0:
         print(f"sharp solve: delta={delta:g} alpha={alpha:g} "
               f"u_err_sharp={row.u_err_sharp:.6e}")
@@ -130,7 +138,8 @@ def cmd_rates(args):
     cfg = xp.load_config(args.config, _overrides(args, args.preset))
     _out_dir(cfg)
     ws = xp.Workspace(cfg)
-    res = xp.run_rate_study(cfg, ws)
+    with _quiet_overflow():
+        res = xp.run_rate_study(cfg, ws)
     errors = []
     for r in res.rows:
         err = r.u_err_sharp if r.epsilon == 0.0 else r.u_err_band

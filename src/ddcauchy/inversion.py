@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -34,33 +35,53 @@ class InversionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def diffuse_forward(ops: OperatorSet, load: np.ndarray) -> np.ndarray:
-    """Solve K_omega x = load on the active state set with <mean_vec, x> = 0.
+def _mean_constrained_solve(ops: OperatorSet):
+    """The solve of K_omega x = load on the active state set with
+    <mean_vec, x> = 0, by one sparse LU of the symmetric augmented matrix
+    [[K, m], [m^T, 0]].
 
-    ``load`` is full-length, of shape (n,) or (n, k); one sparse LU of the
-    symmetric augmented matrix [[K, m], [m^T, 0]] serves all k columns.
-    Returns x of the load's shape, zero off ``ops.active_v``.  This is the
-    diffuse forward problem for the load B_H u, and on the sharp operator
-    set the forward (B_H) and adjoint (B_B) problems of ``SharpSolver``.
+    The returned function takes a full-length load of shape (n,) or (n, k)
+    and returns x of the load's shape, zero off ``ops.active_v``.  The
+    minimum-degree ordering of A^T + A halves the LU fill of the default
+    column ordering on the polar sharp mesh.  Pivoting stays partial: the
+    multiplier row has a zero diagonal.
     """
     a_v = ops.active_v
     m_col = sp.csr_matrix(ops.mean_vec[a_v][:, None])
     aug = sp.bmat([[ops.k_omega[np.ix_(a_v, a_v)], m_col], [m_col.T, None]],
                   format="csc")
     try:
-        lu = spla.splu(aug)
+        lu = spla.splu(aug, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:
         raise InversionError(f"singular augmented system: {err}") from err
-    rhs = np.zeros((len(a_v) + 1,) + load.shape[1:])
-    rhs[:-1] = load[a_v]
-    x = np.zeros(load.shape)
-    x[a_v] = lu.solve(rhs)[:-1]
-    return x
+
+    def solve(load: np.ndarray) -> np.ndarray:
+        rhs = np.zeros((len(a_v) + 1,) + load.shape[1:])
+        rhs[:-1] = load[a_v]
+        x = np.zeros(load.shape)
+        x[a_v] = lu.solve(rhs)[:-1]
+        return x
+
+    return solve
+
+
+def diffuse_forward(ops: OperatorSet, load: np.ndarray) -> np.ndarray:
+    """Solve K_omega x = load on the active state set with <mean_vec, x> = 0.
+
+    One-shot form of ``_mean_constrained_solve``: one factor serves all k
+    columns of a load of shape (n,) or (n, k).  This is the diffuse
+    forward problem for the load B_H u.
+    """
+    return _mean_constrained_solve(ops)(load)
 
 
 # ---------------------------------------------------------------------------
 # Sharp solver (exact mesh)
 # ---------------------------------------------------------------------------
+
+# Unit fluxes per forward block solve when ``SharpSolver`` builds G: the
+# n x nb state block of all fluxes at once would be 14 MiB on fig8's mesh.
+_FLUX_BLOCK = 32
 
 
 class SharpSolver:
@@ -70,8 +91,9 @@ class SharpSolver:
     forward map takes a Neumann flux u on the inner boundary to the
     potential trace on the outer one; the mean constraint
     <v, 1>_inner = 0 is imposed by one scalar multiplier to keep the
-    system symmetric.  Nothing is factored up front: each forward or
-    adjoint call factors its system once for all its columns.
+    system symmetric.  Nothing is factored up front: the first solve of
+    any kind factors that system once, and every later forward, adjoint
+    and Tikhonov solve of the solver reuses the factor.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -86,24 +108,32 @@ class SharpSolver:
         self.outer_angles = np.mod(np.arctan2(
             ops.mesh.vertices[self.outer, 1],
             ops.mesh.vertices[self.outer, 0]), 2.0 * np.pi)
+        self._solve = None   # the mean-constrained solve, at the first use
+        self._g = None       # G and G^T T_oo G, at the first ``tikhonov``
+        self._gtg = None
 
     def _boundary_load(self, nodes: np.ndarray, values: np.ndarray):
         load = np.zeros((self.ops.mesh.num_vertices,) + np.shape(values)[1:])
         load[nodes] = values
         return load
 
+    def _mean_solve(self, load: np.ndarray) -> np.ndarray:
+        if self._solve is None:
+            self._solve = _mean_constrained_solve(self.ops)
+        return self._solve(load)
+
     def forward(self, u_inner: np.ndarray):
         """State field and its trace f = v | outer for flux u on the inner
         boundary (nodal values in the order of ``inner``, shape (nb,) or
         (nb, k) for k fluxes)."""
-        v = diffuse_forward(self.ops, self.ops.b_h @ self._boundary_load(
+        v = self._mean_solve(self.ops.b_h @ self._boundary_load(
             self.inner, u_inner))
         return v, v[self.outer]
 
     def adjoint(self, w_outer: np.ndarray):
         """Adjoint field and its trace u = p | inner for density w on the
         outer boundary (shape (nb,) or (nb, k))."""
-        p = diffuse_forward(self.ops, self.ops.b_b @ self._boundary_load(
+        p = self._mean_solve(self.ops.b_b @ self._boundary_load(
             self.outer, w_outer))
         return p, p[self.inner]
 
@@ -113,19 +143,40 @@ class SharpSolver:
     def outer_norm(self, f_outer: np.ndarray) -> float:
         return float(np.sqrt(f_outer @ (self.t_oo @ f_outer)))
 
-    def tikhonov(self, alpha: float, f_outer: np.ndarray):
-        """Direct solve of the sharp Tikhonov saddle system.
+    def _normal_matrix(self):
+        """G, the outer traces of the inner unit fluxes, and G^T T_oo G;
+        built once, by forward solves of ``_FLUX_BLOCK`` unit fluxes at a
+        time, so no state block of all nb fluxes is ever held."""
+        if self._g is None:
+            nb = len(self.inner)
+            g = np.empty((len(self.outer), nb))
+            for j in range(0, nb, _FLUX_BLOCK):
+                k = min(nb, j + _FLUX_BLOCK)
+                g[:, j:k] = self.forward(np.eye(nb, k - j, -j))[1]
+            self._g = g
+            self._gtg = g.T @ (self.t_oo @ g)
+        return self._g, self._gtg
 
-        The system is ``build_system`` on the eps = 0 operators, factored
-        by sparse LU; returns nodal (u_inner, v, p).  Serves as the
-        eps = 0 reference.
+    def tikhonov(self, alpha: float, f_outer: np.ndarray):
+        """Sharp Tikhonov solution: the eps = 0 reference.
+
+        Eliminating v and p from the sharp KKT system (``build_system`` on
+        the eps = 0 operators) leaves the normal equation
+        (alpha T_ii + G^T T_oo G) u = G^T T_oo f, exactly.  G is built at
+        the first call and kept; each alpha is one dense Cholesky solve,
+        then v = forward(u) and p = adjoint(f - v | outer).  Returns nodal
+        (u_inner, v, p), all nan when G^T T_oo f is not finite.
         """
         if alpha <= 0.0:
             raise InversionError(f"alpha must be positive, got {alpha}")
-        system = build_system(self.ops, alpha,
-                              self._boundary_load(self.outer, f_outer))
-        sol = spla.splu(system.matrix.tocsc()).solve(system.rhs)
-        u, v, p, _ = system.split(sol)
+        g, gtg = self._normal_matrix()
+        rhs = g.T @ (self.t_oo @ f_outer)
+        if not np.all(np.isfinite(rhs)):
+            nan = np.full(self.ops.mesh.num_vertices, np.nan)
+            return np.full(len(self.inner), np.nan), nan, nan.copy()
+        u = sla.solve(alpha * self.t_ii.toarray() + gtg, rhs, assume_a="pos")
+        v, f_u = self.forward(u)
+        p, _ = self.adjoint(f_outer - f_u)
         return u, v, p
 
 

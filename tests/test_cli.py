@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import pytest
 
@@ -114,14 +115,27 @@ def test_solve_flags_checked(capsys, flags, flag):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("epsilon, name", [("0", "u_err_sharp"),
-                                            ("0.125", "u_err_band")])
-def test_non_finite_error_exits_1(capsys, epsilon, name):
-    # noise of norm 1e300 overflows the error norms
-    assert main(["solve", "--delta", "1e300", "--alpha", "0.01",
+@pytest.mark.parametrize("delta, epsilon, name", [
+    pytest.param("1e300", "0", "u_err_sharp", id="0-u_err_sharp"),
+    pytest.param("1e300", "0.125", "u_err_band", id="0.125-u_err_band"),
+    ("1.7e308", "0", "u_err_sharp"), ("1.7e308", "0.125", "u_err_band")])
+def test_non_finite_error_exits_1(capsys, delta, epsilon, name):
+    # noise of norm 1e300 overflows the error norms; at 1.7e308 the noisy
+    # data themselves overflow
+    assert main(["solve", "--delta", delta, "--alpha", "0.01",
                  "--epsilon", epsilon] + FAST) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and name in err[0] and "not finite" in err[0]
+
+
+@pytest.mark.parametrize("epsilon", ["0", "0.125"])
+def test_non_finite_error_prints_no_warnings(capsys, epsilon):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--delta", "1e300", "--alpha", "0.01",
+                     "--epsilon", epsilon] + FAST) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_verify_passes(capsys):

@@ -175,8 +175,14 @@ def test_workspace_setup_factors_nothing(monkeypatch):
         "mesh.sharp_n_angular": "32", "mesh.sharp_n_radial": "8"})
     ws = xp.Workspace(cfg)
     assert factored == []
-    # the sharp solver factors when it first solves
-    ws.sharp_solver.forward(np.ones(len(ws.sharp_solver.inner)))
+    # the sharp solver factors when it first solves, and only then
+    solver = ws.sharp_solver
+    solver.forward(np.ones(len(solver.inner)))
+    assert len(factored) == 1
+    solver.adjoint(np.ones(len(solver.outer)))
+    f_del = ws.noisy_data(1e-3)
+    for alpha in (1e-1, 1e-2, 1e-3):
+        solver.tikhonov(alpha, f_del)
     assert len(factored) == 1
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ddcauchy.assembly import assemble_sharp
 from ddcauchy.geometry import ConductivityTensor
@@ -215,6 +216,34 @@ def test_sharp_tikhonov_properties(sharp_solver, truth):
     assert misfit + penalty <= delta ** 2 + alpha * u_dag_norm ** 2 + 1e-12
     with pytest.raises(InversionError):
         sharp_solver.tikhonov(-1.0, f_dag)
+
+
+def kkt_tikhonov(solver, alpha, f_outer):
+    """The sharp KKT system (u, v, p, multipliers), factored by sparse LU:
+    the path the normal equation replaced."""
+    system = build_system(solver.ops, alpha,
+                          solver._boundary_load(solver.outer, f_outer))
+    u, v, p, _ = system.split(spla.splu(system.matrix.tocsc()).solve(
+        system.rhs))
+    return u, v, p
+
+
+@pytest.mark.parametrize("n_angular", [128, 192])
+def test_sharp_normal_equation_matches_kkt(sharp_solver, geometry, tensor,
+                                           truth, n_angular):
+    """128 x 32 is the fixture mesh, 192 x 48 fig8's sharp mesh.  The
+    normal matrix has condition 1.5e5 at alpha = 1e-6, so the last bound
+    measures conditioning, not the elimination."""
+    solver = sharp_solver if n_angular == 128 else SharpSolver(
+        assemble_sharp(mesh_annulus(geometry, 192, 48), tensor))
+    f = add_noise(truth.f_dagger(solver.outer_angles), 1e-3, 9, solver.t_oo)
+    for alpha, tol in ((1e-1, 1e-9), (1e-2, 1e-9), (1e-3, 1e-9),
+                       (1e-4, 1e-8), (1e-6, 1e-6)):
+        for got, want in zip(solver.tikhonov(alpha, f),
+                             kkt_tikhonov(solver, alpha, f)):
+            assert got.shape == want.shape
+            assert (np.linalg.norm(got - want)
+                    <= tol * np.linalg.norm(want)), alpha
 
 
 # ---------------------------------------------------------------------------
