@@ -37,9 +37,9 @@ from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         error_norms, extend_data, sharp_error)
 from .inversion import truth_fixture_csv  # noqa: F401  the CLI's fixture
-from .mesh import (MAX_BAND_LEVELS, QUAD_DEGREES, SHARP_MIN_ANGULAR,
-                   SHARP_MIN_RADIAL, build_background, levels_for,
-                   mesh_annulus, quadrature, refine_band)
+from .mesh import (MAX_BAND_LEVELS, MAX_VERTICES_DEFAULT, QUAD_DEGREES,
+                   SHARP_MIN_ANGULAR, SHARP_MIN_RADIAL, build_background,
+                   levels_for, mesh_annulus, quadrature, refine_band)
 from .saddle import (DENSE_SPECTRUM_CAP, RieszPreconditioner, build_system,
                      detect_bands, spectrum)
 
@@ -197,6 +197,11 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
                 check(values[attr])
         except ValueError as err:
             raise ConfigError(f"{key} = {text!r}: {err}") from None
+    sharp_vertices = values["sharp_n_angular"] * (values["sharp_n_radial"] + 1)
+    if sharp_vertices > MAX_VERTICES_DEFAULT:
+        raise ConfigError(f"mesh.sharp_n_angular, mesh.sharp_n_radial: the "
+                          f"sharp mesh would have {sharp_vertices} vertices, "
+                          f"more than {MAX_VERTICES_DEFAULT}")
     try:
         geometry = AnnulusGeometry(values["r_inner"], values["r_outer"],
                                    values["split_radius"])
@@ -436,7 +441,7 @@ def rate_cell(cfg: ExperimentConfig, ws: Workspace, delta: float,
     nan = float("nan")
     f_del = ws.noisy_data(delta)
     if eps == 0.0:
-        u, _, _ = ws.sharp_solver.tikhonov(alpha, f_del)
+        u = ws.sharp_solver.tikhonov(alpha, f_del)
         err_sharp = sharp_error(u, ws.sharp_solver, ws.truth)
         return RateRow(delta, alpha, 0.0, 0, True, nan, nan, nan, nan,
                        err_sharp)

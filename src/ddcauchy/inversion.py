@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -79,9 +78,10 @@ def diffuse_forward(ops: OperatorSet, load: np.ndarray) -> np.ndarray:
 # Sharp solver (exact mesh)
 # ---------------------------------------------------------------------------
 
-# Unit fluxes per forward block solve when ``SharpSolver`` builds G: the
-# n x nb state block of all fluxes at once would be 14 MiB on fig8's mesh.
-_FLUX_BLOCK = 32
+# Largest relative defect of G's column at inner node nb // 2 against its
+# column at node 0 rolled by nb // 2; a rotation-invariant mesh meets it
+# to roundoff (7e-14 on fig8's 192 x 48 mesh).
+_CIRCULANT_TOL = 1e-10
 
 
 class SharpSolver:
@@ -92,8 +92,16 @@ class SharpSolver:
     potential trace on the outer one; the mean constraint
     <v, 1>_inner = 0 is imposed by one scalar multiplier to keep the
     system symmetric.  Nothing is factored up front: the first solve of
-    any kind factors that system once, and every later forward, adjoint
-    and Tikhonov solve of the solver reuses the factor.
+    any kind factors that system once, and every later forward and
+    adjoint solve of the solver reuses the factor.
+
+    The Tikhonov solve assumes that the discrete problem is invariant
+    under rotation by 2 pi / nb, nb the number of inner nodes:
+    ``mesh_annulus`` splits every polar cell alike, the conductivity
+    lives in the polar frame, and inner and outer nodes are both numbered
+    by increasing angle from 0.  Then G (the outer traces of the inner
+    unit fluxes), T_ii and T_oo are circulant, and the FFT diagonalizes
+    the Tikhonov normal equation.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -108,9 +116,8 @@ class SharpSolver:
         self.outer_angles = np.mod(np.arctan2(
             ops.mesh.vertices[self.outer, 1],
             ops.mesh.vertices[self.outer, 0]), 2.0 * np.pi)
-        self._solve = None   # the mean-constrained solve, at the first use
-        self._g = None       # G and G^T T_oo G, at the first ``tikhonov``
-        self._gtg = None
+        self._solve = None    # the mean-constrained solve, at the first use
+        self._symbols = None  # FFTs of G, T_ii, T_oo, at the first tikhonov
 
     def _boundary_load(self, nodes: np.ndarray, values: np.ndarray):
         load = np.zeros((self.ops.mesh.num_vertices,) + np.shape(values)[1:])
@@ -143,41 +150,53 @@ class SharpSolver:
     def outer_norm(self, f_outer: np.ndarray) -> float:
         return float(np.sqrt(f_outer @ (self.t_oo @ f_outer)))
 
-    def _normal_matrix(self):
-        """G, the outer traces of the inner unit fluxes, and G^T T_oo G;
-        built once, by forward solves of ``_FLUX_BLOCK`` unit fluxes at a
-        time, so no state block of all nb fluxes is ever held."""
-        if self._g is None:
-            nb = len(self.inner)
-            g = np.empty((len(self.outer), nb))
-            for j in range(0, nb, _FLUX_BLOCK):
-                k = min(nb, j + _FLUX_BLOCK)
-                g[:, j:k] = self.forward(np.eye(nb, k - j, -j))[1]
-            self._g = g
-            self._gtg = g.T @ (self.t_oo @ g)
-        return self._g, self._gtg
+    def _transfer_symbols(self):
+        """(g, t, o): the FFTs of the first columns of G, T_ii and T_oo.
 
-    def tikhonov(self, alpha: float, f_outer: np.ndarray):
-        """Sharp Tikhonov solution: the eps = 0 reference.
+        Built once, from one forward solve of two unit fluxes, at inner
+        nodes 0 and nb // 2.  The second trace must be the first rolled by
+        nb // 2; otherwise the mesh is not rotation-invariant, G is not
+        circulant, and InversionError is raised.
+        """
+        if self._symbols is None:
+            nb = len(self.inner)
+            half = nb // 2
+            units = np.zeros((nb, 2))
+            units[[0, half], [0, 1]] = 1.0
+            _, g = self.forward(units)
+            defect = (np.linalg.norm(g[:, 1] - np.roll(g[:, 0], half))
+                      / np.linalg.norm(g[:, 0]))
+            if not defect <= _CIRCULANT_TOL:
+                raise InversionError(
+                    f"the sharp mesh is not rotation-invariant: G is not "
+                    f"circulant (relative defect {defect:.1e})")
+            self._symbols = (np.fft.fft(g[:, 0]),
+                             np.fft.fft(self.t_ii[:, 0].toarray()[:, 0]).real,
+                             np.fft.fft(self.t_oo[:, 0].toarray()[:, 0]).real)
+        return self._symbols
+
+    def tikhonov(self, alpha: float, f_outer: np.ndarray) -> np.ndarray:
+        """Sharp Tikhonov control u on the inner nodes: the eps = 0
+        reference.
 
         Eliminating v and p from the sharp KKT system (``build_system`` on
         the eps = 0 operators) leaves the normal equation
-        (alpha T_ii + G^T T_oo G) u = G^T T_oo f, exactly.  G is built at
-        the first call and kept; each alpha is one dense Cholesky solve,
-        then v = forward(u) and p = adjoint(f - v | outer).  Returns nodal
-        (u_inner, v, p), all nan when G^T T_oo f is not finite.
+        (alpha T_ii + G^T T_oo G) u = G^T T_oo f, exactly.  Its matrices are
+        circulant (see the class), so with g, t, o the FFTs of the first
+        columns of G, T_ii and T_oo, built at the first call and kept,
+        u = ifft(conj(g) fft(T_oo f) / (alpha t + o |g|^2)): two FFTs and
+        no sparse solve per alpha.  u is all nan when T_oo f is not
+        finite.  The state and adjoint, if wanted, are forward(u) and
+        adjoint(f - forward(u) | outer).
         """
         if alpha <= 0.0:
             raise InversionError(f"alpha must be positive, got {alpha}")
-        g, gtg = self._normal_matrix()
-        rhs = g.T @ (self.t_oo @ f_outer)
+        g, t, o = self._transfer_symbols()
+        rhs = self.t_oo @ f_outer
         if not np.all(np.isfinite(rhs)):
-            nan = np.full(self.ops.mesh.num_vertices, np.nan)
-            return np.full(len(self.inner), np.nan), nan, nan.copy()
-        u = sla.solve(alpha * self.t_ii.toarray() + gtg, rhs, assume_a="pos")
-        v, f_u = self.forward(u)
-        p, _ = self.adjoint(f_outer - f_u)
-        return u, v, p
+            return np.full(len(self.inner), np.nan)
+        return np.fft.ifft(np.conj(g) * np.fft.fft(rhs)
+                           / (alpha * t + o * np.abs(g) ** 2)).real
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,9 @@ def test_rates_single_delta_fit_undefined(tmp_path, capsys):
 
 def test_bad_set_flag(capsys):
     for item, named in (("nonsense", "'nonsense'"), ("=3", "'=3'"),
-                        ("mesh.hO=0.3", "mesh.hO")):
+                        ("mesh.hO=0.3", "mesh.hO"),
+                        ("mesh.sharp_n_angular=100000000",
+                         "mesh.sharp_n_angular")):
         assert main(["table", "--set", item]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -99,6 +99,9 @@ def test_config_defaults_and_overrides(tmp_path):
      "study.eps_exp"),
     (None, {"study.alpha_exp": "400"}, "study.alpha_exp"),
     (None, {"study.alpha_exp": "-400"}, "study.alpha_exp"),
+    # the sharp mesh's vertex count, n_angular * (n_radial + 1), is capped
+    (None, {"mesh.sharp_n_angular": "100000000"}, "mesh.sharp_n_angular"),
+    (None, {"mesh.sharp_n_radial": "100000"}, "mesh.sharp_n_radial"),
 ])
 def test_bad_config_names_key(tmp_path, ini, overrides, key):
     path = None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from ddcauchy.assembly import assemble_sharp
@@ -193,22 +194,32 @@ def test_diffuse_solution_mean_constraints(ops_16, sharp_solver, truth):
     assert abs(mv @ sol.p) <= 1e-8 * max(vnorm, 1e-30)
 
 
+def state_and_adjoint(solver, u, f_outer):
+    """v = forward(u) and p = adjoint(f - v | outer): the state and adjoint
+    that the sharp KKT system pairs with the control u."""
+    v, f_u = solver.forward(u)
+    p, _ = solver.adjoint(f_outer - f_u)
+    return v, p
+
+
 def test_sharp_tikhonov_properties(sharp_solver, truth):
     f_dag = truth.f_dagger(sharp_solver.outer_angles)
     # noise-free: control error decreases as alpha -> 0 (convergence)
     errs = []
     for alpha in (1e-2, 1e-4, 1e-6):
-        u, v, p = sharp_solver.tikhonov(alpha, f_dag)
+        u = sharp_solver.tikhonov(alpha, f_dag)
         errs.append(sharp_error(u, sharp_solver, truth))
     assert errs[0] > errs[1] > errs[2]
     # optimality: alpha u = p on the inner boundary (solver roundoff)
     alpha = 1e-4
-    u, v, p = sharp_solver.tikhonov(alpha, f_dag)
+    u = sharp_solver.tikhonov(alpha, f_dag)
+    _, p = state_and_adjoint(sharp_solver, u, f_dag)
     assert alpha * u == pytest.approx(p[sharp_solver.inner], abs=1e-12)
     # minimizer property: J(solution) <= delta^2 + alpha ||u_dag||^2
     delta = 1e-3
     fd = add_noise(f_dag, delta, 9, sharp_solver.t_oo)
-    u, v, p = sharp_solver.tikhonov(alpha, fd)
+    u = sharp_solver.tikhonov(alpha, fd)
+    v, _ = state_and_adjoint(sharp_solver, u, fd)
     misfit = sharp_solver.outer_norm(v[sharp_solver.outer] - fd) ** 2
     penalty = alpha * sharp_solver.inner_norm(u) ** 2
     u_dag_norm = sharp_solver.inner_norm(
@@ -239,11 +250,61 @@ def test_sharp_normal_equation_matches_kkt(sharp_solver, geometry, tensor,
     f = add_noise(truth.f_dagger(solver.outer_angles), 1e-3, 9, solver.t_oo)
     for alpha, tol in ((1e-1, 1e-9), (1e-2, 1e-9), (1e-3, 1e-9),
                        (1e-4, 1e-8), (1e-6, 1e-6)):
-        for got, want in zip(solver.tikhonov(alpha, f),
+        u = solver.tikhonov(alpha, f)
+        for got, want in zip((u,) + state_and_adjoint(solver, u, f),
                              kkt_tikhonov(solver, alpha, f)):
             assert got.shape == want.shape
             assert (np.linalg.norm(got - want)
                     <= tol * np.linalg.norm(want)), alpha
+
+
+def blocked_transfer(solver, block=32):
+    """G, the outer traces of the inner unit fluxes, by forward solves of
+    ``block`` unit fluxes at a time: the dense reference of the FFT."""
+    nb = len(solver.inner)
+    g = np.empty((len(solver.outer), nb))
+    for j in range(0, nb, block):
+        k = min(nb, j + block)
+        g[:, j:k] = solver.forward(np.eye(nb, k - j, -j))[1]
+    return g
+
+
+@pytest.mark.parametrize("n_angular, n_radial",
+                         [(128, 32), (192, 48), (97, 24)])
+def test_sharp_fft_matches_dense_normal_equation(sharp_solver, geometry,
+                                                 tensor, truth, n_angular,
+                                                 n_radial):
+    """The circulant matrices rebuilt from the three symbols equal the
+    blocked G of all nb unit fluxes, T_ii and T_oo; the dense normal
+    equation on the blocked G gives the FFT's u.  97 covers an odd
+    number of nodes, where nb // 2 is not half a turn."""
+    solver = sharp_solver if n_angular == 128 else SharpSolver(
+        assemble_sharp(mesh_annulus(geometry, n_angular, n_radial), tensor))
+    f = add_noise(truth.f_dagger(solver.outer_angles), 1e-3, 9, solver.t_oo)
+    alpha = 1e-2
+    u = solver.tikhonov(alpha, f)
+    g = blocked_transfer(solver)
+    t_ii, t_oo = solver.t_ii.toarray(), solver.t_oo.toarray()
+    for symbol, dense in zip(solver._transfer_symbols(), (g, t_ii, t_oo)):
+        rebuilt = sla.circulant(np.fft.ifft(symbol).real)
+        assert (np.linalg.norm(rebuilt - dense)
+                <= 1e-12 * np.linalg.norm(dense))
+    u_dense = np.linalg.solve(alpha * t_ii + g.T @ t_oo @ g, g.T @ (t_oo @ f))
+    assert np.linalg.norm(u - u_dense) <= 1e-12 * np.linalg.norm(u_dense)
+
+
+def test_sharp_tikhonov_rejects_unsymmetric_mesh(geometry, tensor):
+    """Jittering one interior ring breaks the rotational symmetry that the
+    FFT solve rests on: the solver says so instead of returning a wrong
+    u."""
+    mesh = mesh_annulus(geometry, 64, 16)
+    ring = slice(5 * 64, 6 * 64)
+    radial = np.random.default_rng(4).uniform(0.98, 1.02, 64)
+    mesh.vertices[ring] *= radial[:, None]
+    solver = SharpSolver(assemble_sharp(mesh, tensor))
+    f = np.cos(2 * solver.outer_angles)
+    with pytest.raises(InversionError, match="not rotation-invariant"):
+        solver.tikhonov(1e-2, f)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +393,7 @@ def test_diffuse_to_sharp_consistency(geometry, tensor, rule, sharp_solver,
     delta, alpha, seed = 1e-3, 1e-3, 21
     f_dag = truth.f_dagger(sharp_solver.outer_angles)
     f_del = add_noise(f_dag, delta, seed, sharp_solver.t_oo)
-    u_sharp, _, _ = sharp_solver.tikhonov(alpha, f_del)
+    u_sharp = sharp_solver.tikhonov(alpha, f_del)
     series = dict(zip(sharp_solver.inner_angles, u_sharp))
     diffs = []
     for eps in (0.125, 0.0625, 0.03125):
