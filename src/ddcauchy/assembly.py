@@ -32,6 +32,7 @@ sets are read off the diagonals afterwards.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,6 +279,17 @@ class OperatorSet:
     eps = 0 is the sharp reference on the polar annulus mesh (built by
     ``assemble_sharp``; ``field`` is None there).  ``mean_vec`` and the
     active DOF sets are derived from the forms.
+
+    The blocks on the active sets are restricted here, by ``block``, and
+    nowhere else; each is restricted at its first read and kept:
+
+        riesz_u   B_H on active_u: the U Gram matrix, the KKT (u, u) block
+                  and, on the sharp set, T_inner
+        b_vu      B_H on active_v x active_u
+        k_vv      K_omega on active_v
+        t_vv      B_B on active_v
+        riesz_h   K_omega + M_omega on active_v: the H Gram matrix
+        mean_col  mean_vec on active_v, as a CSR column
     """
 
     mesh: TriMesh
@@ -306,14 +318,36 @@ class OperatorSet:
         return cls(mesh, field, tensor, rule, forms["k"], forms["m"],
                    forms["H"], forms["B"])
 
-    def riesz_u(self) -> sp.csr_matrix:
-        """U-inner-product Gram matrix on the active control set."""
-        return self.b_h[np.ix_(self.active_u, self.active_u)].tocsr()
+    @staticmethod
+    def block(mat: sp.spmatrix, rows: np.ndarray,
+              cols: np.ndarray) -> sp.csr_matrix:
+        """``mat`` restricted to ``rows`` x ``cols``."""
+        return mat[np.ix_(rows, cols)].tocsr()
 
+    @functools.cached_property
+    def riesz_u(self) -> sp.csr_matrix:
+        return self.block(self.b_h, self.active_u, self.active_u)
+
+    @functools.cached_property
+    def b_vu(self) -> sp.csr_matrix:
+        return self.block(self.b_h, self.active_v, self.active_u)
+
+    @functools.cached_property
+    def k_vv(self) -> sp.csr_matrix:
+        return self.block(self.k_omega, self.active_v, self.active_v)
+
+    @functools.cached_property
+    def t_vv(self) -> sp.csr_matrix:
+        return self.block(self.b_b, self.active_v, self.active_v)
+
+    @functools.cached_property
     def riesz_h(self) -> sp.csr_matrix:
-        """H-inner-product Gram matrix (M-stiffness + bulk mass) on active_v."""
-        r = (self.k_omega + self.m_omega)
-        return r[np.ix_(self.active_v, self.active_v)].tocsr()
+        return self.block(self.k_omega + self.m_omega, self.active_v,
+                          self.active_v)
+
+    @functools.cached_property
+    def mean_col(self) -> sp.csr_matrix:
+        return sp.csr_matrix(self.mean_vec[self.active_v][:, None])
 
 
 def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:

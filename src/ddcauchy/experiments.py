@@ -38,8 +38,9 @@ from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         error_norms, extend_data, sharp_error)
 from .inversion import truth_fixture_csv  # noqa: F401  the CLI's fixture
 from .mesh import (MAX_BAND_LEVELS, MAX_VERTICES_DEFAULT, QUAD_DEGREES,
-                   SHARP_MIN_ANGULAR, SHARP_MIN_RADIAL, build_background,
-                   levels_for, mesh_annulus, quadrature, refine_band)
+                   SHARP_MIN_ANGULAR, SHARP_MIN_RADIAL, background_vertices,
+                   build_background, levels_for, mesh_annulus, quadrature,
+                   refine_band)
 from .saddle import (DENSE_SPECTRUM_CAP, RieszPreconditioner, build_system,
                      detect_bands, spectrum)
 
@@ -148,7 +149,7 @@ SCHEMA = (
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
     [row[1] for row in SCHEMA]
-    + ["geometry", "tensor", "truth_series", "raw_text"],
+    + ["geometry", "tensor", "truth_series", "truth", "raw_text"],
     namespace={"__doc__": "Typed view of the INI configuration: one field "
                "per SCHEMA row, the objects built from them and the echo."})
 
@@ -197,11 +198,16 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
                 check(values[attr])
         except ValueError as err:
             raise ConfigError(f"{key} = {text!r}: {err}") from None
-    sharp_vertices = values["sharp_n_angular"] * (values["sharp_n_radial"] + 1)
-    if sharp_vertices > MAX_VERTICES_DEFAULT:
-        raise ConfigError(f"mesh.sharp_n_angular, mesh.sharp_n_radial: the "
-                          f"sharp mesh would have {sharp_vertices} vertices, "
-                          f"more than {MAX_VERTICES_DEFAULT}")
+    for keys, mesh, vertices in (
+            ("mesh.h0", "background", background_vertices(values["h0"])),
+            ("study.spectrum_h0", "spectrum",
+             background_vertices(values["spectrum_h0"])),
+            ("mesh.sharp_n_angular, mesh.sharp_n_radial", "sharp",
+             values["sharp_n_angular"] * (values["sharp_n_radial"] + 1))):
+        if vertices > MAX_VERTICES_DEFAULT:
+            raise ConfigError(f"{keys}: the {mesh} mesh would have "
+                              f"{vertices:.0f} vertices, more than "
+                              f"{MAX_VERTICES_DEFAULT}")
     try:
         geometry = AnnulusGeometry(values["r_inner"], values["r_outer"],
                                    values["split_radius"])
@@ -220,12 +226,33 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"geometry.sigma_t, geometry.sigma_r: "
                           f"{err}") from None
+    series = values["series"].scaled(values["amplitude"])
     cfg = ExperimentConfig(
-        **values, geometry=geometry, tensor=tensor,
-        truth_series=values["series"].scaled(values["amplitude"]),
+        **values, geometry=geometry, tensor=tensor, truth_series=series,
+        truth=_ground_truth(geometry, tensor, series),
         raw_text=echo.getvalue())
     _check_schedule(cfg)
     return cfg
+
+
+def _ground_truth(geometry: AnnulusGeometry, tensor: ConductivityTensor,
+                  series: AngularSeries) -> GroundTruth:
+    """The closed-form ground truth of the config.  Raises ConfigError if
+    its separable modes overflow or leave a series coefficient that is not
+    finite."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            truth = synthesize_truth(geometry, tensor, series)
+        finite = all(np.isfinite(t.coef) for s in (truth.w, truth.u_series,
+                                                    truth.f_series)
+                     for t in s.terms)
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise ConfigError("geometry.sigma_t, geometry.sigma_r, truth.series, "
+                          "truth.amplitude: the separable modes of the "
+                          "ground truth are not finite in floating point")
+    return truth
 
 
 def _check_schedule(cfg: ExperimentConfig) -> None:
@@ -292,7 +319,8 @@ def apply_preset(name: str, overrides: dict = None) -> dict:
 @dataclass
 class Workspace:
     """What the cells of a study share: the background mesh, the sharp
-    solver (which factors nothing until it solves) and the ground truth.
+    solver (which factors and restricts nothing until it solves) and the
+    config's ground truth.
 
     Operator sets are built per ``diffuse_ops`` call and not kept: every
     study asks for each eps once, and a caller solving several alphas on
@@ -310,8 +338,7 @@ class Workspace:
         ann = mesh_annulus(cfg.geometry, cfg.sharp_n_angular,
                            cfg.sharp_n_radial)
         self.sharp_solver = SharpSolver(assemble_sharp(ann, cfg.tensor))
-        self.truth = synthesize_truth(cfg.geometry, cfg.tensor,
-                                      cfg.truth_series)
+        self.truth = cfg.truth
 
     def diffuse_ops(self, eps: float) -> OperatorSet:
         """The diffuse operator set at eps on the band-refined background."""

@@ -14,6 +14,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,7 @@ def _mean_constrained_solve(ops: OperatorSet):
     multiplier row has a zero diagonal.
     """
     a_v = ops.active_v
-    m_col = sp.csr_matrix(ops.mean_vec[a_v][:, None])
-    aug = sp.bmat([[ops.k_omega[np.ix_(a_v, a_v)], m_col], [m_col.T, None]],
+    aug = sp.bmat([[ops.k_vv, ops.mean_col], [ops.mean_col.T, None]],
                   format="csc")
     try:
         lu = spla.splu(aug, permc_spec="MMD_AT_PLUS_A")
@@ -91,9 +91,9 @@ class SharpSolver:
     forward map takes a Neumann flux u on the inner boundary to the
     potential trace on the outer one; the mean constraint
     <v, 1>_inner = 0 is imposed by one scalar multiplier to keep the
-    system symmetric.  Nothing is factored up front: the first solve of
-    any kind factors that system once, and every later forward and
-    adjoint solve of the solver reuses the factor.
+    system symmetric.  Nothing is factored or restricted up front: the
+    first solve of any kind factors that system once, and every later
+    forward and adjoint solve of the solver reuses the factor.
 
     The Tikhonov solve assumes that the discrete problem is invariant
     under rotation by 2 pi / nb, nb the number of inner nodes:
@@ -108,8 +108,6 @@ class SharpSolver:
         self.ops = ops
         self.inner = ops.active_u
         self.outer = np.flatnonzero(ops.b_b.diagonal() > 0.0)
-        self.t_ii = ops.b_h[np.ix_(self.inner, self.inner)].tocsr()
-        self.t_oo = ops.b_b[np.ix_(self.outer, self.outer)].tocsr()
         self.inner_angles = np.mod(np.arctan2(
             ops.mesh.vertices[self.inner, 1],
             ops.mesh.vertices[self.inner, 0]), 2.0 * np.pi)
@@ -118,6 +116,16 @@ class SharpSolver:
             ops.mesh.vertices[self.outer, 0]), 2.0 * np.pi)
         self._solve = None    # the mean-constrained solve, at the first use
         self._symbols = None  # FFTs of G, T_ii, T_oo, at the first tikhonov
+
+    @property
+    def t_ii(self) -> sp.csr_matrix:
+        """T_inner on the inner nodes: the operator set's ``riesz_u``."""
+        return self.ops.riesz_u
+
+    @functools.cached_property
+    def t_oo(self) -> sp.csr_matrix:
+        """T_outer on the outer nodes, restricted at the first read."""
+        return self.ops.block(self.ops.b_b, self.outer, self.outer)
 
     def _boundary_load(self, nodes: np.ndarray, values: np.ndarray):
         load = np.zeros((self.ops.mesh.num_vertices,) + np.shape(values)[1:])
@@ -332,13 +340,9 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth,
     pts = mesh.vertices[a_v]
     r_clamp = ops.field.geometry.r_inner - ops.field.epsilon
     v_truth[a_v] = truth.v_field(pts, r_min=r_clamp)
-    e_v_full = sol.v - v_truth
-    b_vv = ops.b_b[np.ix_(a_v, a_v)]
-    v_err_band = float(np.sqrt(e_v_full[a_v] @ (b_vv @ e_v_full[a_v])))
-
-    e_v = e_v_full[a_v]
-    k_vv = ops.k_omega[np.ix_(a_v, a_v)]
-    grad_err = float(np.sqrt(e_v @ (k_vv @ e_v)))
+    e_v = (sol.v - v_truth)[a_v]
+    v_err_band = float(np.sqrt(e_v @ (ops.t_vv @ e_v)))
+    grad_err = float(np.sqrt(e_v @ (ops.k_vv @ e_v)))
 
     # dual norm: sqrt(g^T R_H^{-1} g), g the U-pairing of the control
     # error; R_H is solved exactly, by the solve's own factor if it has one
@@ -346,7 +350,7 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth,
     if sol.prec is not None and sol.prec.system.ops is ops:
         z = sol.prec.solve_h()(g)
     else:
-        z = spla.splu(ops.riesz_h().tocsc()).solve(g)
+        z = spla.splu(ops.riesz_h.tocsc()).solve(g)
     u_err_dual = float(np.sqrt(np.abs(g @ z)))
 
     return ErrorNorms(u_err_band, v_err_band, grad_err, u_err_dual)

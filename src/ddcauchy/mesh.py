@@ -124,6 +124,16 @@ class TriMesh:
             raise MeshError(f"hanging node {k[bad[0]]} on edge ({i}, {j})")
 
 
+def background_vertices(h0: float, half_width: float = BBOX_HALF) -> float:
+    """Vertex count (n + 1)^2 of ``build_background``, n = ceil(2w / h0).
+
+    A float, exact for any count under the cap, so that a tiny h0 gives a
+    huge count (inf past the float range) instead of an error.
+    """
+    side = float(np.ceil(2.0 * half_width / h0)) + 1.0
+    return side * side
+
+
 def build_background(h0: float, half_width: float = BBOX_HALF,
                      max_vertices: int = MAX_VERTICES_DEFAULT) -> TriMesh:
     """Uniform 2-split triangulation of the square [-w, w]^2.
@@ -132,10 +142,11 @@ def build_background(h0: float, half_width: float = BBOX_HALF,
     """
     if h0 <= 0:
         raise MeshError(f"h0 must be positive, got {h0}")
-    n = int(np.ceil(2.0 * half_width / h0))
-    if (n + 1) ** 2 > max_vertices:
-        raise MeshError(f"h0 = {h0} needs {(n + 1)**2} vertices, "
+    vertices = background_vertices(h0, half_width)
+    if vertices > max_vertices:
+        raise MeshError(f"h0 = {h0} needs {vertices:.0f} vertices, "
                         f"cap is {max_vertices}")
+    n = math.isqrt(int(vertices)) - 1
     xs = np.linspace(-half_width, half_width, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel()])

@@ -9,9 +9,10 @@ block operator (unknown ordering (u, v, p, mu_v, mu_p), fixed):
     [ 0           m^T    0        0    0  ] [mu_v]   [0        ]
     [ 0           0      m^T      0    0  ] [mu_p]   [0        ]
 
-restricted to the active DOF sets.  The two scalar multipliers enforce
-the mean constraints <v, 1>_U = <p, 1>_U = 0 while keeping the matrix
-symmetric for MINRES.
+restricted to the active DOF sets; ``OperatorSet`` holds those blocks,
+each restricted at its first read and kept.  The two scalar multipliers
+enforce the mean constraints <v, 1>_U = <p, 1>_U = 0 while keeping the
+matrix symmetric for MINRES.
 
 The preconditioner applies the inverse Riesz maps blockwise and exactly,
 by one sparse LU factor per block: B_H on the control block, the H-norm
@@ -74,22 +75,17 @@ def build_system(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     f_tilde = np.asarray(f_tilde, dtype=float)
     if f_tilde.shape != (ops.mesh.num_vertices,):
         raise SaddleError("f_tilde must be a full-length nodal vector")
-    a_u, a_v = ops.active_u, ops.active_v
-    b_uu = ops.b_h[np.ix_(a_u, a_u)]
-    b_vu = ops.b_h[np.ix_(a_v, a_u)]
-    k_vv = ops.k_omega[np.ix_(a_v, a_v)]
-    t_vv = ops.b_b[np.ix_(a_v, a_v)]
-    m_col = sp.csr_matrix(ops.mean_vec[a_v][:, None])
-    nu, nv = len(a_u), len(a_v)
+    b_vu, k_vv, m_col = ops.b_vu, ops.k_vv, ops.mean_col
+    nu, nv = len(ops.active_u), len(ops.active_v)
     mat = sp.bmat([
-        [alpha * b_uu, None, -b_vu.T, None, None],
-        [None, t_vv, k_vv, m_col, None],
+        [alpha * ops.riesz_u, None, -b_vu.T, None, None],
+        [None, ops.t_vv, k_vv, m_col, None],
         [-b_vu, k_vv, None, None, m_col],
         [None, m_col.T, None, None, None],
         [None, None, m_col.T, None, None],
     ], format="csr")
     rhs = np.zeros(mat.shape[0])
-    rhs[nu:nu + nv] = (ops.b_b @ f_tilde)[a_v]
+    rhs[nu:nu + nv] = (ops.b_b @ f_tilde)[ops.active_v]
     mult_scale = float(ops.mean_vec.sum())
     return SaddleSystem(mat, rhs, nu, nv, ops, mult_scale)
 
@@ -106,8 +102,8 @@ class RieszPreconditioner:
 
     def __post_init__(self):
         ops = self.system.ops
-        self._riesz_u = ops.riesz_u()
-        self._riesz_h = ops.riesz_h()
+        self._riesz_u = ops.riesz_u
+        self._riesz_h = ops.riesz_h
         try:
             lu_u = spla.splu(self._riesz_u.tocsc())
             lu_h = spla.splu(self._riesz_h.tocsc())

@@ -223,8 +223,8 @@ def check_poincare(geometry: AnnulusGeometry, floor_factor: float = 0.5):
     vals = []
     for ops in _sweep_operators(geometry):
         a_v = ops.active_v
-        a = (ops.k_omega + ops.b_h)[np.ix_(a_v, a_v)].tocsc()
-        m = ops.m_omega[np.ix_(a_v, a_v)].tocsc()
+        a = ops.block(ops.k_omega + ops.b_h, a_v, a_v).tocsc()
+        m = ops.block(ops.m_omega, a_v, a_v).tocsc()
         lam = spla.eigsh(a, k=1, M=m, sigma=0.0, which="LM",
                          v0=np.ones(a.shape[0]),
                          return_eigenvectors=False)

@@ -234,7 +234,7 @@ def test_criterion_09_perturbation_decay():
         e = (v - vt)[a_v]
         mv = ops.mean_vec[a_v]
         e = e - (mv @ e) / mv.sum()
-        r_h = ops.riesz_h()
+        r_h = ops.riesz_h
         errs.append(float(np.sqrt(e @ (r_h @ e))))
         eps_list.append(eps)
     order = float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0])

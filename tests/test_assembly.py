@@ -54,9 +54,9 @@ def test_matrices_symmetric_and_psd(ops_16):
 
 
 def test_restricted_blocks_positive_definite(ops_16):
-    ru = ops_16.riesz_u().toarray()
+    ru = ops_16.riesz_u.toarray()
     assert np.linalg.eigvalsh(ru).min() > 0
-    rh = ops_16.riesz_h()
+    rh = ops_16.riesz_h
     from scipy.sparse.linalg import eigsh
     lam = eigsh(rh.tocsc(), k=1, sigma=0.0, which="LM",
                 v0=np.ones(rh.shape[0]), return_eigenvectors=False)

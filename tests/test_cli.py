@@ -72,7 +72,11 @@ def test_bad_set_flag(capsys):
     for item, named in (("nonsense", "'nonsense'"), ("=3", "'=3'"),
                         ("mesh.hO=0.3", "mesh.hO"),
                         ("mesh.sharp_n_angular=100000000",
-                         "mesh.sharp_n_angular")):
+                         "mesh.sharp_n_angular"),
+                        ("mesh.h0=1e-9", "mesh.h0"),
+                        ("study.spectrum_h0=1e-9", "study.spectrum_h0"),
+                        ("geometry.sigma_r=1e-300", "geometry.sigma_r"),
+                        ("geometry.sigma_t=1e12", "geometry.sigma_t")):
         assert main(["table", "--set", item]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

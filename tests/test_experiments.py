@@ -102,6 +102,16 @@ def test_config_defaults_and_overrides(tmp_path):
     # the sharp mesh's vertex count, n_angular * (n_radial + 1), is capped
     (None, {"mesh.sharp_n_angular": "100000000"}, "mesh.sharp_n_angular"),
     (None, {"mesh.sharp_n_radial": "100000"}, "mesh.sharp_n_radial"),
+    # so is the background mesh's, (ceil(2 BBOX_HALF / h0) + 1)^2
+    (None, {"mesh.h0": "1e-9"}, "mesh.h0"),
+    (None, {"study.spectrum_h0": "1e-9"}, "study.spectrum_h0"),
+    (None, {"mesh.h0": "1e-310"}, "mesh.h0"),
+    # the closed-form ground truth must be finite
+    (None, {"geometry.sigma_r": "1e-300"}, "geometry.sigma_r"),
+    (None, {"geometry.sigma_t": "1e12"}, "geometry.sigma_t"),
+    (None, {"geometry.sigma_t": "1e-300"}, "geometry.sigma_t"),
+    (None, {"truth.amplitude": "1e308", "truth.series": "cos:1:10"},
+     "truth.amplitude"),
 ])
 def test_bad_config_names_key(tmp_path, ini, overrides, key):
     path = None

@@ -1,0 +1,108 @@
+"""The active-set blocks of OperatorSet against hand restrictions.
+
+Each consumer of the blocks once restricted the assembled matrices itself
+with ``M[np.ix_(rows, cols)]``.  The restrictions below are those,
+written out, and the blocks read from ``OperatorSet`` must equal them
+exactly: same sparsity structure, same values.  The blocks are also
+shared (one object per operator set, kept across systems) and built
+lazily (a fresh Workspace restricts nothing).
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from ddcauchy import experiments as xp
+from ddcauchy.inversion import SharpSolver, _mean_constrained_solve
+from ddcauchy.saddle import RieszPreconditioner, build_system
+
+BLOCKS = ("riesz_u", "b_vu", "k_vv", "t_vv", "riesz_h", "mean_col")
+
+
+def hand_kkt(ops, alpha, f_tilde):
+    a_u, a_v = ops.active_u, ops.active_v
+    b_uu = ops.b_h[np.ix_(a_u, a_u)]
+    b_vu = ops.b_h[np.ix_(a_v, a_u)]
+    k_vv = ops.k_omega[np.ix_(a_v, a_v)]
+    t_vv = ops.b_b[np.ix_(a_v, a_v)]
+    m_col = sp.csr_matrix(ops.mean_vec[a_v][:, None])
+    return sp.bmat([
+        [alpha * b_uu, None, -b_vu.T, None, None],
+        [None, t_vv, k_vv, m_col, None],
+        [-b_vu, k_vv, None, None, m_col],
+        [None, m_col.T, None, None, None],
+        [None, None, m_col.T, None, None],
+    ], format="csr")
+
+
+def hand_augmented(ops):
+    a_v = ops.active_v
+    m_col = sp.csr_matrix(ops.mean_vec[a_v][:, None])
+    return sp.bmat([[ops.k_omega[np.ix_(a_v, a_v)], m_col],
+                    [m_col.T, None]], format="csc")
+
+
+def assert_identical(got, want):
+    got, want = sp.csr_matrix(got), sp.csr_matrix(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert (got != want).nnz == 0
+
+
+@pytest.fixture(params=["diffuse", "sharp"])
+def ops(request, ops_16, sharp_solver):
+    return ops_16 if request.param == "diffuse" else sharp_solver.ops
+
+
+def test_blocks_equal_hand_restrictions(ops):
+    a_u, a_v = ops.active_u, ops.active_v
+    f_tilde = np.random.default_rng(3).standard_normal(ops.mesh.num_vertices)
+    system = build_system(ops, 0.01, f_tilde)
+    assert_identical(system.matrix, hand_kkt(ops, 0.01, f_tilde))
+    prec = RieszPreconditioner(system)
+    assert_identical(prec._riesz_u, ops.b_h[np.ix_(a_u, a_u)].tocsr())
+    assert_identical(prec._riesz_h,
+                     (ops.k_omega + ops.m_omega)[np.ix_(a_v, a_v)].tocsr())
+    aug = sp.bmat([[ops.k_vv, ops.mean_col], [ops.mean_col.T, None]],
+                  format="csc")
+    assert_identical(aug, hand_augmented(ops))
+    # the constrained solve factors that same matrix: bit-identical output
+    load = ops.b_h @ np.random.default_rng(4).standard_normal(
+        ops.mesh.num_vertices)
+    want = np.zeros_like(load)
+    rhs = np.append(load[a_v], 0.0)
+    want[a_v] = spla.splu(hand_augmented(ops),
+                          permc_spec="MMD_AT_PLUS_A").solve(rhs)[:-1]
+    assert np.array_equal(_mean_constrained_solve(ops)(load), want)
+
+
+def test_sharp_boundary_blocks(sharp_solver):
+    ops = sharp_solver.ops
+    inner, outer = sharp_solver.inner, sharp_solver.outer
+    assert_identical(sharp_solver.t_ii, ops.b_h[np.ix_(inner, inner)])
+    assert_identical(sharp_solver.t_oo, ops.b_b[np.ix_(outer, outer)])
+
+
+def test_blocks_are_shared(ops_16, sharp_solver):
+    f_tilde = np.zeros(ops_16.mesh.num_vertices)
+    system = build_system(ops_16, 1.0, f_tilde)
+    first = {name: getattr(ops_16, name) for name in BLOCKS}
+    build_system(ops_16, 0.1, f_tilde)
+    for name in BLOCKS:
+        assert vars(ops_16)[name] is first[name], name
+    assert RieszPreconditioner(system)._riesz_u is ops_16.riesz_u
+    assert RieszPreconditioner(system)._riesz_h is ops_16.riesz_h
+    ops = sharp_solver.ops
+    assert SharpSolver(ops).t_ii is ops.riesz_u
+
+
+def test_fresh_workspace_restricts_nothing():
+    cfg = xp.load_config(overrides={"mesh.h0": "0.2",
+                                    "mesh.sharp_n_angular": "48",
+                                    "mesh.sharp_n_radial": "12"})
+    ws = xp.Workspace(cfg)
+    assert not set(BLOCKS) & set(vars(ws.sharp_solver.ops))
+    assert "t_oo" not in vars(ws.sharp_solver)
+    assert ws.truth is cfg.truth

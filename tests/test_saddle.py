@@ -119,7 +119,7 @@ def test_two_column_h_solve_matches_single_solves(ops_16):
     state, adjoint = r[nu:nu + nv], r[nu + nv:nu + 2 * nv]
     # one (nv, 2) solve, bit-identical to two single ones
     z = RieszPreconditioner(system).apply(r)
-    lu = spla.splu(ops_16.riesz_h().tocsc())
+    lu = spla.splu(ops_16.riesz_h.tocsc())
     assert np.array_equal(z[nu:nu + nv], lu.solve(state))
     assert np.array_equal(z[nu + nv:nu + 2 * nv], lu.solve(adjoint))
 
@@ -260,7 +260,7 @@ def test_brezzi_stability_across_eps(geometry, tensor, rule):
         b_uu = ops.b_h[np.ix_(a_u, a_u)]
         b_bb = ops.b_b[np.ix_(a_v, a_v)]
         k_vv = ops.k_omega[np.ix_(a_v, a_v)]
-        r_h = ops.riesz_h()
+        r_h = ops.riesz_h
         lhs = (alpha * (u @ (b_uu @ u)) + alpha * (v @ (k_vv @ v))
                + v @ (b_bb @ v) + p @ (r_h @ p))
         data_norm_sq = f @ (ops.b_b @ f)

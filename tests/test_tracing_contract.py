@@ -61,6 +61,8 @@ def test_traced_solves_equal_untraced(ops_16, sharp_solver, truth):
     assert layers["saddle.matvec"][0] > 0
     metrics = tracer.layer_metrics(1.0)
     assert metrics["inversion.sharp_tikhonov.calls"] == 1
+    # read through getattr defaults: a renamed factor would read 0 silently
+    assert metrics["saddle.riesz_h.fill"] > 1
 
 
 def test_traced_rate_cells_record_every_layer():
