@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .geometry import ConductivityTensor, PhaseField
 from .mesh import QuadratureRule, TriMesh, _radial_interval, quadrature
@@ -290,6 +291,11 @@ class OperatorSet:
         t_vv      B_B on active_v
         riesz_h   K_omega + M_omega on active_v: the H Gram matrix
         mean_col  mean_vec on active_v, as a CSR column
+
+    So are the package's sparse LU factors, which depend on neither alpha
+    nor the data: ``riesz_u_lu`` and ``riesz_h_lu`` (the Riesz
+    preconditioner and the dual error norm) and ``mean_lu``, of
+    [[k_vv, mean_col], [mean_col^T, 0]] (the mean-constrained solve).
     """
 
     mesh: TriMesh
@@ -348,6 +354,22 @@ class OperatorSet:
     @functools.cached_property
     def mean_col(self) -> sp.csr_matrix:
         return sp.csr_matrix(self.mean_vec[self.active_v][:, None])
+
+    @functools.cached_property
+    def riesz_u_lu(self) -> spla.SuperLU:
+        return spla.splu(self.riesz_u.tocsc())
+
+    @functools.cached_property
+    def riesz_h_lu(self) -> spla.SuperLU:
+        return spla.splu(self.riesz_h.tocsc())
+
+    @functools.cached_property
+    def mean_lu(self) -> spla.SuperLU:
+        # MMD on A^T + A halves the fill on the polar sharp mesh; pivoting
+        # stays partial, as the multiplier row has a zero diagonal
+        aug = sp.bmat([[self.k_vv, self.mean_col], [self.mean_col.T, None]],
+                      format="csc")
+        return spla.splu(aug, permc_spec="MMD_AT_PLUS_A")
 
 
 def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:

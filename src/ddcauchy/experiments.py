@@ -37,10 +37,10 @@ from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         error_norms, extend_data, sharp_error)
 from .inversion import truth_fixture_csv  # noqa: F401  the CLI's fixture
-from .mesh import (MAX_BAND_LEVELS, MAX_VERTICES_DEFAULT, QUAD_DEGREES,
-                   SHARP_MIN_ANGULAR, SHARP_MIN_RADIAL, background_vertices,
-                   build_background, levels_for, mesh_annulus, quadrature,
-                   refine_band)
+from .mesh import (MAX_BAND_LEVELS, MAX_QUAD_POINTS, MAX_VERTICES_DEFAULT,
+                   QUAD_DEGREES, SHARP_MIN_ANGULAR, SHARP_MIN_RADIAL,
+                   background_vertices, build_background, levels_for,
+                   mesh_annulus, quadrature, quadrature_size, refine_band)
 from .saddle import (DENSE_SPECTRUM_CAP, RieszPreconditioner, build_system,
                      detect_bands, spectrum)
 
@@ -208,6 +208,11 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
             raise ConfigError(f"{keys}: the {mesh} mesh would have "
                               f"{vertices:.0f} vertices, more than "
                               f"{MAX_VERTICES_DEFAULT}")
+    points = quadrature_size(values["quad_degree"], values["subdivision"])
+    if points > MAX_QUAD_POINTS:
+        raise ConfigError(f"mesh.quad_degree, mesh.subdivision: the rule "
+                          f"on a cut element would have {points} points, "
+                          f"more than {MAX_QUAD_POINTS}")
     try:
         geometry = AnnulusGeometry(values["r_inner"], values["r_outer"],
                                    values["split_radius"])
@@ -418,11 +423,9 @@ def run_iteration_table(cfg: ExperimentConfig,
     for i, eps in enumerate(cfg.epsilons):
         ops = ws.diffuse_ops(eps)
         f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
-        prec = None  # the row's Riesz factors, built by its first solve
         for j, alpha in enumerate(cfg.alphas):
             sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
-                                   max_iter=cfg.max_iter, prec=prec)
-            prec = sol.prec
+                                   max_iter=cfg.max_iter)
             iters[i, j] = sol.report.iterations
             conv[i, j] = sol.report.converged
             hist[(eps, alpha)] = sol.report.residual_history
@@ -510,7 +513,8 @@ class SpectrumResult:
 
 
 def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
-    """Dense preconditioned spectrum on a dedicated coarse mesh."""
+    """Dense preconditioned spectrum on a dedicated coarse mesh.  The size
+    is known only after assembly, so ``solver.dense_cap`` is checked here."""
     pf = PhaseField(cfg.geometry, cfg.spec_epsilon)
     mesh = build_background(cfg.spectrum_h0)
     rule = quadrature(cfg.quad_degree, cfg.subdivision)
@@ -518,6 +522,10 @@ def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
     f0 = np.zeros(mesh.num_vertices)
     system = build_system(ops, cfg.spec_alpha, f0,
                           allow_zero_alpha=cfg.spec_alpha == 0.0)
+    if system.size > cfg.dense_cap:
+        raise ConfigError(f"study.spectrum_h0, solver.dense_cap: the "
+                          f"spectrum system has {system.size} unknowns, "
+                          f"more than the dense cap {cfg.dense_cap}")
     prec = RieszPreconditioner(system)
     eigs = spectrum(system, prec, dense_cap=cfg.dense_cap)
     bands = (detect_bands(eigs, cfg.spec_alpha) if cfg.spec_alpha > 0.0

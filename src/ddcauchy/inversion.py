@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import OperatorSet
 from .harmonics import GroundTruth
@@ -35,43 +34,24 @@ class InversionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _mean_constrained_solve(ops: OperatorSet):
-    """The solve of K_omega x = load on the active state set with
-    <mean_vec, x> = 0, by one sparse LU of the symmetric augmented matrix
-    [[K, m], [m^T, 0]].
-
-    The returned function takes a full-length load of shape (n,) or (n, k)
-    and returns x of the load's shape, zero off ``ops.active_v``.  The
-    minimum-degree ordering of A^T + A halves the LU fill of the default
-    column ordering on the polar sharp mesh.  Pivoting stays partial: the
-    multiplier row has a zero diagonal.
-    """
-    a_v = ops.active_v
-    aug = sp.bmat([[ops.k_vv, ops.mean_col], [ops.mean_col.T, None]],
-                  format="csc")
-    try:
-        lu = spla.splu(aug, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as err:
-        raise InversionError(f"singular augmented system: {err}") from err
-
-    def solve(load: np.ndarray) -> np.ndarray:
-        rhs = np.zeros((len(a_v) + 1,) + load.shape[1:])
-        rhs[:-1] = load[a_v]
-        x = np.zeros(load.shape)
-        x[a_v] = lu.solve(rhs)[:-1]
-        return x
-
-    return solve
-
-
 def diffuse_forward(ops: OperatorSet, load: np.ndarray) -> np.ndarray:
     """Solve K_omega x = load on the active state set with <mean_vec, x> = 0.
 
-    One-shot form of ``_mean_constrained_solve``: one factor serves all k
-    columns of a load of shape (n,) or (n, k).  This is the diffuse
-    forward problem for the load B_H u.
+    The one mean-constrained solve, by ``ops.mean_lu``, for a load of
+    shape (n,) or (n, k); x has its shape, zero off ``ops.active_v``.
+    This is the diffuse forward problem for the load B_H u and, on the
+    eps = 0 operator set, the sharp forward and adjoint solve.
     """
-    return _mean_constrained_solve(ops)(load)
+    a_v = ops.active_v
+    try:
+        lu = ops.mean_lu
+    except RuntimeError as err:
+        raise InversionError(f"singular augmented system: {err}") from err
+    rhs = np.zeros((len(a_v) + 1,) + load.shape[1:])
+    rhs[:-1] = load[a_v]
+    x = np.zeros(load.shape)
+    x[a_v] = lu.solve(rhs)[:-1]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +71,9 @@ class SharpSolver:
     forward map takes a Neumann flux u on the inner boundary to the
     potential trace on the outer one; the mean constraint
     <v, 1>_inner = 0 is imposed by one scalar multiplier to keep the
-    system symmetric.  Nothing is factored or restricted up front: the
-    first solve of any kind factors that system once, and every later
-    forward and adjoint solve of the solver reuses the factor.
+    system symmetric.  Nothing is factored or restricted up front: every
+    forward and adjoint solve is ``diffuse_forward`` on ``ops``, whose
+    ``mean_lu`` is factored at the first solve and kept.
 
     The Tikhonov solve assumes that the discrete problem is invariant
     under rotation by 2 pi / nb, nb the number of inner nodes:
@@ -114,7 +94,6 @@ class SharpSolver:
         self.outer_angles = np.mod(np.arctan2(
             ops.mesh.vertices[self.outer, 1],
             ops.mesh.vertices[self.outer, 0]), 2.0 * np.pi)
-        self._solve = None    # the mean-constrained solve, at the first use
         self._symbols = None  # FFTs of G, T_ii, T_oo, at the first tikhonov
 
     @property
@@ -132,23 +111,18 @@ class SharpSolver:
         load[nodes] = values
         return load
 
-    def _mean_solve(self, load: np.ndarray) -> np.ndarray:
-        if self._solve is None:
-            self._solve = _mean_constrained_solve(self.ops)
-        return self._solve(load)
-
     def forward(self, u_inner: np.ndarray):
         """State field and its trace f = v | outer for flux u on the inner
         boundary (nodal values in the order of ``inner``, shape (nb,) or
         (nb, k) for k fluxes)."""
-        v = self._mean_solve(self.ops.b_h @ self._boundary_load(
+        v = diffuse_forward(self.ops, self.ops.b_h @ self._boundary_load(
             self.inner, u_inner))
         return v, v[self.outer]
 
     def adjoint(self, w_outer: np.ndarray):
         """Adjoint field and its trace u = p | inner for density w on the
         outer boundary (shape (nb,) or (nb, k))."""
-        p = self._mean_solve(self.ops.b_b @ self._boundary_load(
+        p = diffuse_forward(self.ops, self.ops.b_b @ self._boundary_load(
             self.outer, w_outer))
         return p, p[self.inner]
 
@@ -265,33 +239,26 @@ def extend_control(u_theta, ops: OperatorSet) -> np.ndarray:
 
 @dataclass
 class DiffuseSolution:
-    """Full-length nodal (u, v, p), the solver report and the
-    preconditioner of the solve (None when built by hand)."""
+    """Full-length nodal (u, v, p) and the solver report."""
 
     u: np.ndarray
     v: np.ndarray
     p: np.ndarray
     report: SolveReport
-    prec: RieszPreconditioner = None
 
 
 def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
-                     rho: float = 1e-10, max_iter: int = 2000,
-                     prec: RieszPreconditioner = None) -> DiffuseSolution:
+                     rho: float = 1e-10,
+                     max_iter: int = 2000) -> DiffuseSolution:
     """Solve the diffuse Tikhonov saddle system by preconditioned MINRES.
 
-    The Riesz blocks depend on ``ops`` only, not on alpha or the data, so
-    a caller solving several alphas on one operator set may pass the
-    ``prec`` of an earlier solution on the same ops instead of
-    factorizing again.
+    The Riesz factors depend on ``ops`` only, not on alpha or the data:
+    the first solve on an operator set factors them, and every later
+    alpha on it reuses them.
     """
     system = build_system(ops, alpha, f_tilde)
-    if prec is None:
-        prec = RieszPreconditioner(system)
-    elif prec.system.ops is not ops:
-        raise InversionError("preconditioner belongs to another operator "
-                             "set")
-    x, report = minres(system, prec, rho=rho, max_iter=max_iter)
+    x, report = minres(system, RieszPreconditioner(system), rho=rho,
+                       max_iter=max_iter)
     n = ops.mesh.num_vertices
     u_r, v_r, p_r, _ = system.split(x)
     u = np.zeros(n)
@@ -300,7 +267,7 @@ def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     u[ops.active_u] = u_r
     v[ops.active_v] = v_r
     p[ops.active_v] = p_r
-    return DiffuseSolution(u, v, p, report, prec)
+    return DiffuseSolution(u, v, p, report)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +312,9 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth,
     grad_err = float(np.sqrt(e_v @ (ops.k_vv @ e_v)))
 
     # dual norm: sqrt(g^T R_H^{-1} g), g the U-pairing of the control
-    # error; R_H is solved exactly, by the solve's own factor if it has one
+    # error; R_H is solved exactly, by the operator set's factor
     g = (ops.b_h @ e_u)[a_v]
-    if sol.prec is not None and sol.prec.system.ops is ops:
-        z = sol.prec.solve_h()(g)
-    else:
-        z = spla.splu(ops.riesz_h.tocsc()).solve(g)
-    u_err_dual = float(np.sqrt(np.abs(g @ z)))
+    u_err_dual = float(np.sqrt(np.abs(g @ ops.riesz_h_lu.solve(g))))
 
     return ErrorNorms(u_err_band, v_err_band, grad_err, u_err_dual)
 

@@ -415,6 +415,18 @@ _BASE_RULES[3] = _conical_rule()
 _BASE_RULES[4] = _dunavant6()
 QUAD_DEGREES = tuple(sorted(_BASE_RULES))
 
+# Cap on the points of the subdivided rule on one cut element (degree 2
+# allows subdivision up to 16).  Assembly memory grows with the point
+# count: one diffuse solve at eps = 2^-7 on the default background, one
+# BLAS thread, peaks at 130 MiB with subdivision 4 and 0.92 GiB with 16.
+MAX_QUAD_POINTS = 768
+
+
+def quadrature_size(degree: int, subdivision_count: int) -> int:
+    """The number of points of ``quadrature(degree, subdivision_count)``,
+    counted without building the rule."""
+    return len(_BASE_RULES[degree][1]) * subdivision_count ** 2
+
 
 @dataclass(frozen=True)
 class QuadratureRule:

@@ -15,13 +15,13 @@ enforce the mean constraints <v, 1>_U = <p, 1>_U = 0 while keeping the
 matrix symmetric for MINRES.
 
 The preconditioner applies the inverse Riesz maps blockwise and exactly,
-by one sparse LU factor per block: B_H on the control block, the H-norm
-matrix (M-weighted stiffness + bulk mass) on the state and adjoint
-blocks (one two-column solve), and the scalar <1, 1>_U on the
-multiplier rows.  The blocks depend on the operator set only, so one
-preconditioner serves every alpha on it.  MINRES stops when the
-preconditioned residual norm sqrt(r^T P^{-1} r), relative to its
-initial value, falls below rho.
+by the operator set's sparse LU factors: B_H on the control block, the
+H-norm matrix (M-weighted stiffness + bulk mass) on the state and
+adjoint blocks (one two-column solve), and the scalar <1, 1>_U on the
+multiplier rows.  The blocks depend on the operator set only, so it
+factors each once and every alpha on it reads that factor.  MINRES
+stops when the preconditioned residual norm sqrt(r^T P^{-1} r),
+relative to its initial value, falls below rho.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import OperatorSet
 
@@ -92,7 +91,7 @@ def build_system(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
 
 @dataclass
 class RieszPreconditioner:
-    """Block-diagonal inverse Riesz map for the saddle system."""
+    """Block-diagonal inverse Riesz map, by its operator set's LU factors."""
 
     system: SaddleSystem
     _apply_u: object = field(default=None, repr=False)
@@ -105,14 +104,12 @@ class RieszPreconditioner:
         self._riesz_u = ops.riesz_u
         self._riesz_h = ops.riesz_h
         try:
-            lu_u = spla.splu(self._riesz_u.tocsc())
-            lu_h = spla.splu(self._riesz_h.tocsc())
+            self._apply_u = ops.riesz_u_lu.solve
+            self._apply_h = ops.riesz_h_lu.solve
         except RuntimeError as err:
             raise SaddleError(
                 f"Riesz block factorization failed ({err}); "
                 f"active sets are inconsistent") from err
-        self._apply_u = lu_u.solve
-        self._apply_h = lu_h.solve
 
     def matrix(self) -> sp.csr_matrix:
         """The Riesz (not inverted) block matrix; SPD on the active sets."""
@@ -131,11 +128,6 @@ class RieszPreconditioner:
             r[nu:nu + 2 * nv].reshape(2, nv).T)
         z[nu + 2 * nv:] = r[nu + 2 * nv:] / s.mult_scale
         return z
-
-    def solve_h(self):
-        """The exact solver of the H-block Riesz matrix R_H: this
-        preconditioner's own factor."""
-        return self._apply_h
 
 
 @dataclass

@@ -60,6 +60,20 @@ def test_spectrum_outputs(tmp_path, capsys):
     assert len(spect) > 100
 
 
+def test_spectrum_over_dense_cap_exits_2(tmp_path, capsys):
+    # the size of the spectrum system (1,588 on the default mesh) is known
+    # only after assembly, so the cap is checked there, not at load
+    code = main(["spectrum", "--out", str(tmp_path),
+                 "--set", "solver.dense_cap=100"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "study.spectrum_h0, solver.dense_cap" in err and "1588" in err
+    assert not os.path.exists(tmp_path / "spectrum.csv")
+
+
 def test_rates_single_delta_fit_undefined(tmp_path, capsys):
     code = main(["rates", "--out", str(tmp_path),
                  "--set", "study.deltas=0.0625",
@@ -76,7 +90,8 @@ def test_bad_set_flag(capsys):
                         ("mesh.h0=1e-9", "mesh.h0"),
                         ("study.spectrum_h0=1e-9", "study.spectrum_h0"),
                         ("geometry.sigma_r=1e-300", "geometry.sigma_r"),
-                        ("geometry.sigma_t=1e12", "geometry.sigma_t")):
+                        ("geometry.sigma_t=1e12", "geometry.sigma_t"),
+                        ("mesh.subdivision=1000", "mesh.subdivision")):
         assert main(["table", "--set", item]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

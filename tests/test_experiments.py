@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddcauchy import experiments as xp
 
@@ -112,6 +113,10 @@ def test_config_defaults_and_overrides(tmp_path):
     (None, {"geometry.sigma_t": "1e-300"}, "geometry.sigma_t"),
     (None, {"truth.amplitude": "1e308", "truth.series": "cos:1:10"},
      "truth.amplitude"),
+    # and so are the points of the rule on a cut element
+    (None, {"mesh.subdivision": "1000"}, "mesh.subdivision"),
+    (None, {"mesh.quad_degree": "4", "mesh.subdivision": "12"},
+     "mesh.quad_degree"),
 ])
 def test_bad_config_names_key(tmp_path, ini, overrides, key):
     path = None
@@ -122,6 +127,63 @@ def test_bad_config_names_key(tmp_path, ini, overrides, key):
         path.write_text(ini)
     with pytest.raises(xp.ConfigError, match=re.escape(key)):
         xp.load_config(path and str(path), overrides)
+
+
+# Override texts per SCHEMA parser: ints at and past their bounds and
+# huge; zero, subnormal, huge, negative and non-finite floats; malformed
+# series terms; and junk text for every key.
+_JUNK = ["", " ", "abc", "1,2", "0x10", "1e", "--1", "%", "None", "1_0"]
+_INT_EDGES = [str(n) for n in (-1, 0, 1, 2, 3, 4, 5, 11, 12, 16, 17, 27, 28,
+                               48, 192, 2000, 4000, 2 ** 31, 10 ** 30)]
+_FLOAT_EDGES = [repr(x) for x in (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-9,
+                                  0.25, 1.0, -1.0, 1e12, 1e300, 1.7e308)] + [
+    "nan", "inf", "-inf"]
+_TERM_EDGES = ["cos:2", "cos:2:1:3", "::", "cos:x:1", "tan:2:1", "sin:1:nan",
+               "cos:0:1", "cos:-3:1", "cos:100000:1", f"cos:{10 ** 30}:1",
+               "cos:1:1e308", "sin:3:5e-324"]
+_EDGES = {
+    int: _INT_EDGES,
+    xp._finite: _FLOAT_EDGES,
+    xp._floats: _FLOAT_EDGES + ["0.1, nan", ", ,", "0.0625, 1e-310"],
+    xp._series: _TERM_EDGES + ["cos:1:1, " + t for t in _TERM_EDGES],
+    str: [],
+}
+_FLOATS = st.sampled_from(_FLOAT_EDGES) | st.floats(
+    allow_nan=True, allow_infinity=True).map(repr)
+_GENERIC = {
+    int: st.integers().map(str),
+    xp._finite: _FLOATS,
+    xp._floats: st.lists(_FLOATS, max_size=4).map(", ".join),
+    xp._series: st.lists(
+        st.tuples(st.sampled_from(["cos", "sin"]), st.integers(-2, 40),
+                  _FLOATS).map(lambda t: "%s:%d:%s" % t)
+        | st.sampled_from(_TERM_EDGES), max_size=3).map(", ".join),
+    str: st.text(max_size=12),
+}
+_OVERRIDES = st.lists(
+    st.sampled_from(xp.SCHEMA).flatmap(lambda row: st.tuples(
+        st.just(row[0]),
+        st.sampled_from(_EDGES[row[2]] + _JUNK) | _GENERIC[row[2]])),
+    min_size=1, max_size=3).map(dict)
+
+
+def _loads_or_names_a_key(overrides):
+    try:
+        xp.load_config(overrides=overrides)
+    except xp.ConfigError as err:
+        assert "\n" not in str(err)
+
+
+def test_every_key_at_its_edges_loads_or_names_a_key():
+    for key, _, parse, _, _ in xp.SCHEMA:
+        for text in _EDGES[parse] + _JUNK:
+            _loads_or_names_a_key({key: text})
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(overrides=_OVERRIDES)
+def test_load_config_returns_or_names_a_key(overrides):
+    _loads_or_names_a_key(overrides)
 
 
 def test_truth_series_parsing():
@@ -200,24 +262,34 @@ def test_workspace_setup_factors_nothing(monkeypatch):
 
 
 def test_table_factors_riesz_blocks_once_per_eps_row(monkeypatch):
-    from ddcauchy.saddle import RieszPreconditioner
+    import scipy.sparse.linalg as spla
 
-    factored = []
-    original = RieszPreconditioner.__post_init__
+    events = []
+    splu, diffuse_ops = spla.splu, xp.Workspace.diffuse_ops
 
-    def counting(prec):
-        factored.append(prec.system.ops)
-        original(prec)
+    def counting_splu(mat, *args, **kwargs):
+        events.append(mat.shape)
+        return splu(mat, *args, **kwargs)
 
-    monkeypatch.setattr(RieszPreconditioner, "__post_init__", counting)
+    def marking_ops(ws, eps):
+        ops = diffuse_ops(ws, eps)
+        events.append((len(ops.active_u),) * 2)
+        events.append((len(ops.active_v),) * 2)
+        return ops
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(xp.Workspace, "diffuse_ops", marking_ops)
     cfg = xp.load_config(overrides={
         "study.kind": "table", "study.alphas": "1.0, 0.1, 0.01",
         "study.epsilons": "0.25, 0.125", "mesh.h0": "0.2",
         "mesh.sharp_n_angular": "32", "mesh.sharp_n_radial": "8"})
     res = xp.run_iteration_table(cfg, xp.Workspace(cfg))
     assert res.converged.all()
-    assert len(factored) == 2
-    assert len({id(ops) for ops in factored}) == 2
+    # per row: the shapes of R_U and R_H, then their two factors, and no
+    # other factor however many alphas the row solves
+    assert len(events) == 8
+    for row in (events[:4], events[4:]):
+        assert row[2:] == row[:2]
 
 
 def test_emit_empty_results(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddcauchy.geometry import AnnulusGeometry, PhaseField
-from ddcauchy.mesh import (MeshError, TriMesh, band_triangles,
+from ddcauchy.mesh import (QUAD_DEGREES, MeshError, TriMesh, band_triangles,
                            build_background, mesh_annulus, quadrature,
-                           refine_band)
+                           quadrature_size, refine_band)
 
 
 def test_background_counts():
@@ -209,3 +209,10 @@ def test_quadrature_subdivision_partition():
         x, y = rule.points[:, 1], rule.points[:, 2]
         assert 0.5 * np.dot(rule.weights, x * y) == pytest.approx(
             1.0 / 24.0, abs=1e-14)
+
+
+def test_quadrature_size_counts_the_rule():
+    for degree in QUAD_DEGREES:
+        for s in (1, 2, 5):
+            assert quadrature_size(degree, s) == len(
+                quadrature(degree, s).weights)

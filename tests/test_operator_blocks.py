@@ -5,8 +5,12 @@ with ``M[np.ix_(rows, cols)]``.  The restrictions below are those,
 written out, and the blocks read from ``OperatorSet`` must equal them
 exactly: same sparsity structure, same values.  The blocks are also
 shared (one object per operator set, kept across systems) and built
-lazily (a fresh Workspace restricts nothing).
+lazily (a fresh Workspace restricts nothing).  The sparse LU factors of
+the blocks live on the operator set too: each of its three matrices is
+factored once, however many solves read it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ddcauchy import experiments as xp
-from ddcauchy.inversion import SharpSolver, _mean_constrained_solve
-from ddcauchy.saddle import RieszPreconditioner, build_system
+from ddcauchy.inversion import (InversionError, SharpSolver,
+                                diffuse_forward, diffuse_tikhonov,
+                                error_norms, extend_data)
+from ddcauchy.saddle import RieszPreconditioner, SaddleError, build_system
 
 BLOCKS = ("riesz_u", "b_vu", "k_vv", "t_vv", "riesz_h", "mean_col")
 
@@ -75,7 +81,7 @@ def test_blocks_equal_hand_restrictions(ops):
     rhs = np.append(load[a_v], 0.0)
     want[a_v] = spla.splu(hand_augmented(ops),
                           permc_spec="MMD_AT_PLUS_A").solve(rhs)[:-1]
-    assert np.array_equal(_mean_constrained_solve(ops)(load), want)
+    assert np.array_equal(diffuse_forward(ops, load), want)
 
 
 def test_sharp_boundary_blocks(sharp_solver):
@@ -106,3 +112,44 @@ def test_fresh_workspace_restricts_nothing():
     assert not set(BLOCKS) & set(vars(ws.sharp_solver.ops))
     assert "t_oo" not in vars(ws.sharp_solver)
     assert ws.truth is cfg.truth
+
+
+def test_each_matrix_factored_once(monkeypatch, ops_16, sharp_solver,
+                                   truth):
+    # a copy of ops_16 with no block or factor read yet
+    ops = dataclasses.replace(ops_16)
+    factored = []
+    original = spla.splu
+
+    def counting(mat, *args, **kwargs):
+        factored.append(mat)
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    f_tilde = extend_data(truth.f_dagger(sharp_solver.outer_angles),
+                          sharp_solver.outer_angles, ops)
+    for alpha in (1e-1, 1e-2, 1e-3):
+        sol = diffuse_tikhonov(ops, alpha, f_tilde)
+        error_norms(sol, truth, ops)
+    for _ in range(2):
+        diffuse_forward(ops, ops.b_h @ sol.u)
+    assert len(factored) == 3
+    for mat, want in zip(factored, (ops.riesz_u, ops.riesz_h,
+                                    hand_augmented(ops))):
+        assert_identical(mat, want)
+
+
+def test_failed_factors_raise_module_errors(monkeypatch, ops_16):
+    n = ops_16.mesh.num_vertices
+    # K = 0 leaves the augmented matrix [[0, m], [m^T, 0]] singular
+    ops = dataclasses.replace(ops_16, k_omega=0.0 * ops_16.k_omega)
+    with pytest.raises(InversionError, match="singular augmented system"):
+        diffuse_forward(ops, np.ones(n))
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    ops = dataclasses.replace(ops_16)
+    with pytest.raises(SaddleError, match="Riesz block factorization"):
+        RieszPreconditioner(build_system(ops, 1.0, np.zeros(n)))
