@@ -296,6 +296,10 @@ class OperatorSet:
     nor the data: ``riesz_u_lu`` and ``riesz_h_lu`` (the Riesz
     preconditioner and the dual error norm) and ``mean_lu``, of
     [[k_vv, mean_col], [mean_col^T, 0]] (the mean-constrained solve).
+    The two Riesz blocks are SPD, so ``_spd_lu`` factors them in
+    symmetric mode: minimum degree on A^T + A, diagonal pivots.
+    ``mean_lu`` keeps partial pivoting, as its multiplier row has a
+    zero diagonal.
     """
 
     mesh: TriMesh
@@ -357,11 +361,11 @@ class OperatorSet:
 
     @functools.cached_property
     def riesz_u_lu(self) -> spla.SuperLU:
-        return spla.splu(self.riesz_u.tocsc())
+        return _spd_lu(self.riesz_u)
 
     @functools.cached_property
     def riesz_h_lu(self) -> spla.SuperLU:
-        return spla.splu(self.riesz_h.tocsc())
+        return _spd_lu(self.riesz_h)
 
     @functools.cached_property
     def mean_lu(self) -> spla.SuperLU:
@@ -370,6 +374,19 @@ class OperatorSet:
         aug = sp.bmat([[self.k_vv, self.mean_col], [self.mean_col.T, None]],
                       format="csc")
         return spla.splu(aug, permc_spec="MMD_AT_PLUS_A")
+
+
+def _spd_lu(block: sp.spmatrix) -> spla.SuperLU:
+    """LU of an SPD block in SuperLU's symmetric mode.
+
+    Minimum degree on A^T + A orders the columns, and the pivots stay on
+    the diagonal, so the row order is the column order and L + U keeps
+    the fill of a Cholesky factor (Davis, Direct Methods for Sparse
+    Linear Systems, ch. 7).
+    """
+    return spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:

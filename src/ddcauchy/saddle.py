@@ -18,10 +18,12 @@ The preconditioner applies the inverse Riesz maps blockwise and exactly,
 by the operator set's sparse LU factors: B_H on the control block, the
 H-norm matrix (M-weighted stiffness + bulk mass) on the state and
 adjoint blocks (one two-column solve), and the scalar <1, 1>_U on the
-multiplier rows.  The blocks depend on the operator set only, so it
-factors each once and every alpha on it reads that factor.  MINRES
-stops when the preconditioned residual norm sqrt(r^T P^{-1} r),
-relative to its initial value, falls below rho.
+multiplier rows.  Both blocks are SPD, so they are factored in
+SuperLU's symmetric mode: minimum-degree ordering of A^T + A
+(``MMD_AT_PLUS_A``) with diagonal pivots.  The blocks depend on the
+operator set only, so it factors each once and every alpha on it reads
+that factor.  MINRES stops when the preconditioned residual norm
+sqrt(r^T P^{-1} r), relative to its initial value, falls below rho.
 """
 
 from __future__ import annotations
@@ -239,9 +241,12 @@ def spectrum(system: SaddleSystem, prec: RieszPreconditioner,
                           f"{dense_cap}")
     from scipy.linalg import eigh
 
+    # a and p are fresh dense copies, so LAPACK may overwrite them; the
+    # expert driver (xSYGVX) beats the default divide and conquer here
     a = system.matrix.toarray()
     p = prec.matrix().toarray()
-    vals = eigh(a, p, eigvals_only=True)
+    vals = eigh(a, p, eigvals_only=True, driver="gvx", overwrite_a=True,
+                overwrite_b=True)
     return np.sort(vals)
 
 

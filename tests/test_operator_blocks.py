@@ -139,6 +139,35 @@ def test_each_matrix_factored_once(monkeypatch, ops_16, sharp_solver,
         assert_identical(mat, want)
 
 
+def test_riesz_factors_symmetric_mode(ops_16):
+    # the SPD Riesz blocks: less fill than the default (COLAMD, partial
+    # pivoting) factor of the same block, and solves to roundoff
+    b = np.random.default_rng(3).standard_normal(ops_16.riesz_h.shape[0])
+    for block, lu in ((ops_16.riesz_h, ops_16.riesz_h_lu),
+                      (ops_16.riesz_u, ops_16.riesz_u_lu)):
+        default = spla.splu(block.tocsc())
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+        rhs = b[:block.shape[0]]
+        resid = np.linalg.norm(block @ lu.solve(rhs) - rhs)
+        assert resid <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_mean_constrained_solve_accurate(ops_16):
+    # the augmented [[K, m], [m^T, 0]] has a zero diagonal, so mean_lu
+    # keeps partial pivoting; symmetric mode would lose digits here
+    n = ops_16.mesh.num_vertices
+    a_v = ops_16.active_v
+    load = np.zeros(n)
+    load[a_v] = np.random.default_rng(4).standard_normal(len(a_v))
+    x = diffuse_forward(ops_16, load)[a_v]
+    # the multiplier that best balances K x + m lam = load
+    m = ops_16.mean_col.toarray().ravel()
+    lam = m @ (load[a_v] - ops_16.k_vv @ x) / (m @ m)
+    rhs = np.append(load[a_v], 0.0)
+    resid = hand_augmented(ops_16) @ np.append(x, lam) - rhs
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
+
+
 def test_failed_factors_raise_module_errors(monkeypatch, ops_16):
     n = ops_16.mesh.num_vertices
     # K = 0 leaves the augmented matrix [[0, m], [m^T, 0]] singular

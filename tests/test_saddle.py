@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh
 
+from ddcauchy.assembly import OperatorSet
+from ddcauchy.geometry import PhaseField
 from ddcauchy.inversion import extend_control
+from ddcauchy.mesh import build_background
 from ddcauchy.saddle import (RieszPreconditioner, SaddleError, build_system,
                              detect_bands, minres, spectrum)
 
@@ -119,7 +123,7 @@ def test_two_column_h_solve_matches_single_solves(ops_16):
     state, adjoint = r[nu:nu + nv], r[nu + nv:nu + 2 * nv]
     # one (nv, 2) solve, bit-identical to two single ones
     z = RieszPreconditioner(system).apply(r)
-    lu = spla.splu(ops_16.riesz_h.tocsc())
+    lu = ops_16.riesz_h_lu
     assert np.array_equal(z[nu:nu + nv], lu.solve(state))
     assert np.array_equal(z[nu + nv:nu + 2 * nv], lu.solve(adjoint))
 
@@ -228,6 +232,22 @@ def test_spectrum_banding_small(geometry, tensor, rule):
     a_lo, a_hi = bands["alpha_band"]
     assert a_lo >= 0.4 * alpha and a_hi <= 2.0 * alpha * (1 + 1e-8)
     assert bands["unit_band"][0] > 5 * alpha
+
+
+def test_spectrum_matches_default_driver(geometry, tensor, rule):
+    # the criterion-5 system: eps = 0.125 on the unrefined h0 = 0.08 mesh
+    ops = OperatorSet.build(build_background(0.08),
+                            PhaseField(geometry, 0.125), tensor, rule)
+    system = build_system(ops, 1e-4, np.zeros(ops.mesh.num_vertices))
+    prec = RieszPreconditioner(system)
+    matrix = system.matrix.copy()
+    eigs = spectrum(system, prec)
+    want = np.sort(eigh(system.matrix.toarray(), prec.matrix().toarray(),
+                        eigvals_only=True))
+    assert np.abs(eigs - want).max() <= 1e-10 * np.abs(want).max()
+    # the driver overwrites only its own dense copies
+    assert np.array_equal(spectrum(system, prec), eigs)
+    assert (system.matrix != matrix).nnz == 0
 
 
 def test_spectrum_dense_cap(ops_16):
