@@ -27,6 +27,10 @@ form P1 mass, the band masses vanish and the stiffness uses the fixed
 6-point degree-4 rule.  Elements that never meet the support of a weight
 are skipped, so the matrices carry structural zeros there.  Active DOF
 sets are read off the diagonals afterwards.
+
+Diffuse and sharp alike, ``_stiffness`` forms every local stiffness
+from the tensor sums of ``ConductivityTensor.weighted_sum`` (the polar
+form of M), and ``_scatter`` builds every element and edge matrix.
 """
 
 from __future__ import annotations
@@ -114,11 +118,21 @@ def _support_mask(mesh: TriMesh, field: PhaseField, kind: str) -> np.ndarray:
 
 
 def _scatter(ni: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
-    """Accumulate per-element 3x3 blocks into a CSR matrix."""
-    rows = np.repeat(ni, 3, axis=1).ravel()
-    cols = np.tile(ni, (1, 3)).ravel()
+    """Accumulate blocks (m, k, k) on node lists ni (m, k) into CSR."""
+    k = ni.shape[1]
+    rows = np.repeat(ni, k, axis=1).ravel()
+    cols = np.tile(ni, (1, k)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))
     return mat.tocsr()
+
+
+def _stiffness(tris: np.ndarray, areas: np.ndarray, grads: np.ndarray,
+               m_sum: np.ndarray, n: int) -> sp.csr_matrix:
+    """P1 stiffness of the tensor sums m_sum: grads (area m_sum) grads^T."""
+    if not np.all(np.isfinite(m_sum)):
+        raise AssemblyError("conductivity tensor sums are not finite")
+    local = grads @ (areas[:, None, None] * m_sum) @ grads.transpose(0, 2, 1)
+    return _scatter(tris, local, n)
 
 
 @dataclass
@@ -178,19 +192,11 @@ def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
     lam_w = rule.weights[:, None, None] * lam[:, :, None] * lam[:, None, :]
     out = {}
     if tensor is not None:
-        m_cut = tensor.evaluate(el.points)
-        m_plat = tensor.evaluate(el.plateau_points(mesh))
-        if not (np.all(np.isfinite(m_cut)) and np.all(np.isfinite(m_plat))):
-            raise AssemblyError("conductivity tensor evaluated to "
-                                "non-finite values")
-        # effective tensor per element: area * sum_q w_q omega_q M(x_q)
         m_eff = np.empty((len(areas), 2, 2))
-        m_eff[cut] = np.einsum("q,mq,mqab->mab", rule.weights, el.omega,
-                               m_cut)
-        m_eff[~cut] = np.einsum("q,mqab->mab", PLATEAU_RULE.weights, m_plat)
-        m_eff *= areas[:, None, None]
-        local = np.einsum("mia,mab,mjb->mij", el.grads, m_eff, el.grads)
-        out["k"] = _scatter(el.tris, local, n)
+        m_eff[cut] = tensor.weighted_sum(el.points, rule.weights * el.omega)
+        m_eff[~cut] = tensor.weighted_sum(el.plateau_points(mesh),
+                                          PLATEAU_RULE.weights)
+        out["k"] = _stiffness(el.tris, areas, el.grads, m_eff, n)
     if mass:
         local = np.empty((len(areas), 3, 3))
         local[cut] = np.einsum("mq,qij->mij", el.omega, lam_w)
@@ -390,18 +396,14 @@ def _spd_lu(block: sp.spmatrix) -> spla.SuperLU:
 
 
 def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:
-    """Exact P1 mass matrix of a tagged polygonal boundary."""
-    edges = [(i, j) for i, j, t in mesh.boundary_edges if t == tag]
-    if not edges:
+    """Exact P1 mass of a tagged boundary: ell [[1/3, 1/6], [1/6, 1/3]]."""
+    edges = np.array([(i, j) for i, j, t in mesh.boundary_edges if t == tag])
+    if not edges.size:
         raise AssemblyError(f"no boundary edges tagged {tag!r}")
-    n = mesh.num_vertices
-    rows, cols, vals = [], [], []
-    for i, j in edges:
-        ell = float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j]))
-        rows += [i, i, j, j]
-        cols += [i, j, i, j]
-        vals += [ell / 3.0, ell / 6.0, ell / 6.0, ell / 3.0]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    d = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
+    ell = np.sqrt((d[:, None] @ d[:, :, None]).ravel())  # norm(d[e]) exactly
+    blocks = ell[:, None, None] / np.array([[3.0, 6.0], [6.0, 3.0]])
+    return _scatter(edges, blocks, mesh.num_vertices)
 
 
 def assemble_sharp(mesh: TriMesh,
@@ -412,12 +414,10 @@ def assemble_sharp(mesh: TriMesh,
     ``mesh_annulus`` numbers each ring in increasing angle.
     """
     tris, areas, grads = _element_geometry(mesh)
-    m_q = tensor.evaluate(_quad_points(mesh, tris, SHARP_RULE))
-    m_eff = (np.einsum("q,mqab->mab", SHARP_RULE.weights, m_q)
-             * areas[:, None, None])
-    local = np.einsum("mia,mab,mjb->mij", grads, m_eff, grads)
+    m_sum = tensor.weighted_sum(_quad_points(mesh, tris, SHARP_RULE),
+                                SHARP_RULE.weights)
     n = mesh.num_vertices
     return OperatorSet(mesh, None, tensor, SHARP_RULE,
-                       _scatter(tris, local, n),
+                       _stiffness(tris, areas, grads, m_sum, n),
                        _scatter(tris, areas[:, None, None] * _P1_MASS, n),
                        _edge_mass(mesh, "inner"), _edge_mass(mesh, "outer"))

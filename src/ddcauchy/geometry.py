@@ -169,7 +169,8 @@ class ConductivityTensor:
         return float(np.sqrt(self.sigma_t / self.sigma_r))
 
     def evaluate(self, points) -> np.ndarray:
-        """Tensor components at points, shape (..., 2, 2).
+        """Tensor components at points, shape (..., 2, 2): the pointwise
+        reference for ``weighted_sum``, which assembly calls instead.
 
         At the origin the frame is undefined; the isotropic average is
         returned there (always multiplied by omega = 0 in assemblies).
@@ -187,6 +188,22 @@ class ConductivityTensor:
         m[..., 0, 1] = (self.sigma_r - self.sigma_t) * cs
         m[..., 1, 0] = m[..., 0, 1]
         return m
+
+    def weighted_sum(self, points, weights) -> np.ndarray:
+        """sum_q w[m, q] M(x[m, q]), shape (m, 2, 2), from three weighted
+        sums by the polar form M = sigma_t I + (sigma_r - sigma_t) n n^T.
+        Weights (m, q) or (q,) broadcast; n n^T = I / 2 at the origin."""
+        x, y = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+        r2 = x * x + y * y
+        origin = r2 == 0.0
+        inv = 1.0 / np.where(origin, 1.0, r2)
+        w = np.broadcast_to(weights, r2.shape)
+        s0 = w.sum(axis=-1)
+        sxx = (w * np.where(origin, 0.5, x * x * inv)).sum(axis=-1)
+        sxy = (w * (x * y * inv)).sum(axis=-1)
+        nn = np.stack([sxx, sxy, sxy, s0 - sxx], axis=-1)
+        return (self.sigma_t * s0[:, None, None] * np.eye(2)
+                + (self.sigma_r - self.sigma_t) * nn.reshape(-1, 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -84,17 +84,18 @@ class TriMesh:
         e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
         return np.maximum(np.maximum(e0, e1), e2)
 
+    def smallest_angles(self) -> np.ndarray:
+        """Smallest interior angle of each triangle, in degrees."""
+        p = self.vertices[self.triangles]
+        a = np.roll(p, -1, axis=1) - p
+        b = np.roll(p, -2, axis=1) - p
+        num = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+        den = np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2)
+        return np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0)).min(axis=1))
+
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
-        p = self.vertices[self.triangles]
-        angles = []
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            num = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
-            den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-            angles.append(np.arccos(np.clip(num / den, -1.0, 1.0)))
-        return float(np.degrees(np.min(angles)))
+        return float(self.smallest_angles().min())
 
     def edges(self):
         """(unique_edges, per-triangle edge indices); edges as sorted pairs."""
@@ -150,18 +151,10 @@ def build_background(h0: float, half_width: float = BBOX_HALF,
     xs = np.linspace(-half_width, half_width, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return TriMesh(verts, np.array(tris))
+    # cell corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
+    a = np.arange(n)[:, None] * (n + 1) + np.arange(n)
+    b, c, d = a + n + 1, a + n + 2, a + 1
+    return TriMesh(verts, np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3))
 
 
 def _radial_interval(vertices: np.ndarray, tris: np.ndarray):
@@ -319,11 +312,11 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
         tris, gen = new_tris, new_gen
 
     out = TriMesh(verts, tris, generation=gen)
-    angle = out.min_angle()
-    if angle < quality_floor_deg:
-        worst = int(np.argmin(out.signed_areas()))
-        raise MeshError(f"quality floor violated: min angle {angle:.2f} deg "
-                        f"(triangle {worst})")
+    angles = out.smallest_angles()
+    worst = int(np.argmin(angles))
+    if angles[worst] < quality_floor_deg:
+        raise MeshError(f"quality floor violated: min angle "
+                        f"{angles[worst]:.2f} deg (triangle {worst})")
     return out
 
 
@@ -345,28 +338,19 @@ def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
                         f"n_radial >= {SHARP_MIN_RADIAL}")
     radii = np.linspace(geometry.r_inner, geometry.r_outer, n_radial + 1)
     theta = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
-    verts = np.empty((n_angular * (n_radial + 1), 2))
-    for i, r in enumerate(radii):
-        verts[i * n_angular:(i + 1) * n_angular, 0] = r * np.cos(theta)
-        verts[i * n_angular:(i + 1) * n_angular, 1] = r * np.sin(theta)
-
-    def vid(ring, j):
-        return ring * n_angular + (j % n_angular)
-
-    tris = []
-    for ring in range(n_radial):
-        for j in range(n_angular):
-            a = vid(ring, j)
-            b = vid(ring, j + 1)
-            c = vid(ring + 1, j + 1)
-            d = vid(ring + 1, j)
-            tris.append((a, d, c))
-            tris.append((a, c, b))
-    bedges = []
-    for j in range(n_angular):
-        bedges.append((vid(0, j + 1), vid(0, j), "inner"))
-        bedges.append((vid(n_radial, j), vid(n_radial, j + 1), "outer"))
-    return TriMesh(verts, np.array(tris), bedges)
+    verts = np.stack([np.outer(radii, np.cos(theta)),
+                      np.outer(radii, np.sin(theta))], axis=-1).reshape(-1, 2)
+    # cell corners a = (ring, j), b = (ring, j+1); c, d: b, a one ring out
+    j = np.arange(n_angular)
+    nxt = (j + 1) % n_angular
+    ring = np.arange(n_radial)[:, None] * n_angular
+    a, b = ring + j, ring + nxt
+    c, d = b + n_angular, a + n_angular
+    tris = np.stack([a, d, c, a, c, b], axis=-1).reshape(-1, 3)
+    top = n_radial * n_angular
+    bedges = [edge for i, k in zip(j.tolist(), nxt.tolist())
+              for edge in ((k, i, "inner"), (top + i, top + k, "outer"))]
+    return TriMesh(verts, tris, bedges)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,15 @@ def test_sharp_untagged_boundary_signal(geometry, tensor):
         assemble_sharp(mesh, tensor)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sharp_non_finite_tensor_sums_signal(geometry, tensor):
+    # the stiffness kernel checks the tensor sums of every element set
+    mesh = mesh_annulus(geometry, 16, 4)
+    mesh.vertices[20] = np.nan
+    with pytest.raises(AssemblyError, match="tensor sums are not finite"):
+        assemble_sharp(mesh, tensor)
+
+
 def subdivided_everywhere(mesh, field, tensor, rule):
     """Reference: every form with ``rule`` on every element of its support."""
     out = {}

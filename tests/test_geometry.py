@@ -172,6 +172,26 @@ def test_conductivity_tensor_properties(tensor):
     assert np.abs(mn - tensor.sigma_r * n).max() <= 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [(1.0, 0.3), (0.2, 5.0), (1.0, 1.0)])
+def test_weighted_sum_matches_pointwise_tensor(sigma):
+    """The polar-form sums against the einsum of the pointwise tensor, on
+    random points plus the origin and points on both axes."""
+    tensor = ConductivityTensor(*sigma)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.5, 1.5, size=(40, 12, 2))
+    pts[0, 0] = 0.0
+    pts[1, :4, 0] = 0.0
+    pts[2, :4, 1] = 0.0
+    pts[3] = 0.0
+    w = rng.uniform(0.0, 1.0, size=(40, 12))
+    for weights, spec in ((w, "mq,mqab->mab"), (w[0], "q,mqab->mab")):
+        ref = np.einsum(spec, weights, tensor.evaluate(pts))
+        got = tensor.weighted_sum(pts, weights)
+        assert got.shape == (40, 2, 2)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_identity_tensor():
     iden = ConductivityTensor.identity()
     m = iden.evaluate(np.array([[0.4, 0.7]]))

@@ -134,6 +134,87 @@ def test_quality_floor_signal(geometry):
         refine_band(m, field, 1, quality_floor_deg=80.0)
 
 
+def test_quality_floor_names_the_worst_angle():
+    # triangle 0 is tiny and well shaped, triangle 1 a 5.7 degree sliver;
+    # neither meets the band, so both reach the floor check unrefined
+    verts = np.array([[1.2, 1.2], [1.21, 1.2], [1.2, 1.21],
+                      [-1.4, 1.3], [-0.4, 1.3], [-0.9, 1.35]])
+    m = TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+    field = PhaseField(AnnulusGeometry(), 0.05)
+    with pytest.raises(MeshError, match=r"min angle 5\.71 deg \(triangle 1\)"):
+        refine_band(m, field, 1)
+    assert m.smallest_angles() == pytest.approx([45.0, 5.7105931], abs=1e-6)
+
+
+def loop_background(h0, half_width=1.5):
+    """The background mesh built triangle by triangle: the oracle of the
+    array builder."""
+    n = int(np.ceil(2.0 * half_width / h0))
+    xs = np.linspace(-half_width, half_width, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.column_stack([xx.ravel(), yy.ravel()])
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return verts, np.array(tris), []
+
+
+def loop_annulus(geometry, n_angular, n_radial):
+    """The polar annulus mesh built ring by ring and triangle by triangle:
+    the oracle of the array builder."""
+    radii = np.linspace(geometry.r_inner, geometry.r_outer, n_radial + 1)
+    theta = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
+    verts = np.empty((n_angular * (n_radial + 1), 2))
+    for i, r in enumerate(radii):
+        verts[i * n_angular:(i + 1) * n_angular, 0] = r * np.cos(theta)
+        verts[i * n_angular:(i + 1) * n_angular, 1] = r * np.sin(theta)
+
+    def vid(ring, j):
+        return ring * n_angular + (j % n_angular)
+
+    tris = []
+    for ring in range(n_radial):
+        for j in range(n_angular):
+            a = vid(ring, j)
+            b = vid(ring, j + 1)
+            c = vid(ring + 1, j + 1)
+            d = vid(ring + 1, j)
+            tris.append((a, d, c))
+            tris.append((a, c, b))
+    bedges = []
+    for j in range(n_angular):
+        bedges.append((vid(0, j + 1), vid(0, j), "inner"))
+        bedges.append((vid(n_radial, j), vid(n_radial, j + 1), "outer"))
+    return verts, np.array(tris), bedges
+
+
+def assert_same_mesh(mesh, oracle):
+    verts, tris, bedges = oracle
+    assert np.array_equal(mesh.vertices, verts)
+    assert mesh.vertices.tobytes() == verts.tobytes()
+    assert np.array_equal(mesh.triangles, tris)
+    assert mesh.boundary_edges == bedges
+
+
+@pytest.mark.parametrize("h0", [0.08, 0.1, 0.15, 1.0])
+def test_background_matches_loop_builder(h0):
+    assert_same_mesh(build_background(h0), loop_background(h0))
+
+
+@pytest.mark.parametrize("n_angular, n_radial", [(8, 2), (128, 32), (192, 48)])
+def test_mesh_annulus_matches_loop_builder(geometry, n_angular, n_radial):
+    assert_same_mesh(mesh_annulus(geometry, n_angular, n_radial),
+                     loop_annulus(geometry, n_angular, n_radial))
+
+
 def test_mesh_annulus_counts(geometry):
     m = mesh_annulus(geometry, 8, 2)
     assert m.num_vertices == 24
