@@ -310,7 +310,6 @@ class OperatorSet:
 
     mesh: TriMesh
     field: PhaseField
-    tensor: ConductivityTensor
     rule: QuadratureRule
     k_omega: sp.csr_matrix
     m_omega: sp.csr_matrix
@@ -331,7 +330,7 @@ class OperatorSet:
               rule: QuadratureRule) -> "OperatorSet":
         forms = _diffuse_forms(mesh, field, rule, tensor=tensor, mass=True,
                                bands=("H", "B"))
-        return cls(mesh, field, tensor, rule, forms["k"], forms["m"],
+        return cls(mesh, field, rule, forms["k"], forms["m"],
                    forms["H"], forms["B"])
 
     @staticmethod
@@ -417,7 +416,7 @@ def assemble_sharp(mesh: TriMesh,
     m_sum = tensor.weighted_sum(_quad_points(mesh, tris, SHARP_RULE),
                                 SHARP_RULE.weights)
     n = mesh.num_vertices
-    return OperatorSet(mesh, None, tensor, SHARP_RULE,
+    return OperatorSet(mesh, None, SHARP_RULE,
                        _stiffness(tris, areas, grads, m_sum, n),
                        _scatter(tris, areas[:, None, None] * _P1_MASS, n),
                        _edge_mass(mesh, "inner"), _edge_mass(mesh, "outer"))

@@ -15,7 +15,8 @@ The rates/table subcommands also accept --preset fig7|fig8.  An unknown
 key or unusable value, a malformed --set, an output directory that
 cannot be created and a solve flag out of range are each reported as one
 line on stderr, exit code 2.  A solve or rates error that is not finite
-is named on one stderr line, exit code 1.
+is named on one stderr line, exit code 1, and so is a table cell whose
+right-hand side is not finite.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ def cmd_solve(args):
 def cmd_table(args):
     cfg = xp.load_config(args.config, _overrides(args, args.preset))
     _out_dir(cfg)
-    res = xp.run_iteration_table(cfg)
+    with _quiet_overflow():
+        res = xp.run_iteration_table(cfg)
     header = "eps\\alpha " + " ".join(f"{a:>8g}" for a in res.alphas)
     print(header)
     for i, eps in enumerate(res.epsilons):
@@ -131,6 +133,14 @@ def cmd_table(args):
         print(f"{eps:<9g} {row}")
     xp.emit_outputs(cfg.out_dir, cfg, table=res)
     print(f"outputs in {cfg.out_dir}/")
+    # 0 iterations, not converged: MINRES's right-hand side is not finite
+    stuck = np.argwhere((res.iterations == 0) & ~res.converged)
+    if len(stuck):
+        i, j = stuck[0]
+        print(f"ddcauchy: table cell eps={res.epsilons[i]:g} "
+              f"alpha={res.alphas[j]:g}: the right-hand side is not finite "
+              f"(study.table_delta = {cfg.table_delta:g})", file=sys.stderr)
+        return 1
     return 0 if res.converged.all() else 1
 
 

@@ -149,7 +149,7 @@ SCHEMA = (
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
     [row[1] for row in SCHEMA]
-    + ["geometry", "tensor", "truth_series", "truth", "raw_text"],
+    + ["geometry", "tensor", "truth", "raw_text"],
     namespace={"__doc__": "Typed view of the INI configuration: one field "
                "per SCHEMA row, the objects built from them and the echo."})
 
@@ -233,7 +233,7 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
                           f"{err}") from None
     series = values["series"].scaled(values["amplitude"])
     cfg = ExperimentConfig(
-        **values, geometry=geometry, tensor=tensor, truth_series=series,
+        **values, geometry=geometry, tensor=tensor,
         truth=_ground_truth(geometry, tensor, series),
         raw_text=echo.getvalue())
     _check_schedule(cfg)

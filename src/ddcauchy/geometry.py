@@ -2,8 +2,8 @@
 
 The computational domain is the annulus D = {r_inner < |x| < r_outer}
 embedded in a bounding box.  All geometric quantities (signed distance,
-phase field, interface weights, closest boundary points) are evaluated
-analytically from the radii; nothing is ever interpolated from a mesh.
+phase field, interface weights) are evaluated analytically from the
+radii; nothing is ever interpolated from a mesh.
 
 Conventions:
     d(x)      signed distance to the annulus boundary, negative inside D
@@ -28,7 +28,7 @@ EPS_MAX = 0.25
 
 
 class BandError(ValueError):
-    """Raised for points outside the interface band or inadmissible eps."""
+    """Raised for an inadmissible eps."""
 
 
 @dataclass(frozen=True)
@@ -108,34 +108,6 @@ class PhaseField:
         omega = 0.5 * (1.0 + phi)
         gradmag = np.where(np.abs(d) < self.epsilon, 0.5 / self.epsilon, 0.0)
         return phi, omega, gradmag
-
-    def closest_boundary_point(self, points):
-        """Project band points radially onto the nearest boundary circle.
-
-        Returns (xbar, d) with xbar on the inner or outer circle and
-        x = xbar + d * n(xbar), n the outward normal of D.  Raises
-        BandError for points outside the band or at the origin.
-        """
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        if np.any(r < 1e-300):
-            raise BandError("closest boundary point undefined at the origin")
-        geo = self.geometry
-        d = np.maximum(geo.r_inner - r, r - geo.r_outer)
-        if np.any(np.abs(d) >= self.epsilon):
-            bad = np.flatnonzero(np.abs(d) >= self.epsilon)
-            raise BandError(
-                f"{bad.size} point(s) outside the band |d| < {self.epsilon}; "
-                f"first offender {pts[bad[0]]}"
-            )
-        # nearest circle by the split radius (bands never straddle it)
-        radius = np.where(r < geo.split_radius, geo.r_inner, geo.r_outer)
-        xbar = pts * (radius / r)[:, None]
-        if single:
-            return xbar[0], float(d[0])
-        return xbar, d
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ sigma_r), the mode-k solutions are
 
 The boundary flux n . M grad v equals sigma_r * dv/dr on the outer circle
 and -sigma_r * dv/dr on the inner one, so Neumann problems reduce to 2x2
-(here triangular) systems per mode.  This module solves the forward
-problem (flux u on the inner circle, insulated outer), the adjoint
-problem (flux w on the outer circle, insulated inner) and synthesizes the
+(here triangular) systems per mode.  One such solve serves the forward
+problem (flux u on the inner circle, insulated outer) and the adjoint
+problem (flux w on the outer circle, insulated inner); from them come the
 exact triples (u, f, v) used as ground truth by the inversion pipeline.
 
 Mean-zero modes only (k >= 1): the k = 0 mode carries no information
@@ -92,14 +92,18 @@ class ModeField:
 
     profiles: tuple  # of (SeriesTerm, RadialProfile)
 
-    def eval_polar(self, r, theta) -> np.ndarray:
+    def _sum(self, radial, r, theta) -> np.ndarray:
+        """Sum over the modes of radial(profile, r) times their trig."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(np.broadcast(r, theta).shape)
         for term, prof in self.profiles:
             trig = np.cos if term.kind == "cos" else np.sin
-            out += prof.value(r) * trig(term.k * theta)
+            out += radial(prof, r) * trig(term.k * theta)
         return out
+
+    def eval_polar(self, r, theta) -> np.ndarray:
+        return self._sum(RadialProfile.value, r, theta)
 
     def __call__(self, points, r_min: float = 0.0) -> np.ndarray:
         """Evaluate at points; radii are clamped from below by r_min.
@@ -117,13 +121,7 @@ class ModeField:
 
     def radial_flux(self, r, theta) -> np.ndarray:
         """dv/dr at (r, theta)."""
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
-        for term, prof in self.profiles:
-            trig = np.cos if term.kind == "cos" else np.sin
-            out += prof.deriv(r) * trig(term.k * theta)
-        return out
+        return self._sum(RadialProfile.deriv, r, theta)
 
     def trace_series(self, radius: float) -> AngularSeries:
         return AngularSeries(tuple(
@@ -131,45 +129,38 @@ class ModeField:
             for term, prof in self.profiles))
 
 
+def _neumann_modes(tensor: ConductivityTensor, series: AngularSeries,
+                   flux_radius: float, insulated_radius: float,
+                   sign: int) -> ModeField:
+    """Field with sign * sigma_r * v'(flux_radius) = series and
+    v'(insulated_radius) = 0, sign the radial component of the outward
+    normal on the flux circle (-1 inner, +1 outer).  No constant component
+    per mode, matching the mean-zero state space of the weak form."""
+    s = tensor.anisotropy_exponent
+    a, b = flux_radius, insulated_radius
+    profiles = []
+    for term in series.terms:
+        mu = term.k * s
+        # v'(b) = 0  ->  c b^(mu-1) = d b^(-mu-1)  ->  d = c b^(2 mu)
+        denom = sign * tensor.sigma_r * mu * (
+            a ** (mu - 1.0) - b ** (2.0 * mu) * a ** (-mu - 1.0))
+        c = term.coef / denom
+        profiles.append((term, RadialProfile(c, c * b ** (2.0 * mu), mu)))
+    return ModeField(tuple(profiles))
+
+
 def solve_forward_modes(geometry: AnnulusGeometry,
                         tensor: ConductivityTensor,
                         u: AngularSeries) -> ModeField:
-    """Field with n . M grad v = u on the inner circle, 0 on the outer.
-
-    The solution is normalized per mode (no constant component), matching
-    the mean-zero state space of the weak form.
-    """
-    s = tensor.anisotropy_exponent
-    ri, ro = geometry.r_inner, geometry.r_outer
-    profiles = []
-    for term in u.terms:
-        mu = term.k * s
-        # outer: v'(ro) = 0  ->  c ro^(mu-1) = d ro^(-mu-1)
-        # inner: -sigma_r v'(ri) = coef
-        # with d = c ro^(2 mu):
-        denom = tensor.sigma_r * mu * (ri ** (-mu - 1.0) * ro ** (2.0 * mu)
-                                       - ri ** (mu - 1.0))
-        c = term.coef / denom
-        profiles.append((term, RadialProfile(c, c * ro ** (2.0 * mu), mu)))
-    return ModeField(tuple(profiles))
+    """Field with n . M grad v = u on the inner circle, 0 on the outer."""
+    return _neumann_modes(tensor, u, geometry.r_inner, geometry.r_outer, -1)
 
 
 def solve_adjoint_modes(geometry: AnnulusGeometry,
                         tensor: ConductivityTensor,
                         w: AngularSeries) -> ModeField:
     """Field with n . M grad p = w on the outer circle, 0 on the inner."""
-    s = tensor.anisotropy_exponent
-    ri, ro = geometry.r_inner, geometry.r_outer
-    profiles = []
-    for term in w.terms:
-        mu = term.k * s
-        # inner: p'(ri) = 0  ->  d = c ri^(2 mu)
-        # outer: sigma_r p'(ro) = coef
-        denom = tensor.sigma_r * mu * (ro ** (mu - 1.0)
-                                       - ri ** (2.0 * mu) * ro ** (-mu - 1.0))
-        c = term.coef / denom
-        profiles.append((term, RadialProfile(c, c * ri ** (2.0 * mu), mu)))
-    return ModeField(tuple(profiles))
+    return _neumann_modes(tensor, w, geometry.r_outer, geometry.r_inner, 1)
 
 
 @dataclass(frozen=True)

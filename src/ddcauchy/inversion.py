@@ -2,10 +2,11 @@
 
 The sharp reference problem lives on the polar annulus mesh: boundary
 data are nodal vectors on the tagged inner/outer polygon nodes (angular
-order).  The diffuse problem lives on the background mesh: boundary data
-are extended into the interface bands by constant-normal extension
-(angular interpolation at the closest boundary point) and solved through
-the saddle machinery.
+order); forward and adjoint share one load-solve-trace path.  The
+diffuse problem lives on the background mesh: boundary data are extended
+into the interface bands by the one constant-normal extension,
+``_extend_constant`` (a node's polar angle is that of its closest
+boundary point), and solved through the saddle machinery.
 
 Noise is Gaussian per node, rescaled so the discrete boundary norm of
 the perturbation equals delta exactly; a run with the same seed is
@@ -88,12 +89,10 @@ class SharpSolver:
         self.ops = ops
         self.inner = ops.active_u
         self.outer = np.flatnonzero(ops.b_b.diagonal() > 0.0)
-        self.inner_angles = np.mod(np.arctan2(
-            ops.mesh.vertices[self.inner, 1],
-            ops.mesh.vertices[self.inner, 0]), 2.0 * np.pi)
-        self.outer_angles = np.mod(np.arctan2(
-            ops.mesh.vertices[self.outer, 1],
-            ops.mesh.vertices[self.outer, 0]), 2.0 * np.pi)
+        self.inner_angles, self.outer_angles = (
+            np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
+            for xy in (ops.mesh.vertices[self.inner],
+                       ops.mesh.vertices[self.outer]))
         self._symbols = None  # FFTs of G, T_ii, T_oo, at the first tikhonov
 
     @property
@@ -111,20 +110,23 @@ class SharpSolver:
         load[nodes] = values
         return load
 
+    def _trace(self, mass, nodes, values, trace_nodes):
+        """The field of the boundary load mass @ (values on nodes) and its
+        trace on trace_nodes: the one path of forward and adjoint."""
+        load = mass @ self._boundary_load(nodes, values)
+        x = diffuse_forward(self.ops, load)
+        return x, x[trace_nodes]
+
     def forward(self, u_inner: np.ndarray):
         """State field and its trace f = v | outer for flux u on the inner
         boundary (nodal values in the order of ``inner``, shape (nb,) or
         (nb, k) for k fluxes)."""
-        v = diffuse_forward(self.ops, self.ops.b_h @ self._boundary_load(
-            self.inner, u_inner))
-        return v, v[self.outer]
+        return self._trace(self.ops.b_h, self.inner, u_inner, self.outer)
 
     def adjoint(self, w_outer: np.ndarray):
         """Adjoint field and its trace u = p | inner for density w on the
         outer boundary (shape (nb,) or (nb, k))."""
-        p = diffuse_forward(self.ops, self.ops.b_b @ self._boundary_load(
-            self.outer, w_outer))
-        return p, p[self.inner]
+        return self._trace(self.ops.b_b, self.outer, w_outer, self.inner)
 
     def inner_norm(self, u_inner: np.ndarray) -> float:
         return float(np.sqrt(u_inner @ (self.t_ii @ u_inner)))

@@ -218,9 +218,6 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
         if history[-1] < rho:
             converged = True
             break
-        if beta == 0.0:  # Lanczos breakdown: solution is in the Krylov span
-            converged = history[-1] < rho
-            break
 
     return x, SolveReport(k, history, converged)
 
@@ -255,6 +252,19 @@ def spectrum(system: SaddleSystem, prec: RieszPreconditioner,
 BAND_JUMP_FACTOR = 8.0
 
 
+def _split_at_jump(mags: np.ndarray):
+    """(isolated, band) of ascending magnitudes: the values up to the
+    largest relative jump between neighbours, if that jump is at least
+    BAND_JUMP_FACTOR, and the rest.  Fewer than two values have no jump:
+    nothing is isolated."""
+    if len(mags) >= 2:
+        ratios = mags[1:] / mags[:-1]
+        cut = int(np.argmax(ratios))
+        if ratios[cut] >= BAND_JUMP_FACTOR:
+            return list(mags[:cut + 1]), mags[cut + 1:]
+    return [], mags
+
+
 def detect_bands(eigs: np.ndarray, alpha: float):
     """Classify a preconditioned-KKT spectrum into its three bands.
 
@@ -262,42 +272,23 @@ def detect_bands(eigs: np.ndarray, alpha: float):
     band (as (min, max) tuples) and the list of isolated eigenvalues
     falling outside all three.  Band edges are found by the largest
     relative jump (at least BAND_JUMP_FACTOR) between consecutive
-    positive eigenvalues in the gap region above 2 alpha.
+    positive eigenvalues in the gap region above 2 alpha, and between
+    consecutive negative magnitudes; the negative band's range spans its
+    isolated values.
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
     neg = eigs[eigs < 0.0]
     pos = eigs[eigs > 0.0]
     if len(neg) == 0 or len(pos) == 0:
         raise SaddleError("spectrum lacks a negative or positive part")
-    # the O(1) band: positive eigenvalues above the biggest relative jump
     low = pos[pos <= 2.0 * alpha * (1.0 + 1e-8)]
-    rest = pos[pos > 2.0 * alpha * (1.0 + 1e-8)]
-    if len(rest) >= 2:
-        ratios = rest[1:] / rest[:-1]
-        cut = int(np.argmax(ratios))
-        if ratios[cut] >= BAND_JUMP_FACTOR:
-            isolated_pos = list(rest[:cut + 1])
-            big = rest[cut + 1:]
-        else:
-            isolated_pos = []
-            big = rest
-    else:
-        isolated_pos = list(rest[:0])
-        big = rest
-    # isolated negatives: separated from the main negative band by jump
-    neg_mag = np.sort(-neg)  # magnitudes ascending
-    isolated_neg: list = []
-    if len(neg_mag) >= 2:
-        ratios = neg_mag[1:] / neg_mag[:-1]
-        cut = int(np.argmax(ratios))
-        if ratios[cut] >= BAND_JUMP_FACTOR:
-            isolated_neg = list(-neg_mag[:cut + 1])
-    bands = {
+    isolated_pos, big = _split_at_jump(pos[pos > 2.0 * alpha * (1.0 + 1e-8)])
+    isolated_neg, _ = _split_at_jump(np.sort(-neg))
+    return {
         "negative": (float(neg.min()), float(neg.max())),
         "alpha_band": ((float(low.min()), float(low.max()))
                        if len(low) else None),
         "unit_band": ((float(big.min()), float(big.max()))
                       if len(big) else None),
-        "isolated": sorted(isolated_pos + isolated_neg),
+        "isolated": sorted(isolated_pos + [-m for m in isolated_neg]),
     }
-    return bands

@@ -13,7 +13,6 @@ integral-order    one-sided band defect of bulk integrals decays like eps^2
 extension-norm    constant-normal extension preserves L2 norms as eps -> 0
 extension-error   ||v - Ev|| in the band norm decays like eps^(3/2) when
                   the normal derivative vanishes on the circle
-closest-point     band points reconstruct from their boundary projection
 adjoint           <F u, w> = <u, F* w> on the sharp mesh
 diffuse-trace     band norm controlled by the H-norm, uniformly in eps
 poincare          L2(omega) controlled by gradient + band norms, uniformly
@@ -136,25 +135,6 @@ def check_extension_error(geometry: AnnulusGeometry,
                        f"fitted order {order:.2f} (need >= {min_order})")
 
 
-def check_closest_point(geometry: AnnulusGeometry, tol: float = 1e-14):
-    """x = xbar + d n(xbar) reconstructs band points to 1e-14."""
-    rng = np.random.default_rng(7)
-    field = PhaseField(geometry, 0.1)
-    worst = 0.0
-    for radius in (geometry.r_inner, geometry.r_outer):
-        theta = rng.uniform(0.0, 2.0 * np.pi, 200)
-        offs = rng.uniform(-0.099, 0.099, 200)
-        r = radius + offs
-        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        xbar, d = field.closest_boundary_point(pts)
-        nrm = xbar / np.hypot(xbar[:, 0], xbar[:, 1])[:, None]
-        sign = -1.0 if radius == geometry.r_inner else 1.0
-        rec = xbar + (d[:, None] * sign) * nrm
-        worst = max(worst, float(np.abs(rec - pts).max()))
-    return VerifyCheck("closest-point", worst <= tol,
-                       f"max reconstruction error {worst:.2e} (tol {tol:g})")
-
-
 def check_adjoint(geometry: AnnulusGeometry, tensor: ConductivityTensor,
                   n_pairs: int = 10, tol: float = 1e-10):
     """|<F u, w> - <u, F* w>| <= tol * ||u|| ||w|| for random pairs."""
@@ -244,7 +224,6 @@ def run_verify(geometry: AnnulusGeometry = None,
         check_integral_order(geometry),
         check_extension_norm(geometry),
         check_extension_error(geometry),
-        check_closest_point(geometry),
         check_adjoint(geometry, tensor),
         check_diffuse_trace(geometry),
         check_poincare(geometry),

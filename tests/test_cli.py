@@ -159,7 +159,21 @@ def test_non_finite_error_prints_no_warnings(capsys, epsilon):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_table_non_finite_cell_exits_1(capsys, tmp_path):
+    # noise of norm 1e300 overflows the KKT right-hand side of the cell
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["table", "--out", str(tmp_path),
+                     "--set", "study.table_delta=1e300",
+                     "--set", "study.epsilons=0.25",
+                     "--set", "study.alphas=1.0"] + FAST) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "eps=0.25 alpha=1" in err[0] and "study.table_delta" in err[0]
+
+
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 8
+    assert out.count("[PASS]") == 7

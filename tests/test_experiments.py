@@ -189,7 +189,7 @@ def test_load_config_returns_or_names_a_key(overrides):
 def test_truth_series_parsing():
     cfg = xp.load_config(overrides={
         "truth.series": "cos:1:2.0, sin:4:-0.5", "truth.amplitude": "3.0"})
-    terms = {(t.kind, t.k): t.coef for t in cfg.truth_series.terms}
+    terms = {(t.kind, t.k): t.coef for t in cfg.truth.w.terms}
     assert terms[("cos", 1)] == pytest.approx(6.0)
     assert terms[("sin", 4)] == pytest.approx(-1.5)
 

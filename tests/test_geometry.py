@@ -80,32 +80,6 @@ def test_boundary_weight_examples(geometry):
     assert np.all(gh + gb == 1.0)
 
 
-def test_closest_boundary_point_examples(geometry):
-    field = PhaseField(geometry, 0.1)
-    xbar, d = field.closest_boundary_point(np.array([0.35, 0.0]))
-    assert xbar == pytest.approx([0.3, 0.0])
-    assert d == pytest.approx(-0.05)
-    xbar, d = field.closest_boundary_point(np.array([0.0, 1.05]))
-    assert xbar == pytest.approx([0.0, 1.0])
-    assert d == pytest.approx(0.05)
-    with pytest.raises(BandError):
-        field.closest_boundary_point(np.array([0.65, 0.0]))
-
-
-def test_closest_point_reconstruction(geometry):
-    field = PhaseField(geometry, 0.2)
-    rng = np.random.default_rng(5)
-    theta = rng.uniform(0, 2 * np.pi, 300)
-    radius = np.where(rng.uniform(size=300) < 0.5, 0.3, 1.0)
-    r = radius + rng.uniform(-0.19, 0.19, 300)
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    xbar, d = field.closest_boundary_point(pts)
-    normal = xbar / np.hypot(xbar[:, 0], xbar[:, 1])[:, None]
-    sign = np.where(radius == 0.3, -1.0, 1.0)
-    rec = xbar + (sign * d)[:, None] * normal
-    assert np.abs(rec - pts).max() <= 1e-14
-
-
 def test_band_measure_identity(geometry):
     one = lambda p: np.ones(len(p))
     for k in range(2, 7):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,8 +10,8 @@ from ddcauchy.assembly import OperatorSet
 from ddcauchy.geometry import PhaseField
 from ddcauchy.inversion import extend_control
 from ddcauchy.mesh import build_background
-from ddcauchy.saddle import (RieszPreconditioner, SaddleError, build_system,
-                             detect_bands, minres, spectrum)
+from ddcauchy.saddle import (RieszPreconditioner, SaddleError, SolveReport,
+                             build_system, detect_bands, minres, spectrum)
 
 from conftest import make_ops
 
@@ -162,6 +164,16 @@ def test_minres_identity_converges_in_one_iteration():
     assert x == pytest.approx(system.rhs)
 
 
+def test_minres_exact_breakdown():
+    # A = 2 I, b = e_1: the first Lanczos step spans the solution, so
+    # beta = 0 and the residual is exactly 0 after one iteration
+    system = SimpleNamespace(matrix=2.0 * sp.identity(4, format="csr"),
+                             rhs=np.eye(4)[0])
+    x, report = minres(system, SimpleNamespace(apply=np.copy), rho=1e-10)
+    assert np.array_equal(x, np.eye(4)[0] / 2.0)
+    assert report == SolveReport(1, [0.0], True)
+
+
 def test_minres_invalid_rho(ops_16):
     system = build_system(ops_16, 1.0, np.zeros(ops_16.mesh.num_vertices))
     prec = RieszPreconditioner(system)
@@ -232,6 +244,31 @@ def test_spectrum_banding_small(geometry, tensor, rule):
     a_lo, a_hi = bands["alpha_band"]
     assert a_lo >= 0.4 * alpha and a_hi <= 2.0 * alpha * (1 + 1e-8)
     assert bands["unit_band"][0] > 5 * alpha
+
+
+def test_detect_bands_isolated_eigenvalues():
+    alpha = 1e-3
+    eigs = np.array([-1.0, -0.8, -0.6, -0.5,   # negative band
+                     -0.02, -0.01,             # isolated above it
+                     5e-4, 1e-3, 2e-3,         # O(alpha) band
+                     0.01, 0.02,               # isolated below the O(1) band
+                     0.5, 1.0, 2.0])           # O(1) band
+    bands = detect_bands(eigs[::-1], alpha)
+    # the negative band's range spans the isolated negatives too
+    assert bands == {"negative": (-1.0, -0.01), "alpha_band": (5e-4, 2e-3),
+                     "unit_band": (0.5, 2.0),
+                     "isolated": [-0.02, -0.01, 0.01, 0.02]}
+
+
+@pytest.mark.parametrize("above, unit_band", [([0.7], (0.7, 0.7)),
+                                              ([], None)])
+def test_detect_bands_under_two_values_above_two_alpha(above, unit_band):
+    # with fewer than two values above 2 alpha there is no jump to split
+    # at: nothing is isolated and the O(1) band is what remains
+    eigs = np.array([-1.0, -0.9, 5e-4, 1e-3] + above)
+    assert detect_bands(eigs, 1e-3) == {
+        "negative": (-1.0, -0.9), "alpha_band": (5e-4, 1e-3),
+        "unit_band": unit_band, "isolated": []}
 
 
 def test_spectrum_matches_default_driver(geometry, tensor, rule):
