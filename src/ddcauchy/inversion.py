@@ -23,7 +23,8 @@ import scipy.sparse as sp
 
 from .assembly import OperatorSet
 from .harmonics import GroundTruth
-from .saddle import RieszPreconditioner, SolveReport, build_system, minres
+from .saddle import (RieszPreconditioner, SolveReport, _dot, build_system,
+                     minres)
 
 
 class InversionError(RuntimeError):
@@ -129,10 +130,10 @@ class SharpSolver:
         return self._trace(self.ops.b_b, self.outer, w_outer, self.inner)
 
     def inner_norm(self, u_inner: np.ndarray) -> float:
-        return float(np.sqrt(u_inner @ (self.t_ii @ u_inner)))
+        return float(np.sqrt(_dot(u_inner, self.t_ii @ u_inner)))
 
     def outer_norm(self, f_outer: np.ndarray) -> float:
-        return float(np.sqrt(f_outer @ (self.t_oo @ f_outer)))
+        return float(np.sqrt(_dot(f_outer, self.t_oo @ f_outer)))
 
     def _transfer_symbols(self):
         """(g, t, o): the FFTs of the first columns of G, T_ii and T_oo.
@@ -200,7 +201,7 @@ def add_noise(f_values: np.ndarray, delta: float, seed: int,
         raise InversionError("cannot add noise to empty boundary data")
     rng = np.random.default_rng(seed)
     eta = rng.standard_normal(len(f_values))
-    norm = float(np.sqrt(eta @ (boundary_mass @ eta)))
+    norm = float(np.sqrt(_dot(eta, boundary_mass @ eta)))
     return np.asarray(f_values, dtype=float) + (delta / norm) * eta
 
 
@@ -299,7 +300,7 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth,
 
     u_truth = extend_control(truth.u_dagger, ops)
     e_u = sol.u - u_truth
-    u_err_band = float(np.sqrt(e_u @ (ops.b_h @ e_u)))
+    u_err_band = float(np.sqrt(_dot(e_u, ops.b_h @ e_u)))
 
     # state truth: the smooth field itself, continued constantly along
     # rays below the inner band edge (it differs from the constant-normal
@@ -310,13 +311,13 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth,
     r_clamp = ops.field.geometry.r_inner - ops.field.epsilon
     v_truth[a_v] = truth.v_field(pts, r_min=r_clamp)
     e_v = (sol.v - v_truth)[a_v]
-    v_err_band = float(np.sqrt(e_v @ (ops.t_vv @ e_v)))
-    grad_err = float(np.sqrt(e_v @ (ops.k_vv @ e_v)))
+    v_err_band = float(np.sqrt(_dot(e_v, ops.t_vv @ e_v)))
+    grad_err = float(np.sqrt(_dot(e_v, ops.k_vv @ e_v)))
 
     # dual norm: sqrt(g^T R_H^{-1} g), g the U-pairing of the control
     # error; R_H is solved exactly, by the operator set's factor
     g = (ops.b_h @ e_u)[a_v]
-    u_err_dual = float(np.sqrt(np.abs(g @ ops.riesz_h_lu.solve(g))))
+    u_err_dual = float(np.sqrt(np.abs(_dot(g, ops.riesz_h_lu.solve(g)))))
 
     return ErrorNorms(u_err_band, v_err_band, grad_err, u_err_dual)
 

@@ -24,6 +24,12 @@ SuperLU's symmetric mode: minimum-degree ordering of A^T + A
 operator set only, so it factors each once and every alpha on it reads
 that factor.  MINRES stops when the preconditioned residual norm
 sqrt(r^T P^{-1} r), relative to its initial value, falls below rho.
+
+Every inner product whose value reaches a stopping test or a data file
+goes through ``_dot``.  BLAS ``ddot`` splits long vectors across its
+threads, which reorders the sum (so iteration counts and CSVs would
+depend on the thread count) and leaves a woken worker thread spinning
+through every solve; einsum never calls BLAS and sums in one order.
 """
 
 from __future__ import annotations
@@ -38,6 +44,12 @@ from .assembly import OperatorSet
 
 class SaddleError(RuntimeError):
     pass
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two 1-D vectors, summed in one fixed order at
+    any BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
 
 
 @dataclass
@@ -161,7 +173,7 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
 
     r1 = b.copy()
     y = prec.apply(r1)
-    beta1 = float(np.sqrt(r1 @ y))
+    beta1 = float(np.sqrt(_dot(r1, y)))
     if beta1 == 0.0:
         return x, SolveReport(0, history, True)
     if not np.isfinite(beta1):
@@ -186,13 +198,13 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
         y = a @ v
         if k >= 2:
             y -= (beta / oldb) * r1
-        alfa = float(v @ y)
+        alfa = _dot(v, y)
         y -= (alfa / beta) * r2
         r1 = r2
         r2 = y
         y = prec.apply(r2)
         oldb = beta
-        beta2 = float(r2 @ y)
+        beta2 = _dot(r2, y)
         if beta2 < 0.0:
             raise SaddleError("preconditioner is not positive definite")
         beta = float(np.sqrt(beta2))
@@ -273,8 +285,8 @@ def detect_bands(eigs: np.ndarray, alpha: float):
     falling outside all three.  Band edges are found by the largest
     relative jump (at least BAND_JUMP_FACTOR) between consecutive
     positive eigenvalues in the gap region above 2 alpha, and between
-    consecutive negative magnitudes; the negative band's range spans its
-    isolated values.
+    consecutive negative magnitudes; neither the negative nor the O(1)
+    band's range includes its isolated values.
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
     neg = eigs[eigs < 0.0]
@@ -283,9 +295,9 @@ def detect_bands(eigs: np.ndarray, alpha: float):
         raise SaddleError("spectrum lacks a negative or positive part")
     low = pos[pos <= 2.0 * alpha * (1.0 + 1e-8)]
     isolated_pos, big = _split_at_jump(pos[pos > 2.0 * alpha * (1.0 + 1e-8)])
-    isolated_neg, _ = _split_at_jump(np.sort(-neg))
+    isolated_neg, neg_band = _split_at_jump(np.sort(-neg))
     return {
-        "negative": (float(neg.min()), float(neg.max())),
+        "negative": (float(-neg_band.max()), float(-neg_band.min())),
         "alpha_band": ((float(low.min()), float(low.max()))
                        if len(low) else None),
         "unit_band": ((float(big.min()), float(big.max()))

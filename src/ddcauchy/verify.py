@@ -32,6 +32,7 @@ from .harmonics import AngularSeries
 from .inversion import SharpSolver
 from .mesh import (build_background, levels_for, mesh_annulus, quadrature,
                    refine_band)
+from .saddle import _dot
 
 
 @dataclass
@@ -149,8 +150,8 @@ def check_adjoint(geometry: AnnulusGeometry, tensor: ConductivityTensor,
     _, fsw_all = solver.adjoint(w_all)
     worst = 0.0
     for u, w, fu, fsw in zip(u_all.T, w_all.T, fu_all.T, fsw_all.T):
-        lhs = float(fu @ (solver.t_oo @ w))
-        rhs = float(u @ (solver.t_ii @ fsw))
+        lhs = _dot(fu, solver.t_oo @ w)
+        rhs = _dot(u, solver.t_ii @ fsw)
         scale = solver.inner_norm(u) * solver.outer_norm(w)
         worst = max(worst, abs(lhs - rhs) / scale)
     return VerifyCheck("adjoint", worst <= tol,
@@ -185,8 +186,8 @@ def check_diffuse_trace(geometry: AnnulusGeometry, factor: float = 2.0):
                 np.cos(2.0 * np.pi * pts[:, 0])]
         worst = 0.0
         for v in fams:
-            num = float(v @ (ops.b_h @ v))
-            den = float(v @ (ops.k_omega @ v)) + float(v @ (ops.m_omega @ v))
+            num = _dot(v, ops.b_h @ v)
+            den = _dot(v, ops.k_omega @ v) + _dot(v, ops.m_omega @ v)
             worst = max(worst, num / den)
         ratios.append(worst)
     ok = max(ratios) <= factor * ratios[0]

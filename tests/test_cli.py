@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +180,38 @@ def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 7
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_module(args, threads, out):
+    """Start ``python -m ddcauchy`` with ``threads`` BLAS threads."""
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads),
+               OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-m", "ddcauchy", *args,
+                             "--out", str(out)],
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("args, files", [
+    (["rates", "--preset", "fig7", "--set", "study.deltas=0.0078125"],
+     ["rates.csv"]),
+    (["table", "--set", "study.epsilons=0.015625",
+      "--set", "study.alphas=0.0001"], ["table.csv", "residuals.csv"]),
+])
+def test_data_files_do_not_depend_on_blas_threads(tmp_path, args, files):
+    # both systems have n > 10,000, where OpenBLAS splits ddot across
+    # threads; the inner products must sum in one order regardless
+    procs = {t: _run_module(args, t, tmp_path / str(t)) for t in (1, 2)}
+    try:
+        for t, proc in procs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, f"{t} thread(s): {err}"
+    finally:
+        for proc in procs.values():
+            proc.kill()
+    for name in files:
+        one = (tmp_path / "1" / name).read_bytes()
+        assert one == (tmp_path / "2" / name).read_bytes(), name

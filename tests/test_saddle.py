@@ -254,8 +254,8 @@ def test_detect_bands_isolated_eigenvalues():
                      0.01, 0.02,               # isolated below the O(1) band
                      0.5, 1.0, 2.0])           # O(1) band
     bands = detect_bands(eigs[::-1], alpha)
-    # the negative band's range spans the isolated negatives too
-    assert bands == {"negative": (-1.0, -0.01), "alpha_band": (5e-4, 2e-3),
+    # neither band's range includes its isolated values
+    assert bands == {"negative": (-1.0, -0.5), "alpha_band": (5e-4, 2e-3),
                      "unit_band": (0.5, 2.0),
                      "isolated": [-0.02, -0.01, 0.01, 0.02]}
 
