@@ -21,12 +21,18 @@ whose radial interval meets r_inner - eps < |x| < r_outer + eps).  Cut
 elements, those meeting an open eps-band, carry the configured
 subdivided rule, with the weights evaluated analytically at its points
 once for all four forms; subdivision only serves to resolve the jump of
-|grad omega| at the band edges.  On the remaining plateau elements
-omega = 1 and |grad omega| = 0 exactly, so the bulk mass is the closed
-form P1 mass, the band masses vanish and the stiffness uses the fixed
-6-point degree-4 rule.  Elements that never meet the support of a weight
-are skipped, so the matrices carry structural zeros there.  Active DOF
-sets are read off the diagonals afterwards.
+|grad omega| at the band edges.  The pass walks the cut elements in
+blocks of at most BLOCK_POINTS rule points: each block evaluates its
+points, phase weights, tensor sums and local masses and writes them into
+per-element arrays, so the working memory does not grow with the rule.
+Every per-element value reduces over that element's points alone, so
+the forms do not depend on the block size, bit for bit.  On the
+remaining plateau elements omega = 1 and |grad omega| = 0 exactly, so
+the bulk mass is the closed form P1 mass, the band masses vanish and the
+stiffness uses the fixed 6-point degree-4 rule.  Elements that never
+meet the support of a weight are skipped, so the matrices carry
+structural zeros there.  Active DOF sets are read off the diagonals
+afterwards.
 
 Diffuse and sharp alike, ``_stiffness`` forms every local stiffness
 from the tensor sums of ``ConductivityTensor.weighted_sum`` (the polar
@@ -43,10 +49,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import ConductivityTensor, PhaseField
+from .geometry import ConductivityTensor, PhaseField, StageError
 from .mesh import QuadratureRule, TriMesh, _radial_interval, quadrature
 
 ACTIVE_RTOL = 1e-14
+
+# Rule points per block of cut elements: the blocks bound the working
+# memory of the cut-element pass, whatever the rule's size.
+BLOCK_POINTS = 2 ** 16
 
 # Stiffness rule on plateau elements (omega = 1 there): the 6-point
 # degree-4 rule, unsubdivided.  Against the subdivided degree-2 rule on
@@ -62,8 +72,8 @@ SHARP_RULE = quadrature(2, 1)
 _P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-class AssemblyError(RuntimeError):
-    pass
+class AssemblyError(StageError, RuntimeError):
+    stage = "assembly"
 
 
 def _element_geometry(mesh: TriMesh, tri_ids=None):
@@ -140,9 +150,9 @@ class _Elements:
     """Elements of one assembly pass, split into cut and plateau ones.
 
     Cut elements meet an open band; the configured (subdivided) rule runs
-    there, and ``omega``/``gradmag`` hold the phase weights at its points.
-    Plateau elements lie in r_inner + eps <= |x| <= r_outer - eps, where
-    omega = 1 and |grad omega| = 0 exactly.
+    there, block by block (``cut_blocks``).  Plateau elements lie in
+    r_inner + eps <= |x| <= r_outer - eps, where omega = 1 and
+    |grad omega| = 0 exactly.
     """
 
     tris: np.ndarray        # (m, 3) vertex ids, in mesh order
@@ -151,24 +161,41 @@ class _Elements:
     cut: np.ndarray         # (m,) bool
     in_h: np.ndarray        # (m,) bool: meets the H-band (always cut)
     in_b: np.ndarray        # (m,) bool: meets the B-band (always cut)
-    points: np.ndarray      # (c, q, 2) rule points on the cut elements
-    omega: np.ndarray       # (c, q)
-    gradmag: np.ndarray     # (c, q)
 
     @classmethod
-    def select(cls, mesh: TriMesh, field: PhaseField,
-               rule: QuadratureRule) -> "_Elements":
-        """The bulk support of ``field`` on ``mesh``, with ``rule`` on its
-        cut elements."""
+    def select(cls, mesh: TriMesh, field: PhaseField) -> "_Elements":
+        """The bulk support of ``field`` on ``mesh``."""
         in_bulk, in_h, in_b = _support_masks(mesh, field)
         ids = np.flatnonzero(in_bulk)
         tris, areas, grads = _element_geometry(mesh, ids)
         in_h, in_b = in_h[ids], in_b[ids]
-        cut = in_h | in_b
-        points = _quad_points(mesh, tris[cut], rule)
-        _, omega, gradmag = field.phase_and_weights(points)
-        return cls(tris, areas, grads, cut, in_h, in_b, points, omega,
-                   gradmag)
+        return cls(tris, areas, grads, in_h | in_b, in_h, in_b)
+
+    def cut_blocks(self, mesh: TriMesh, field: PhaseField,
+                   rule: QuadratureRule):
+        """Yield (rows, points, omega, gradmag) for consecutive blocks of
+        cut elements, at most BLOCK_POINTS rule points (and at least one
+        element) each: ``rows`` are the block's element indices, points
+        (b, q, 2) the rule points and omega, gradmag (b, q) the phase
+        weights there."""
+        cut = np.flatnonzero(self.cut)
+        size = max(1, BLOCK_POINTS // len(rule.weights))
+        for start in range(0, len(cut), size):
+            rows = cut[start:start + size]
+            points = _quad_points(mesh, self.tris[rows], rule)
+            _, omega, gradmag = field.phase_and_weights(points)
+            yield rows, points, omega, gradmag
+
+    def in_band(self, which: str) -> np.ndarray:
+        return self.in_h if which == "H" else self.in_b
+
+    def band_weights(self, which: str, field: PhaseField, rows, points,
+                     gradmag):
+        """(hit, weight): the block's elements in the ``which``-band, as a
+        mask over ``rows``, and |grad omega| gamma_which at their points."""
+        hit = self.in_band(which)[rows]
+        gamma = field.geometry.boundary_weight(which, points[hit])
+        return hit, gradmag[hit] * gamma
 
     def plateau_points(self, mesh: TriMesh) -> np.ndarray:
         return _quad_points(mesh, self.tris[~self.cut], PLATEAU_RULE)
@@ -182,37 +209,48 @@ def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
     Returns a dict with 'k' (stiffness of ``tensor``, if given), 'm'
     (bulk mass, if ``mass``) and one band mass per entry of ``bands``
     ('H', 'B').
-    Cut elements use ``rule``; on plateau elements the bulk mass is the
-    closed-form P1 mass and the stiffness uses PLATEAU_RULE, whose only
-    error there is that of integrating the smooth tensor M(x).
+    Cut elements use ``rule``, one block at a time; every block fills its
+    rows of the per-element tensor sums and local matrices.  On plateau
+    elements the bulk mass is the closed-form P1 mass and the stiffness
+    uses PLATEAU_RULE, whose only error there is that of integrating the
+    smooth tensor M(x).
     """
-    el = _Elements.select(mesh, field, rule)
+    el = _Elements.select(mesh, field)
     cut, areas, n = el.cut, el.areas, mesh.num_vertices
+    for which in bands:
+        if not el.in_band(which).any():
+            raise AssemblyError(f"no elements meet the {which}-band; "
+                                f"eps or the mesh is misconfigured")
     lam = rule.points
     lam_w = rule.weights[:, None, None] * lam[:, :, None] * lam[:, None, :]
+    m_eff = np.empty((len(areas), 2, 2))
+    local_m = np.empty((len(areas), 3, 3))
+    band_local = {which: np.empty((int(el.in_band(which).sum()), 3, 3))
+                  for which in bands}
+    filled = dict.fromkeys(bands, 0)
+    for rows, points, omega, gradmag in el.cut_blocks(mesh, field, rule):
+        if tensor is not None:
+            m_eff[rows] = tensor.weighted_sum(points, rule.weights * omega)
+        if mass:
+            local_m[rows] = np.einsum("mq,qij->mij", omega, lam_w)
+        for which, local in band_local.items():
+            hit, weight = el.band_weights(which, field, rows, points,
+                                          gradmag)
+            block = np.einsum("mq,qij->mij", weight, lam_w)
+            block *= areas[rows[hit]][:, None, None]
+            local[filled[which]:filled[which] + len(block)] = block
+            filled[which] += len(block)
     out = {}
     if tensor is not None:
-        m_eff = np.empty((len(areas), 2, 2))
-        m_eff[cut] = tensor.weighted_sum(el.points, rule.weights * el.omega)
         m_eff[~cut] = tensor.weighted_sum(el.plateau_points(mesh),
                                           PLATEAU_RULE.weights)
         out["k"] = _stiffness(el.tris, areas, el.grads, m_eff, n)
     if mass:
-        local = np.empty((len(areas), 3, 3))
-        local[cut] = np.einsum("mq,qij->mij", el.omega, lam_w)
-        local[~cut] = _P1_MASS
-        local *= areas[:, None, None]
-        out["m"] = _scatter(el.tris, local, n)
-    for which in bands:
-        in_band = el.in_h if which == "H" else el.in_b
-        if not in_band.any():
-            raise AssemblyError(f"no elements meet the {which}-band; "
-                                f"eps or the mesh is misconfigured")
-        rows = in_band[cut]
-        gamma = field.geometry.boundary_weight(which, el.points[rows])
-        local = np.einsum("mq,qij->mij", el.gradmag[rows] * gamma, lam_w)
-        local *= areas[cut][rows][:, None, None]
-        mat = _scatter(el.tris[cut][rows], local, n)
+        local_m[~cut] = _P1_MASS
+        local_m *= areas[:, None, None]
+        out["m"] = _scatter(el.tris, local_m, n)
+    for which, local in band_local.items():
+        mat = _scatter(el.tris[el.in_band(which)], local, n)
         if mat.diagonal().max() <= 0.0:
             raise AssemblyError(f"{which}-band mass is identically zero")
         out[which] = mat
@@ -241,7 +279,8 @@ def assemble_band_mass(mesh: TriMesh, field: PhaseField, which: str,
 def diffuse_functional(mesh: TriMesh, field: PhaseField, integrand,
                        kind: str, rule: QuadratureRule) -> float:
     """int g * omega dx (kind='bulk') or int g |grad omega| gamma dx
-    (kind='band_H'/'band_B'), with the cut/plateau split of the forms."""
+    (kind='band_H'/'band_B'), with the cut/plateau split and the cut
+    blocks of the forms."""
     if kind not in ("bulk", "band_H", "band_B"):
         raise ValueError(f"unknown kind {kind!r}")
 
@@ -249,18 +288,21 @@ def diffuse_functional(mesh: TriMesh, field: PhaseField, integrand,
         vals = np.asarray(integrand(points.reshape(-1, 2)), dtype=float)
         return vals.reshape(points.shape[:2])
 
-    el = _Elements.select(mesh, field, rule)
+    el = _Elements.select(mesh, field)
+    total = 0.0
+    for rows, points, omega, gradmag in el.cut_blocks(mesh, field, rule):
+        if kind == "bulk":
+            weight = omega
+        else:
+            hit, weight = el.band_weights(kind[-1], field, rows, points,
+                                          gradmag)
+            rows, points = rows[hit], points[hit]
+        total += np.einsum("q,mq,mq,m->", rule.weights, weight, g(points),
+                           el.areas[rows])
     if kind == "bulk":
-        weight = el.omega
-        plateau = np.einsum("q,mq,m->", PLATEAU_RULE.weights,
-                            g(el.plateau_points(mesh)), el.areas[~el.cut])
-    else:
-        weight = el.gradmag * field.geometry.boundary_weight(kind[-1],
-                                                             el.points)
-        plateau = 0.0
-    cut = np.einsum("q,mq,mq,m->", rule.weights, weight, g(el.points),
-                    el.areas[el.cut])
-    return float(cut + plateau)
+        total += np.einsum("q,mq,m->", PLATEAU_RULE.weights,
+                           g(el.plateau_points(mesh)), el.areas[~el.cut])
+    return float(total)
 
 
 def active_sets(b_h: sp.csr_matrix, k_omega: sp.csr_matrix,
@@ -271,7 +313,7 @@ def active_sets(b_h: sp.csr_matrix, k_omega: sp.csr_matrix,
     M_omega + K_omega above threshold.  All solves are restricted to them.
     """
     du = b_h.diagonal()
-    dv = (m_omega + k_omega).diagonal()
+    dv = m_omega.diagonal() + k_omega.diagonal()
     active_u = np.flatnonzero(du > ACTIVE_RTOL * du.max())
     active_v = np.flatnonzero(dv > ACTIVE_RTOL * dv.max())
     if active_u.size == 0 or active_v.size == 0:

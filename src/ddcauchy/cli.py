@@ -16,7 +16,9 @@ key or unusable value, a malformed --set, an output directory that
 cannot be created and a solve flag out of range are each reported as one
 line on stderr, exit code 2.  A solve or rates error that is not finite
 is named on one stderr line, exit code 1, and so is a table cell whose
-right-hand side is not finite.
+right-hand side is not finite.  A config that loads but fails in a solve
+stage (a ``StageError``: mesh, phase field, assembly, saddle or
+inversion) is reported as one stderr line naming the stage, exit code 1.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import sys
 import numpy as np
 
 from . import experiments as xp
+from .geometry import StageError
 from .verify import run_verify
 
 
@@ -241,6 +244,9 @@ def main(argv=None) -> int:
     except FlagError as err:
         print(f"ddcauchy: {err}", file=sys.stderr)
         return 2
+    except StageError as err:
+        print(f"ddcauchy: {err.stage} error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

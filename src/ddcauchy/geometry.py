@@ -27,8 +27,17 @@ import numpy as np
 EPS_MAX = 0.25
 
 
-class BandError(ValueError):
+class StageError(Exception):
+    """Base of the errors a solve stage raises on input that loaded; the
+    CLI reports it on one stderr line naming ``stage``."""
+
+    stage = "solve"
+
+
+class BandError(StageError, ValueError):
     """Raised for an inadmissible eps."""
+
+    stage = "phase field"
 
 
 @dataclass(frozen=True)

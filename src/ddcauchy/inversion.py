@@ -22,13 +22,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import OperatorSet
+from .geometry import StageError
 from .harmonics import GroundTruth
 from .saddle import (RieszPreconditioner, SolveReport, _dot, build_system,
                      minres)
 
 
-class InversionError(RuntimeError):
-    pass
+class InversionError(StageError, RuntimeError):
+    stage = "inversion"
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import AnnulusGeometry, PhaseField
+from .geometry import AnnulusGeometry, PhaseField, StageError
 
 BBOX_HALF = 1.5  # background box is [-1.5, 1.5]^2
 MAX_VERTICES_DEFAULT = 4_000_000
 
 
-class MeshError(ValueError):
-    pass
+class MeshError(StageError, ValueError):
+    stage = "mesh"
 
 
 def _cross2(u, v):
@@ -400,9 +400,11 @@ _BASE_RULES[4] = _dunavant6()
 QUAD_DEGREES = tuple(sorted(_BASE_RULES))
 
 # Cap on the points of the subdivided rule on one cut element (degree 2
-# allows subdivision up to 16).  Assembly memory grows with the point
-# count: one diffuse solve at eps = 2^-7 on the default background, one
-# BLAS thread, peaks at 130 MiB with subdivision 4 and 0.92 GiB with 16.
+# allows subdivision up to 16).  Assembly time grows with the point
+# count; its memory does not, as it walks the cut elements in blocks of
+# a fixed number of points: one diffuse solve (eps = 2^-7, delta = alpha
+# = 1e-3) on the default background, one BLAS thread, peaks at 93 MiB
+# max RSS with subdivision 4 and 90 MiB with 16.
 MAX_QUAD_POINTS = 768
 
 

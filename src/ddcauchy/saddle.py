@@ -40,10 +40,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import OperatorSet
+from .geometry import StageError
 
 
-class SaddleError(RuntimeError):
-    pass
+class SaddleError(StageError, RuntimeError):
+    stage = "saddle"
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

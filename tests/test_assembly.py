@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from ddcauchy.assembly import (AssemblyError, _element_geometry, _Elements,
-                               _quad_points, _scatter, _support_mask,
-                               active_sets, assemble_band_mass,
-                               assemble_sharp, assemble_weighted_stiffness,
-                               diffuse_functional)
+from ddcauchy import assembly
+from ddcauchy.assembly import (AssemblyError, OperatorSet, _diffuse_forms,
+                               _element_geometry, _Elements, _quad_points,
+                               _scatter, _support_mask, active_sets,
+                               assemble_band_mass, assemble_sharp,
+                               assemble_weighted_stiffness, diffuse_functional)
 from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
                                PhaseField, bulk_integral, band_integral,
                                annulus_integral)
-from ddcauchy.mesh import TriMesh, build_background, mesh_annulus, quadrature, refine_band
+from ddcauchy.mesh import (TriMesh, build_background, levels_for,
+                           mesh_annulus, quadrature, refine_band)
 
 from conftest import make_ops
 
@@ -251,7 +255,7 @@ def test_cut_plateau_split_matches_subdivided_reference(geometry, tensor,
         assert np.abs(a.data - b.data).max() <= tol * scale, name
     # stiffness rows of nodes touched by cut elements only: same rule,
     # same points, so equal up to rounding
-    el = _Elements.select(ops.mesh, ops.field, rule)
+    el = _Elements.select(ops.mesh, ops.field)
     plateau_nodes = np.unique(el.tris[~el.cut])
     assert 0 < len(plateau_nodes) < ops.mesh.num_vertices
     rows = np.setdiff1d(np.arange(ops.mesh.num_vertices), plateau_nodes)
@@ -271,7 +275,7 @@ def test_plateau_elements_have_unit_weights(h0, log2_eps, shift):
     base = build_background(h0)
     mesh = TriMesh(base.vertices + np.array(shift) * h0, base.triangles, [])
     rule = quadrature(2, 4)
-    el = _Elements.select(mesh, field, rule)
+    el = _Elements.select(mesh, field)
     plateau = el.tris[~el.cut]
     _, omega, gradmag = field.phase_and_weights(
         _quad_points(mesh, plateau, rule))
@@ -287,3 +291,42 @@ def test_functional_of_one_is_matrix_sum(ops_16):
     band = diffuse_functional(mesh, field, one, "band_H", rule)
     assert band == pytest.approx(ops_16.b_h.sum(), rel=1e-13)
 
+
+
+@pytest.mark.parametrize("block", ["remainder_one", "seven", "single"])
+def test_forms_do_not_depend_on_the_block_size(ops_16, tensor, monkeypatch,
+                                               block):
+    def all_forms():
+        return _diffuse_forms(ops_16.mesh, ops_16.field, ops_16.rule,
+                              tensor=tensor, mass=True, bands=("H", "B"))
+
+    # the default size cuts ops_16's 1,956 cut elements into two blocks
+    q = len(ops_16.rule.weights)
+    n_cut = int(_Elements.select(ops_16.mesh, ops_16.field).cut.sum())
+    assert n_cut > assembly.BLOCK_POINTS // q
+    ref = all_forms()
+    elements = {"remainder_one": n_cut - 1, "seven": 7, "single": n_cut}
+    monkeypatch.setattr(assembly, "BLOCK_POINTS", elements[block] * q)
+    got = all_forms()
+    for name in ("k", "m", "H", "B"):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got[name], part),
+                                  getattr(ref[name], part)), (name, part)
+
+
+def test_build_memory_does_not_grow_with_the_rule(geometry, tensor):
+    # the cut elements are assembled in blocks of a fixed number of rule
+    # points, so the working memory is that of the mesh, not of the rule
+    eps, h0 = 2.0 ** -7, 0.1
+    field = PhaseField(geometry, eps)
+    mesh = refine_band(build_background(h0), field, levels_for(eps, h0))
+    peaks = {}
+    for s in (2, 8):
+        rule = quadrature(2, s)
+        tracemalloc.start()
+        try:
+            OperatorSet.build(mesh, field, tensor, rule)
+            peaks[s] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.5 * peaks[2], peaks

@@ -162,6 +162,21 @@ def test_non_finite_error_prints_no_warnings(capsys, epsilon):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--set", "study.spectrum_h0=0.5",
+     "--set", "study.epsilon=0.01"],
+    ["rates", "--set", "mesh.h0=1.0", "--set", "mesh.max_levels=0"]])
+def test_stage_error_exits_1_in_one_line(capsys, tmp_path, args):
+    # both configs load, but the band on the coarse mesh carries no
+    # H-band mass: assembly's error names its stage on one line
+    code = main(args + ["--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == ("ddcauchy: assembly error: H-band mass is identically "
+                   "zero\n")
+
+
 def test_table_non_finite_cell_exits_1(capsys, tmp_path):
     # noise of norm 1e300 overflows the KKT right-hand side of the cell
     with warnings.catch_warnings(record=True) as caught:
