@@ -16,23 +16,26 @@ the measures of the inner and outer circles:
     B_H, B_B = T_inner, T_outer, exact P1 edge masses of the tagged
                polygons, so mean_vec = row sums of T_inner
 
-All diffuse forms come from one pass over the bulk support (elements
-whose radial interval meets r_inner - eps < |x| < r_outer + eps).  Cut
-elements, those meeting an open eps-band, carry the configured
-subdivided rule, with the weights evaluated analytically at its points
-once for all four forms; subdivision only serves to resolve the jump of
-|grad omega| at the band edges.  The pass walks the cut elements in
-blocks of at most BLOCK_POINTS rule points: each block evaluates its
-points, phase weights, tensor sums and local masses and writes them into
-per-element arrays, so the working memory does not grow with the rule.
+All four diffuse forms come from one unconditional pass over the bulk
+support: the elements that meet the open ring r_inner - eps < |x| <
+r_outer + eps by ``mesh.ring_masks``, the one ring test, which the band
+refinement shares.  Cut elements, those meeting an open eps-band, carry
+the configured subdivided rule, with the weights evaluated analytically
+at its points once for all four forms; subdivision only serves to
+resolve the jump of |grad omega| at the band edges.  The pass walks the
+cut elements in blocks of at most BLOCK_POINTS rule points: each block
+evaluates its points, phase weights, tensor sums and local masses and
+writes them into per-element arrays, so the working memory does not
+grow with the rule.
 Every per-element value reduces over that element's points alone, so
 the forms do not depend on the block size, bit for bit.  On the
 remaining plateau elements omega = 1 and |grad omega| = 0 exactly, so
 the bulk mass is the closed form P1 mass, the band masses vanish and the
 stiffness uses the fixed 6-point degree-4 rule.  Elements that never
 meet the support of a weight are skipped, so the matrices carry
-structural zeros there.  Active DOF sets are read off the diagonals
-afterwards.
+structural zeros there.  ``OperatorSet.build`` then refuses a band
+mass that is identically zero, naming its band, and the active DOF sets
+are read off the diagonals.
 
 Diffuse and sharp alike, ``_stiffness`` forms every local stiffness
 from the tensor sums of ``ConductivityTensor.weighted_sum`` (the polar
@@ -50,7 +53,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import ConductivityTensor, PhaseField, StageError
-from .mesh import QuadratureRule, TriMesh, _radial_interval, quadrature
+from .mesh import QuadratureRule, TriMesh, quadrature, ring_masks
 
 ACTIVE_RTOL = 1e-14
 
@@ -105,26 +108,24 @@ def _quad_points(mesh: TriMesh, tris: np.ndarray, rule: QuadratureRule):
     return np.matmul(rule.points, mesh.vertices[tris])
 
 
-def _support_masks(mesh: TriMesh, field: PhaseField):
-    """Element masks (bulk, H, B): the element's radial interval meets the
-    support of omega, of the open H-band or of the open B-band."""
-    r_low, r_high = _radial_interval(mesh.vertices, mesh.triangles)
-    geo = field.geometry
-    eps = field.epsilon
+# Weight kinds, in the order of ``_support_masks``: omega, and
+# |grad omega| gamma_H and gamma_B.
+KINDS = ("bulk", "H", "B")
 
-    def meets(lo, hi):
-        return (r_high > lo) & (r_low < hi)
 
-    return (meets(geo.r_inner - eps, geo.r_outer + eps),
-            meets(geo.r_inner - eps, geo.r_inner + eps),
-            meets(geo.r_outer - eps, geo.r_outer + eps))
+def _support_masks(mesh: TriMesh, field: PhaseField) -> list:
+    """Element masks (bulk, H, B): the element meets the support of omega,
+    the open H-band or the open B-band."""
+    geo, eps = field.geometry, field.epsilon
+    return ring_masks(mesh.vertices, mesh.triangles,
+                      [(geo.r_inner - eps, geo.r_outer + eps),
+                       (geo.r_inner - eps, geo.r_inner + eps),
+                       (geo.r_outer - eps, geo.r_outer + eps)])
 
 
 def _support_mask(mesh: TriMesh, field: PhaseField, kind: str) -> np.ndarray:
-    """Elements whose radial interval meets the support of the weight
-    (kind 'bulk', 'H' or 'B')."""
-    bulk, in_h, in_b = _support_masks(mesh, field)
-    return {"bulk": bulk, "H": in_h, "B": in_b}[kind]
+    """Elements that meet the support of the weight ``kind`` (KINDS)."""
+    return _support_masks(mesh, field)[KINDS.index(kind)]
 
 
 def _scatter(ni: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
@@ -202,13 +203,10 @@ class _Elements:
 
 
 def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
-                   tensor: ConductivityTensor = None, mass: bool = False,
-                   bands=()) -> dict:
-    """Diffuse forms of one (mesh, eps) from one pass over the bulk support.
+                   tensor: ConductivityTensor):
+    """(K_omega, M_omega, B_H, B_B) of one (mesh, eps), from one pass over
+    the bulk support; K_omega is the stiffness of ``tensor``.
 
-    Returns a dict with 'k' (stiffness of ``tensor``, if given), 'm'
-    (bulk mass, if ``mass``) and one band mass per entry of ``bands``
-    ('H', 'B').
     Cut elements use ``rule``, one block at a time; every block fills its
     rows of the per-element tensor sums and local matrices.  On plateau
     elements the bulk mass is the closed-form P1 mass and the stiffness
@@ -217,22 +215,16 @@ def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
     """
     el = _Elements.select(mesh, field)
     cut, areas, n = el.cut, el.areas, mesh.num_vertices
-    for which in bands:
-        if not el.in_band(which).any():
-            raise AssemblyError(f"no elements meet the {which}-band; "
-                                f"eps or the mesh is misconfigured")
     lam = rule.points
     lam_w = rule.weights[:, None, None] * lam[:, :, None] * lam[:, None, :]
     m_eff = np.empty((len(areas), 2, 2))
     local_m = np.empty((len(areas), 3, 3))
     band_local = {which: np.empty((int(el.in_band(which).sum()), 3, 3))
-                  for which in bands}
-    filled = dict.fromkeys(bands, 0)
+                  for which in "HB"}
+    filled = dict.fromkeys("HB", 0)
     for rows, points, omega, gradmag in el.cut_blocks(mesh, field, rule):
-        if tensor is not None:
-            m_eff[rows] = tensor.weighted_sum(points, rule.weights * omega)
-        if mass:
-            local_m[rows] = np.einsum("mq,qij->mij", omega, lam_w)
+        m_eff[rows] = tensor.weighted_sum(points, rule.weights * omega)
+        local_m[rows] = np.einsum("mq,qij->mij", omega, lam_w)
         for which, local in band_local.items():
             hit, weight = el.band_weights(which, field, rows, points,
                                           gradmag)
@@ -240,48 +232,42 @@ def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
             block *= areas[rows[hit]][:, None, None]
             local[filled[which]:filled[which] + len(block)] = block
             filled[which] += len(block)
-    out = {}
-    if tensor is not None:
-        m_eff[~cut] = tensor.weighted_sum(el.plateau_points(mesh),
-                                          PLATEAU_RULE.weights)
-        out["k"] = _stiffness(el.tris, areas, el.grads, m_eff, n)
-    if mass:
-        local_m[~cut] = _P1_MASS
-        local_m *= areas[:, None, None]
-        out["m"] = _scatter(el.tris, local_m, n)
-    for which, local in band_local.items():
-        mat = _scatter(el.tris[el.in_band(which)], local, n)
-        if mat.diagonal().max() <= 0.0:
-            raise AssemblyError(f"{which}-band mass is identically zero")
-        out[which] = mat
-    return out
+    m_eff[~cut] = tensor.weighted_sum(el.plateau_points(mesh),
+                                      PLATEAU_RULE.weights)
+    local_m[~cut] = _P1_MASS
+    local_m *= areas[:, None, None]
+    return (_stiffness(el.tris, areas, el.grads, m_eff, n),
+            _scatter(el.tris, local_m, n),
+            *(_scatter(el.tris[el.in_band(which)], local, n)
+              for which, local in band_local.items()))
 
 
 def assemble_weighted_stiffness(mesh: TriMesh, tensor: ConductivityTensor,
                                 field: PhaseField,
                                 rule: QuadratureRule) -> sp.csr_matrix:
     """K[i, j] = int omega * grad phi_j . M grad phi_i dx."""
-    return _diffuse_forms(mesh, field, rule, tensor=tensor)["k"]
+    return _diffuse_forms(mesh, field, rule, tensor)[0]
 
 
 def assemble_bulk_mass(mesh: TriMesh, field: PhaseField,
                        rule: QuadratureRule) -> sp.csr_matrix:
     """M[i, j] = int omega * phi_i phi_j dx."""
-    return _diffuse_forms(mesh, field, rule, mass=True)["m"]
+    return _diffuse_forms(mesh, field, rule, ConductivityTensor.identity())[1]
 
 
 def assemble_band_mass(mesh: TriMesh, field: PhaseField, which: str,
                        rule: QuadratureRule) -> sp.csr_matrix:
     """B[i, j] = int |grad omega| gamma_which * phi_i phi_j dx."""
-    return _diffuse_forms(mesh, field, rule, bands=(which,))[which]
+    forms = _diffuse_forms(mesh, field, rule, ConductivityTensor.identity())
+    return forms[1 + KINDS.index(which)]
 
 
 def diffuse_functional(mesh: TriMesh, field: PhaseField, integrand,
                        kind: str, rule: QuadratureRule) -> float:
-    """int g * omega dx (kind='bulk') or int g |grad omega| gamma dx
-    (kind='band_H'/'band_B'), with the cut/plateau split and the cut
-    blocks of the forms."""
-    if kind not in ("bulk", "band_H", "band_B"):
+    """int g * omega dx (kind 'bulk') or int g |grad omega| gamma dx
+    (kind 'H' or 'B'), with the cut/plateau split and the cut blocks of
+    the forms."""
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
 
     def g(points):
@@ -294,8 +280,7 @@ def diffuse_functional(mesh: TriMesh, field: PhaseField, integrand,
         if kind == "bulk":
             weight = omega
         else:
-            hit, weight = el.band_weights(kind[-1], field, rows, points,
-                                          gradmag)
+            hit, weight = el.band_weights(kind, field, rows, points, gradmag)
             rows, points = rows[hit], points[hit]
         total += np.einsum("q,mq,mq,m->", rule.weights, weight, g(points),
                            el.areas[rows])
@@ -352,7 +337,6 @@ class OperatorSet:
 
     mesh: TriMesh
     field: PhaseField
-    rule: QuadratureRule
     k_omega: sp.csr_matrix
     m_omega: sp.csr_matrix
     b_h: sp.csr_matrix
@@ -370,10 +354,13 @@ class OperatorSet:
     def build(cls, mesh: TriMesh, field: PhaseField,
               tensor: ConductivityTensor,
               rule: QuadratureRule) -> "OperatorSet":
-        forms = _diffuse_forms(mesh, field, rule, tensor=tensor, mass=True,
-                               bands=("H", "B"))
-        return cls(mesh, field, rule, forms["k"], forms["m"],
-                   forms["H"], forms["B"])
+        """The diffuse operator set; a band whose mass is identically
+        zero (the mesh misses it, or eps is misconfigured) is refused."""
+        forms = _diffuse_forms(mesh, field, rule, tensor)
+        for which, mat in zip("HB", forms[2:]):
+            if mat.diagonal().max() <= 0.0:
+                raise AssemblyError(f"{which}-band mass is identically zero")
+        return cls(mesh, field, *forms)
 
     @staticmethod
     def block(mat: sp.spmatrix, rows: np.ndarray,
@@ -458,7 +445,7 @@ def assemble_sharp(mesh: TriMesh,
     m_sum = tensor.weighted_sum(_quad_points(mesh, tris, SHARP_RULE),
                                 SHARP_RULE.weights)
     n = mesh.num_vertices
-    return OperatorSet(mesh, None, SHARP_RULE,
+    return OperatorSet(mesh, None,
                        _stiffness(tris, areas, grads, m_sum, n),
                        _scatter(tris, areas[:, None, None] * _P1_MASS, n),
                        _edge_mass(mesh, "inner"), _edge_mass(mesh, "outer"))

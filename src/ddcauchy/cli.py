@@ -31,6 +31,7 @@ import numpy as np
 
 from . import experiments as xp
 from .geometry import StageError
+from .inversion import truth_fixture_csv
 from .verify import run_verify
 
 
@@ -102,7 +103,6 @@ def _out_dir(cfg) -> None:
 
 def cmd_solve(args):
     ov = _overrides(args)
-    ov.setdefault("study.kind", "solve")
     cfg = xp.load_config(args.config, ov)
     delta, alpha, eps = args.delta, args.alpha, args.epsilon
     _check_solve_flags(delta, alpha, eps, cfg.geometry.eps_admissible)
@@ -166,7 +166,7 @@ def cmd_rates(args):
               + (f", v-slope {v_fit.slope:.3f}" if v_fit.defined else ""))
     else:
         print(f"u-slope undefined ({u_fit.n_points} points)")
-    fixture = xp.truth_fixture_csv(ws.truth, ws.sharp_solver)
+    fixture = truth_fixture_csv(ws.truth, ws.sharp_solver)
     xp.emit_outputs(cfg.out_dir, cfg, rates={label: res}, truth_csv=fixture)
     print(f"outputs in {cfg.out_dir}/")
     if _finite_errors(errors):

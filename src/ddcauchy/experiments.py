@@ -36,13 +36,12 @@ from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         error_norms, extend_data, sharp_error)
-from .inversion import truth_fixture_csv  # noqa: F401  the CLI's fixture
-from .mesh import (MAX_BAND_LEVELS, MAX_QUAD_POINTS, MAX_VERTICES_DEFAULT,
+from .mesh import (MAX_BAND_LEVELS, MAX_QUAD_POINTS, MAX_VERTICES,
                    QUAD_DEGREES, SHARP_MIN_ANGULAR, SHARP_MIN_RADIAL,
                    background_vertices, build_background, levels_for,
                    mesh_annulus, quadrature, quadrature_size, refine_band)
-from .saddle import (DENSE_SPECTRUM_CAP, RieszPreconditioner, build_system,
-                     detect_bands, spectrum)
+from .saddle import (DENSE_SPECTRUM_CAP, build_system, detect_bands,
+                     spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +203,10 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
              background_vertices(values["spectrum_h0"])),
             ("mesh.sharp_n_angular, mesh.sharp_n_radial", "sharp",
              values["sharp_n_angular"] * (values["sharp_n_radial"] + 1))):
-        if vertices > MAX_VERTICES_DEFAULT:
+        if vertices > MAX_VERTICES:
             raise ConfigError(f"{keys}: the {mesh} mesh would have "
                               f"{vertices:.0f} vertices, more than "
-                              f"{MAX_VERTICES_DEFAULT}")
+                              f"{MAX_VERTICES}")
     points = quadrature_size(values["quad_degree"], values["subdivision"])
     if points > MAX_QUAD_POINTS:
         raise ConfigError(f"mesh.quad_degree, mesh.subdivision: the rule "
@@ -286,7 +285,6 @@ def _check_schedule(cfg: ExperimentConfig) -> None:
 # < 0.25 requires delta < 2^-10.7), hence the shifted delta range.
 PRESETS = {
     "fig7": {
-        "study.kind": "rates",
         "study.alpha_coef": "0.5", "study.alpha_exp": "1.0",
         "study.eps_coef": "0.25", "study.eps_exp": "0.5",
         "study.deltas": ("0.0625, 0.03125, 0.015625, 0.0078125, "
@@ -295,7 +293,6 @@ PRESETS = {
         "truth.amplitude": "7.0",
     },
     "fig8": {
-        "study.kind": "rates",
         "study.alpha_coef": "2.0", "study.alpha_exp": "0.6666666666666666",
         "study.eps_coef": "35.0", "study.eps_exp": "0.6666666666666666",
         "study.deltas": ("0.00048828125, 0.000244140625, 0.0001220703125, "
@@ -526,8 +523,7 @@ def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
         raise ConfigError(f"study.spectrum_h0, solver.dense_cap: the "
                           f"spectrum system has {system.size} unknowns, "
                           f"more than the dense cap {cfg.dense_cap}")
-    prec = RieszPreconditioner(system)
-    eigs = spectrum(system, prec, dense_cap=cfg.dense_cap)
+    eigs = spectrum(system, dense_cap=cfg.dense_cap)
     bands = (detect_bands(eigs, cfg.spec_alpha) if cfg.spec_alpha > 0.0
              else {})
     return SpectrumResult(eigs, bands, cfg.spec_alpha, cfg.spec_epsilon,

@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import AnnulusGeometry, PhaseField, StageError
 
 BBOX_HALF = 1.5  # background box is [-1.5, 1.5]^2
-MAX_VERTICES_DEFAULT = 4_000_000
+MAX_VERTICES = 4_000_000
 
 
 class MeshError(StageError, ValueError):
@@ -125,30 +125,29 @@ class TriMesh:
             raise MeshError(f"hanging node {k[bad[0]]} on edge ({i}, {j})")
 
 
-def background_vertices(h0: float, half_width: float = BBOX_HALF) -> float:
+def background_vertices(h0: float) -> float:
     """Vertex count (n + 1)^2 of ``build_background``, n = ceil(2w / h0).
 
     A float, exact for any count under the cap, so that a tiny h0 gives a
     huge count (inf past the float range) instead of an error.
     """
-    side = float(np.ceil(2.0 * half_width / h0)) + 1.0
+    side = float(np.ceil(2.0 * BBOX_HALF / h0)) + 1.0
     return side * side
 
 
-def build_background(h0: float, half_width: float = BBOX_HALF,
-                     max_vertices: int = MAX_VERTICES_DEFAULT) -> TriMesh:
-    """Uniform 2-split triangulation of the square [-w, w]^2.
+def build_background(h0: float) -> TriMesh:
+    """Uniform 2-split triangulation of the square [-w, w]^2, w = BBOX_HALF.
 
     n = ceil(2w / h0) cells per side, (n+1)^2 vertices, 2 n^2 triangles.
     """
     if h0 <= 0:
         raise MeshError(f"h0 must be positive, got {h0}")
-    vertices = background_vertices(h0, half_width)
-    if vertices > max_vertices:
+    vertices = background_vertices(h0)
+    if vertices > MAX_VERTICES:
         raise MeshError(f"h0 = {h0} needs {vertices:.0f} vertices, "
-                        f"cap is {max_vertices}")
+                        f"cap is {MAX_VERTICES}")
     n = math.isqrt(int(vertices)) - 1
-    xs = np.linspace(-half_width, half_width, n + 1)
+    xs = np.linspace(-BBOX_HALF, BBOX_HALF, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
     # cell corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
@@ -180,19 +179,23 @@ def _radial_interval(vertices: np.ndarray, tris: np.ndarray):
     return r_low, r_high
 
 
+def ring_masks(vertices: np.ndarray, tris: np.ndarray, rings) -> list:
+    """One mask per open ring lo < |x| < hi of ``rings``, pairs (lo, hi):
+    the triangles whose radial interval meets that ring.  Band refinement
+    and assembly both classify their elements by it."""
+    r_low, r_high = _radial_interval(vertices, tris)
+    return [(r_high > lo) & (r_low < hi) for lo, hi in rings]
+
+
 def band_triangles(vertices: np.ndarray, tris: np.ndarray,
                    field: PhaseField, margin: float) -> np.ndarray:
-    """Boolean mask of triangles intersecting {|d| < margin}.
-
-    Exact for this radial geometry: the triangle's radial interval is
-    intersected with the two open annular bands.
-    """
+    """Boolean mask of triangles intersecting {|d| < margin}: the two
+    open rings of half-width ``margin`` around the circles."""
     geo = field.geometry
-    r_low, r_high = _radial_interval(vertices, tris)
-    hit = np.zeros(len(tris), dtype=bool)
-    for radius in (geo.r_inner, geo.r_outer):
-        hit |= (r_low < radius + margin) & (r_high > radius - margin)
-    return hit
+    in_h, in_b = ring_masks(vertices, tris,
+                            [(r - margin, r + margin)
+                             for r in (geo.r_inner, geo.r_outer)])
+    return in_h | in_b
 
 
 MAX_BAND_LEVELS = 6
@@ -244,8 +247,10 @@ _SPLITS = {
 }
 
 
-def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
-                quality_floor_deg: float = 20.0) -> TriMesh:
+QUALITY_FLOOR_DEG = 20.0  # smallest angle refine_band accepts, degrees
+
+
+def refine_band(mesh: TriMesh, field: PhaseField, levels: int) -> TriMesh:
     """Refine triangles meeting {|d| < 2 eps} to ``levels`` red levels.
 
     Red-green-blue refinement with the longest edge as refinement edge
@@ -262,7 +267,8 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
     stays 45 degrees.  Refining an already refined mesh continues from its
     ``generation``.
 
-    Raises MeshError if the result violates the minimum-angle floor.
+    Raises MeshError if some angle of the result is below
+    QUALITY_FLOOR_DEG, naming the worst triangle.
     Intended for background meshes, so the result has no boundary edges.
     Input vertices keep their indices and coordinates; new vertices are
     appended.
@@ -314,7 +320,7 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int,
     out = TriMesh(verts, tris, generation=gen)
     angles = out.smallest_angles()
     worst = int(np.argmin(angles))
-    if angles[worst] < quality_floor_deg:
+    if angles[worst] < QUALITY_FLOOR_DEG:
         raise MeshError(f"quality floor violated: min angle "
                         f"{angles[worst]:.2f} deg (triangle {worst})")
     return out
@@ -424,8 +430,6 @@ class QuadratureRule:
     eps-band (see ``assembly``); elsewhere the weights are constant.
     """
 
-    degree: int
-    subdivision_count: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -455,4 +459,4 @@ def quadrature(degree: int, subdivision_count: int = 1) -> QuadratureRule:
         lam = np.column_stack([1.0 - xy[:, 0] - xy[:, 1], xy[:, 0], xy[:, 1]])
         pts.append(lam)
         wts.append(base_wts / (s * s))
-    return QuadratureRule(degree, s, np.vstack(pts), np.concatenate(wts))
+    return QuadratureRule(np.vstack(pts), np.concatenate(wts))

@@ -104,6 +104,15 @@ def build_system(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     return SaddleSystem(mat, rhs, nu, nv, ops, mult_scale)
 
 
+def riesz_matrix(system: SaddleSystem) -> sp.csr_matrix:
+    """The Riesz (not inverted) block matrix of ``system``; SPD on the
+    active sets.  Built from the operator set's blocks, without a factor."""
+    ops = system.ops
+    scale = sp.identity(2, format="csr") * system.mult_scale
+    return sp.block_diag([ops.riesz_u, ops.riesz_h, ops.riesz_h, scale],
+                         format="csr")
+
+
 @dataclass
 class RieszPreconditioner:
     """Block-diagonal inverse Riesz map, by its operator set's LU factors."""
@@ -125,13 +134,6 @@ class RieszPreconditioner:
             raise SaddleError(
                 f"Riesz block factorization failed ({err}); "
                 f"active sets are inconsistent") from err
-
-    def matrix(self) -> sp.csr_matrix:
-        """The Riesz (not inverted) block matrix; SPD on the active sets."""
-        s = self.system
-        scale = sp.identity(2, format="csr") * s.mult_scale
-        return sp.block_diag([self._riesz_u, self._riesz_h, self._riesz_h,
-                              scale], format="csr")
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         s = self.system
@@ -238,7 +240,7 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
 DENSE_SPECTRUM_CAP = 4000
 
 
-def spectrum(system: SaddleSystem, prec: RieszPreconditioner,
+def spectrum(system: SaddleSystem,
              dense_cap: int = DENSE_SPECTRUM_CAP) -> np.ndarray:
     """Eigenvalues of the Riesz-preconditioned operator, sorted ascending.
 
@@ -254,7 +256,7 @@ def spectrum(system: SaddleSystem, prec: RieszPreconditioner,
     # a and p are fresh dense copies, so LAPACK may overwrite them; the
     # expert driver (xSYGVX) beats the default divide and conquer here
     a = system.matrix.toarray()
-    p = prec.matrix().toarray()
+    p = riesz_matrix(system).toarray()
     vals = eigh(a, p, eigvals_only=True, driver="gvx", overwrite_a=True,
                 overwrite_b=True)
     return np.sort(vals)

@@ -15,7 +15,7 @@ from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import diffuse_forward, extend_control
 from ddcauchy.mesh import build_background, levels_for, quadrature, refine_band
-from ddcauchy.saddle import RieszPreconditioner, build_system, spectrum
+from ddcauchy.saddle import build_system, spectrum
 from ddcauchy.verify import (check_adjoint, check_band_measure,
                              check_integral_order)
 
@@ -152,8 +152,7 @@ def test_criterion_05_spectrum_banding(spectrum_setup):
     alpha = 1e-4
     system = build_system(ops, alpha, f0)
     assert system.size <= 2000
-    prec = RieszPreconditioner(system)
-    eigs = spectrum(system, prec)
+    eigs = spectrum(system)
     neg = eigs[eigs < 0.0]
     pos = eigs[eigs > 0.0]
     ok_a = neg.max() <= -NEG_SEPARATION
@@ -168,7 +167,7 @@ def test_criterion_05_spectrum_banding(spectrum_setup):
     ok_d = n_iso <= 12
     # alpha = 0: ill-posedness cluster at the origin
     system0 = build_system(ops, 0.0, f0, allow_zero_alpha=True)
-    eigs0 = spectrum(system0, prec)
+    eigs0 = spectrum(system0)
     smallest = np.abs(eigs0).min()
     ok_e = smallest < 1e-8
     report(5, "spectrum banding", ok_a and ok_b and ok_c and ok_d and ok_e,

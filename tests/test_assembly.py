@@ -103,14 +103,26 @@ def test_band_mass_subdivision_convergence(geometry, tensor):
         assert errs[2] <= errs[0] / 3.0
 
 
-def test_band_mass_empty_band_signals(geometry):
-    mesh = build_background(1.5)  # too coarse to see the H band weight?
+def test_band_mass_empty_band_signals(geometry, tensor):
     field = PhaseField(geometry, 0.01)
-    # a mesh far from the band: restrict to a corner triangle set
+    # a mesh far from both bands: one corner triangle
     far = TriMesh(np.array([[1.2, 1.2], [1.4, 1.2], [1.2, 1.4]]),
                   np.array([[0, 1, 2]]), [])
-    with pytest.raises(AssemblyError):
-        assemble_band_mass(far, field, "H", quadrature(2, 2))
+    assert assemble_band_mass(far, field, "H", quadrature(2, 2)).nnz == 0
+    with pytest.raises(AssemblyError, match="H-band mass is identically zero"):
+        OperatorSet.build(far, field, tensor, quadrature(2, 2))
+
+
+def test_band_check_names_the_missing_band(geometry, tensor, rule):
+    # the background triangles inside |x| < 0.65 cover the H-band, and
+    # none of them meets the B-band
+    field = PhaseField(geometry, 2.0 ** -4)
+    base = build_background(0.15)
+    radii = np.hypot(*base.vertices[base.triangles].transpose(2, 0, 1))
+    inner = TriMesh(base.vertices,
+                    base.triangles[radii.max(axis=1) < 0.65], [])
+    with pytest.raises(AssemblyError, match="B-band mass is identically zero"):
+        OperatorSet.build(inner, field, tensor, rule)
 
 
 def test_bulk_mass_totals(ops_16):
@@ -125,12 +137,12 @@ def test_diffuse_functional_examples(geometry, tensor, rule):
     ops = make_ops(geometry, tensor, rule, 2.0 ** -5, h0=0.1)
     mesh, field = ops.mesh, ops.field
     one = lambda p: np.ones(len(p))
-    got = diffuse_functional(mesh, field, one, "band_B", rule)
+    got = diffuse_functional(mesh, field, one, "B", rule)
     assert got == pytest.approx(2 * np.pi, rel=5e-3)
     got = diffuse_functional(mesh, field, one, "bulk", rule)
     assert got == pytest.approx(0.91 * np.pi, rel=1e-3)
     r2 = lambda p: (np.asarray(p) ** 2).sum(axis=1)
-    got = diffuse_functional(mesh, field, r2, "band_H", rule)
+    got = diffuse_functional(mesh, field, r2, "H", rule)
     oracle = band_integral(field, r2, "H")
     # exact band second moment: 2 pi R (R^2 + eps^2), leading term 0.1696
     assert oracle == pytest.approx(
@@ -283,35 +295,34 @@ def test_plateau_elements_have_unit_weights(h0, log2_eps, shift):
     assert np.all(gradmag == 0.0)
 
 
-def test_functional_of_one_is_matrix_sum(ops_16):
+def test_functional_of_one_is_matrix_sum(ops_16, rule):
     one = lambda p: np.ones(len(p))
-    mesh, field, rule = ops_16.mesh, ops_16.field, ops_16.rule
+    mesh, field = ops_16.mesh, ops_16.field
     bulk = diffuse_functional(mesh, field, one, "bulk", rule)
     assert bulk == pytest.approx(ops_16.m_omega.sum(), rel=1e-13)
-    band = diffuse_functional(mesh, field, one, "band_H", rule)
+    band = diffuse_functional(mesh, field, one, "H", rule)
     assert band == pytest.approx(ops_16.b_h.sum(), rel=1e-13)
 
 
 
 @pytest.mark.parametrize("block", ["remainder_one", "seven", "single"])
-def test_forms_do_not_depend_on_the_block_size(ops_16, tensor, monkeypatch,
-                                               block):
+def test_forms_do_not_depend_on_the_block_size(ops_16, tensor, rule,
+                                               monkeypatch, block):
     def all_forms():
-        return _diffuse_forms(ops_16.mesh, ops_16.field, ops_16.rule,
-                              tensor=tensor, mass=True, bands=("H", "B"))
+        return _diffuse_forms(ops_16.mesh, ops_16.field, rule, tensor)
 
     # the default size cuts ops_16's 1,956 cut elements into two blocks
-    q = len(ops_16.rule.weights)
+    q = len(rule.weights)
     n_cut = int(_Elements.select(ops_16.mesh, ops_16.field).cut.sum())
     assert n_cut > assembly.BLOCK_POINTS // q
     ref = all_forms()
     elements = {"remainder_one": n_cut - 1, "seven": 7, "single": n_cut}
     monkeypatch.setattr(assembly, "BLOCK_POINTS", elements[block] * q)
     got = all_forms()
-    for name in ("k", "m", "H", "B"):
+    for name, got_form, ref_form in zip(("k", "m", "H", "B"), got, ref):
         for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got[name], part),
-                                  getattr(ref[name], part)), (name, part)
+            assert np.array_equal(getattr(got_form, part),
+                                  getattr(ref_form, part)), (name, part)
 
 
 def test_build_memory_does_not_grow_with_the_rule(geometry, tensor):

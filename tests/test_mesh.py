@@ -26,7 +26,7 @@ def test_background_counts():
 
 def test_background_vertex_budget():
     with pytest.raises(MeshError):
-        build_background(1e-4, max_vertices=10_000)
+        build_background(1e-4)
     with pytest.raises(MeshError):
         build_background(-1.0)
 
@@ -125,13 +125,6 @@ def test_refine_band_properties(h0, levels, eps_scale):
     assert out.diameters()[hit].max() <= bound
     assert np.array_equal(out.vertices[:m.num_vertices], m.vertices)
     assert mesh_bytes(refine_band(m, field, levels)) == mesh_bytes(out)
-
-
-def test_quality_floor_signal(geometry):
-    m = build_background(0.3)
-    field = PhaseField(geometry, 0.125)
-    with pytest.raises(MeshError):
-        refine_band(m, field, 1, quality_floor_deg=80.0)
 
 
 def test_quality_floor_names_the_worst_angle():

@@ -11,7 +11,8 @@ from ddcauchy.geometry import PhaseField
 from ddcauchy.inversion import extend_control
 from ddcauchy.mesh import build_background
 from ddcauchy.saddle import (RieszPreconditioner, SaddleError, SolveReport,
-                             build_system, detect_bands, minres, spectrum)
+                             build_system, detect_bands, minres,
+                             riesz_matrix, spectrum)
 
 from conftest import make_ops
 
@@ -74,7 +75,7 @@ def test_third_row_consistency_matrices(ops_16):
         1.0, np.abs(expected).max()))
 
 
-def test_third_row_consistency_functional_oracle(ops_16, tensor):
+def test_third_row_consistency_functional_oracle(ops_16, tensor, rule):
     """For the exactly representable pair (u*, v*) = (1, x), weighted sums
     of the row-3 residual equal the bilinear form b(u*, v*; w) for the
     test functions w = 1 and w = x, each side integrated independently."""
@@ -92,18 +93,18 @@ def test_third_row_consistency_functional_oracle(ops_16, tensor):
     x[nu:nu + nv] = v_star[ops_16.active_v]
     resid = np.zeros(n)
     resid[ops_16.active_v] = (system.matrix @ x)[nu + nv:nu + 2 * nv]
-    mesh, field, rule = ops_16.mesh, ops_16.field, ops_16.rule
+    mesh, field = ops_16.mesh, ops_16.field
     # w = 1: b(1, x; 1) = -<1, 1>_U (the gradient pairing vanishes)
     got = float(ones @ resid)
     want = -diffuse_functional(mesh, field, lambda p: np.ones(len(p)),
-                               "band_H", rule)
+                               "H", rule)
     assert got == pytest.approx(want, rel=1e-12)
     # w = x: b(1, x; x) = int M_00 omega dx - int x |grad omega| gamma_H dx
     got = float(v_star @ resid)
     m00 = lambda p: tensor.evaluate(p)[..., 0, 0]
     xval = lambda p: np.asarray(p)[:, 0]
     want = (diffuse_functional(mesh, field, m00, "bulk", rule)
-            - diffuse_functional(mesh, field, xval, "band_H", rule))
+            - diffuse_functional(mesh, field, xval, "H", rule))
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -113,7 +114,7 @@ def test_preconditioner_exact_roundtrip(ops_16):
     rng = np.random.default_rng(3)
     r = rng.standard_normal(system.size)
     z = prec.apply(r)
-    back = prec.matrix() @ z
+    back = riesz_matrix(system) @ z
     assert back == pytest.approx(r, rel=1e-11, abs=1e-11)
     assert np.all(prec.apply(np.zeros(system.size)) == 0.0)
 
@@ -233,8 +234,7 @@ def test_spectrum_banding_small(geometry, tensor, rule):
     ops = make_ops(geometry, tensor, rule, 0.125, h0=0.2)
     alpha = 1e-3
     system = build_system(ops, alpha, np.zeros(ops.mesh.num_vertices))
-    prec = RieszPreconditioner(system)
-    eigs = spectrum(system, prec)
+    eigs = spectrum(system)
     assert len(eigs) == system.size
     assert np.isrealobj(eigs)
     bands = detect_bands(eigs, alpha)
@@ -276,22 +276,20 @@ def test_spectrum_matches_default_driver(geometry, tensor, rule):
     ops = OperatorSet.build(build_background(0.08),
                             PhaseField(geometry, 0.125), tensor, rule)
     system = build_system(ops, 1e-4, np.zeros(ops.mesh.num_vertices))
-    prec = RieszPreconditioner(system)
     matrix = system.matrix.copy()
-    eigs = spectrum(system, prec)
-    want = np.sort(eigh(system.matrix.toarray(), prec.matrix().toarray(),
-                        eigvals_only=True))
+    eigs = spectrum(system)
+    want = np.sort(eigh(system.matrix.toarray(),
+                        riesz_matrix(system).toarray(), eigvals_only=True))
     assert np.abs(eigs - want).max() <= 1e-10 * np.abs(want).max()
     # the driver overwrites only its own dense copies
-    assert np.array_equal(spectrum(system, prec), eigs)
+    assert np.array_equal(spectrum(system), eigs)
     assert (system.matrix != matrix).nnz == 0
 
 
 def test_spectrum_dense_cap(ops_16):
     system = build_system(ops_16, 1.0, np.zeros(ops_16.mesh.num_vertices))
-    prec = RieszPreconditioner(system)
     with pytest.raises(SaddleError):
-        spectrum(system, prec, dense_cap=10)
+        spectrum(system, dense_cap=10)
 
 
 def test_brezzi_stability_across_eps(geometry, tensor, rule):

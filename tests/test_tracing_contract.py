@@ -16,6 +16,7 @@ import numpy as np
 import ddcauchy
 # imported so that every traced module is an attribute of the package
 from ddcauchy import assembly, experiments, inversion, mesh, saddle  # noqa: F401
+from ddcauchy.geometry import PhaseField
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -87,3 +88,18 @@ def test_traced_rate_cells_record_every_layer():
         layers = tracer.layers()
         for name in per_delta:
             assert layers.get(name, (0,))[0] == len(cfg.deltas), name
+
+
+def test_layer_metrics_classify_the_built_operator_sets(geometry, tensor,
+                                                        rule):
+    # layer_metrics calls mesh.band_triangles and assembly._support_mask
+    # on every operator set built under the recorder
+    spans = load_spans()
+    field = PhaseField(geometry, 0.125)
+    tracer = spans.Tracer()
+    with tracer:
+        assembly.OperatorSet.build(mesh.build_background(0.3), field,
+                                   tensor, rule)
+    assert len(tracer.built_ops) == 1
+    metrics = tracer.layer_metrics(1.0)
+    assert 0.0 < metrics["assembly.cut_ratio"] < 1.0
