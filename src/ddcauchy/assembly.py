@@ -20,13 +20,12 @@ All four diffuse forms come from one unconditional pass over the bulk
 support: the elements that meet the open ring r_inner - eps < |x| <
 r_outer + eps by ``mesh.ring_masks``, the one ring test, which the band
 refinement shares.  Cut elements, those meeting an open eps-band, carry
-the configured subdivided rule, with the weights evaluated analytically
-at its points once for all four forms; subdivision only serves to
-resolve the jump of |grad omega| at the band edges.  The pass walks the
-cut elements in blocks of at most BLOCK_POINTS rule points: each block
-evaluates its points, phase weights, tensor sums and local masses and
-writes them into per-element arrays, so the working memory does not
-grow with the rule.
+CUT_RULE, with the weights evaluated analytically at its points once for
+all four forms; subdivision only serves to resolve the jump of
+|grad omega| at the band edges.  The pass walks the cut elements in
+blocks of at most BLOCK_POINTS rule points: each block evaluates its
+points, phase weights, tensor sums and local masses and writes them into
+per-element arrays, so the working memory does not grow with the rule.
 Every per-element value reduces over that element's points alone, so
 the forms do not depend on the block size, bit for bit.  On the
 remaining plateau elements omega = 1 and |grad omega| = 0 exactly, so
@@ -70,6 +69,11 @@ PLATEAU_RULE = quadrature(4, 1)
 
 # Stiffness rule of the sharp reference on the polar annulus mesh.
 SHARP_RULE = quadrature(2, 1)
+
+# The rule on cut elements, for every form, study and check: degree 2 on
+# 4 x 4 sub-triangles, 48 points.  The ``rule`` arguments below exist so
+# that tests can vary it.
+CUT_RULE = quadrature(2, 4)
 
 # Closed-form P1 element mass over the element area.
 _P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -150,7 +154,7 @@ def _stiffness(tris: np.ndarray, areas: np.ndarray, grads: np.ndarray,
 class _Elements:
     """Elements of one assembly pass, split into cut and plateau ones.
 
-    Cut elements meet an open band; the configured (subdivided) rule runs
+    Cut elements meet an open band; the subdivided rule (CUT_RULE) runs
     there, block by block (``cut_blocks``).  Plateau elements lie in
     r_inner + eps <= |x| <= r_outer - eps, where omega = 1 and
     |grad omega| = 0 exactly.

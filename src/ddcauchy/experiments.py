@@ -27,19 +27,18 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
-from .assembly import OperatorSet, assemble_sharp
+from .assembly import CUT_RULE, OperatorSet, assemble_sharp
 from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         error_norms, extend_data, sharp_error)
-from .mesh import (MAX_BAND_LEVELS, MAX_QUAD_POINTS, MAX_VERTICES,
-                   QUAD_DEGREES, SHARP_MIN_ANGULAR, SHARP_MIN_RADIAL,
-                   background_vertices, build_background, levels_for,
-                   mesh_annulus, quadrature, quadrature_size, refine_band)
+from .mesh import (MAX_BAND_LEVELS, MAX_VERTICES, SHARP_MIN_ANGULAR,
+                   SHARP_MIN_RADIAL, background_vertices, build_background,
+                   levels_for, mesh_annulus, refine_band)
 from .saddle import (DENSE_SPECTRUM_CAP, build_system, detect_bands,
                      spectrum)
 
@@ -106,9 +105,6 @@ SCHEMA = (
     ("mesh.h0", "h0", _finite, "0.1", _POSITIVE),
     ("mesh.max_levels", "max_levels", int, str(MAX_BAND_LEVELS),
      _at_least(0)),
-    ("mesh.quad_degree", "quad_degree", int, "2",
-     _require(lambda d: d in QUAD_DEGREES, f"one of {list(QUAD_DEGREES)}")),
-    ("mesh.subdivision", "subdivision", int, "4", _at_least(1)),
     ("mesh.sharp_n_angular", "sharp_n_angular", int, "192",
      _at_least(SHARP_MIN_ANGULAR)),
     ("mesh.sharp_n_radial", "sharp_n_radial", int, "48",
@@ -207,11 +203,6 @@ def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
             raise ConfigError(f"{keys}: the {mesh} mesh would have "
                               f"{vertices:.0f} vertices, more than "
                               f"{MAX_VERTICES}")
-    points = quadrature_size(values["quad_degree"], values["subdivision"])
-    if points > MAX_QUAD_POINTS:
-        raise ConfigError(f"mesh.quad_degree, mesh.subdivision: the rule "
-                          f"on a cut element would have {points} points, "
-                          f"more than {MAX_QUAD_POINTS}")
     try:
         geometry = AnnulusGeometry(values["r_inner"], values["r_outer"],
                                    values["split_radius"])
@@ -330,9 +321,9 @@ class Workspace:
     """
 
     cfg: ExperimentConfig
-    background: object = None
-    sharp_solver: SharpSolver = None
-    truth: GroundTruth = None
+    background: object = field(init=False)
+    sharp_solver: SharpSolver = field(init=False)
+    truth: GroundTruth = field(init=False)
 
     def __post_init__(self):
         cfg = self.cfg
@@ -348,8 +339,7 @@ class Workspace:
         pf = PhaseField(cfg.geometry, eps)
         mesh = refine_band(self.background, pf,
                            levels_for(eps, cfg.h0, cfg.max_levels))
-        rule = quadrature(cfg.quad_degree, cfg.subdivision)
-        return OperatorSet.build(mesh, pf, cfg.tensor, rule)
+        return OperatorSet.build(mesh, pf, cfg.tensor, CUT_RULE)
 
     def noisy_data(self, delta: float):
         """f_delta on the sharp outer boundary for the configured seed."""
@@ -514,11 +504,8 @@ def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
     is known only after assembly, so ``solver.dense_cap`` is checked here."""
     pf = PhaseField(cfg.geometry, cfg.spec_epsilon)
     mesh = build_background(cfg.spectrum_h0)
-    rule = quadrature(cfg.quad_degree, cfg.subdivision)
-    ops = OperatorSet.build(mesh, pf, cfg.tensor, rule)
-    f0 = np.zeros(mesh.num_vertices)
-    system = build_system(ops, cfg.spec_alpha, f0,
-                          allow_zero_alpha=cfg.spec_alpha == 0.0)
+    ops = OperatorSet.build(mesh, pf, cfg.tensor, CUT_RULE)
+    system = build_system(ops, cfg.spec_alpha, np.zeros(mesh.num_vertices))
     if system.size > cfg.dense_cap:
         raise ConfigError(f"study.spectrum_h0, solver.dense_cap: the "
                           f"spectrum system has {system.size} unknowns, "

@@ -174,8 +174,6 @@ class GroundTruth:
     p_field  exact adjoint (driven by w)
     """
 
-    geometry: AnnulusGeometry
-    tensor: ConductivityTensor
     w: AngularSeries
     u_series: AngularSeries
     f_series: AngularSeries
@@ -196,5 +194,4 @@ def synthesize_truth(geometry: AnnulusGeometry, tensor: ConductivityTensor,
     u_series = p_field.trace_series(geometry.r_inner)
     v_field = solve_forward_modes(geometry, tensor, u_series)
     f_series = v_field.trace_series(geometry.r_outer)
-    return GroundTruth(geometry, tensor, w, u_series, f_series,
-                       v_field, p_field)
+    return GroundTruth(w, u_series, f_series, v_field, p_field)

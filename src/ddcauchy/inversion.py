@@ -175,7 +175,7 @@ class SharpSolver:
         finite.  The state and adjoint, if wanted, are forward(u) and
         adjoint(f - forward(u) | outer).
         """
-        if alpha <= 0.0:
+        if not alpha > 0.0:
             raise InversionError(f"alpha must be positive, got {alpha}")
         g, t, o = self._transfer_symbols()
         rhs = self.t_oo @ f_outer
@@ -258,8 +258,10 @@ def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
 
     The Riesz factors depend on ``ops`` only, not on alpha or the data:
     the first solve on an operator set factors them, and every later
-    alpha on it reuses them.
+    alpha on it reuses them.  alpha must be > 0.
     """
+    if not alpha > 0.0:
+        raise InversionError(f"alpha must be positive, got {alpha}")
     system = build_system(ops, alpha, f_tilde)
     x, report = minres(system, RieszPreconditioner(system), rho=rho,
                        max_iter=max_iter)

@@ -363,31 +363,6 @@ def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
 # Triangle quadrature
 # ---------------------------------------------------------------------------
 
-# base rules on the reference triangle: barycentric points, weights sum to 1
-_BASE_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-        np.array([1 / 3, 1 / 3, 1 / 3])),
-}
-
-
-def _conical_rule():
-    """4-point degree-3 conical product rule (Gauss x Gauss-Jacobi)."""
-    gx, gw = np.polynomial.legendre.leggauss(2)
-    x = 0.5 * (gx + 1.0)
-    wx = 0.5 * gw
-    # 2-point Gauss-Jacobi rule for weight (1 - y) on [0, 1]
-    y = np.array([(4 - np.sqrt(6)) / 10, (4 + np.sqrt(6)) / 10])
-    wy = np.array([0.25 + np.sqrt(6) / 36, 0.25 - np.sqrt(6) / 36])
-    pts, wts = [], []
-    for xi, wi in zip(x, wx):
-        for yj, wj in zip(y, wy):
-            u = xi * (1.0 - yj)
-            v = yj
-            pts.append([1.0 - u - v, u, v])
-            wts.append(wi * wj * 2.0)
-    return np.array(pts), np.array(wts)
-
 
 def _dunavant6():
     """6-point degree-4 rule, all weights positive."""
@@ -401,23 +376,13 @@ def _dunavant6():
     return np.array(pts), np.array(wts)
 
 
-_BASE_RULES[3] = _conical_rule()
-_BASE_RULES[4] = _dunavant6()
-QUAD_DEGREES = tuple(sorted(_BASE_RULES))
-
-# Cap on the points of the subdivided rule on one cut element (degree 2
-# allows subdivision up to 16).  Assembly time grows with the point
-# count; its memory does not, as it walks the cut elements in blocks of
-# a fixed number of points: one diffuse solve (eps = 2^-7, delta = alpha
-# = 1e-3) on the default background, one BLAS thread, peaks at 93 MiB
-# max RSS with subdivision 4 and 90 MiB with 16.
-MAX_QUAD_POINTS = 768
-
-
-def quadrature_size(degree: int, subdivision_count: int) -> int:
-    """The number of points of ``quadrature(degree, subdivision_count)``,
-    counted without building the rule."""
-    return len(_BASE_RULES[degree][1]) * subdivision_count ** 2
+# base rules on the reference triangle, by degree: barycentric points,
+# weights sum to 1.  Degree 2 is the 3-point edge-midpoint rule.
+_BASE_RULES = {
+    2: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+        np.array([1 / 3, 1 / 3, 1 / 3])),
+    4: _dunavant6(),
+}
 
 
 @dataclass(frozen=True)
@@ -426,8 +391,9 @@ class QuadratureRule:
 
     points are barycentric w.r.t. the parent triangle; weights sum to 1.
     Subdivision tames the band-edge discontinuity of |grad omega|, so the
-    diffuse assembly applies a subdivided rule only on elements cut by an
-    eps-band (see ``assembly``); elsewhere the weights are constant.
+    diffuse assembly applies its one subdivided rule, ``assembly.CUT_RULE``,
+    only on elements cut by an eps-band; elsewhere the weights are
+    constant.  ``assembly`` holds the package's three fixed rules.
     """
 
     points: np.ndarray
@@ -435,9 +401,9 @@ class QuadratureRule:
 
 
 def quadrature(degree: int, subdivision_count: int = 1) -> QuadratureRule:
-    if degree not in QUAD_DEGREES:
+    if degree not in _BASE_RULES:
         raise ValueError(f"unsupported quadrature degree {degree}; "
-                         f"choose from {list(QUAD_DEGREES)}")
+                         f"choose from {sorted(_BASE_RULES)}")
     if subdivision_count < 1:
         raise ValueError("subdivision_count must be >= 1")
     base_pts, base_wts = _BASE_RULES[degree]

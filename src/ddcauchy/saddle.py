@@ -75,17 +75,19 @@ class SaddleSystem:
                 x[nu + 2 * nv:])
 
 
-def build_system(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
-                 allow_zero_alpha: bool = False) -> SaddleSystem:
+def build_system(ops: OperatorSet, alpha: float,
+                 f_tilde: np.ndarray) -> SaddleSystem:
     """Assemble the symmetric saddle system for data vector f_tilde.
 
     ``f_tilde`` is a full-length nodal vector supported on the B-band
     (the constant-normal extension of the measured data).  On the eps = 0
     operator set of ``assemble_sharp`` this is the sharp reference
-    system, with f_tilde the data on the outer ring.
+    system, with f_tilde the data on the outer ring.  alpha = 0 builds
+    the unregularized system, whose spectrum the spectrum study reads;
+    the Tikhonov solves refuse it.
     """
-    if alpha <= 0.0 and not (allow_zero_alpha and alpha == 0.0):
-        raise SaddleError(f"alpha must be positive, got {alpha}")
+    if not alpha >= 0.0:
+        raise SaddleError(f"alpha must be >= 0, got {alpha}")
     f_tilde = np.asarray(f_tilde, dtype=float)
     if f_tilde.shape != (ops.mesh.num_vertices,):
         raise SaddleError("f_tilde must be a full-length nodal vector")
@@ -118,14 +120,13 @@ class RieszPreconditioner:
     """Block-diagonal inverse Riesz map, by its operator set's LU factors."""
 
     system: SaddleSystem
-    _apply_u: object = field(default=None, repr=False)
-    _apply_h: object = field(default=None, repr=False)
-    _riesz_u: sp.csr_matrix = field(default=None, repr=False)
-    _riesz_h: sp.csr_matrix = field(default=None, repr=False)
+    _apply_u: object = field(init=False, repr=False)
+    _apply_h: object = field(init=False, repr=False)
+    # the H block that _apply_h inverts
+    _riesz_h: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = self.system.ops
-        self._riesz_u = ops.riesz_u
         self._riesz_h = ops.riesz_h
         try:
             self._apply_u = ops.riesz_u_lu.solve

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import OperatorSet, assemble_sharp
+from .assembly import CUT_RULE, OperatorSet, assemble_sharp
 from .experiments import fit_loglog_slope
 from .geometry import (AnnulusGeometry, ConductivityTensor, PhaseField,
                        annulus_integral, band_integral, ring_diffuse_integral)
 from .harmonics import AngularSeries
 from .inversion import SharpSolver
-from .mesh import (build_background, levels_for, mesh_annulus, quadrature,
-                   refine_band)
+from .mesh import build_background, levels_for, mesh_annulus, refine_band
 from .saddle import _dot
 
 
@@ -164,14 +163,13 @@ def _sweep_operators(geometry):
     Laplacian K_I."""
     h0 = 0.15
     base = build_background(h0)
-    rule = quadrature(2, 4)
     out = []
     for k in (2, 3, 4):
         eps = 2.0 ** -k
         field = PhaseField(geometry, eps)
         mesh = refine_band(base, field, levels_for(eps, h0))
         out.append(OperatorSet.build(mesh, field,
-                                     ConductivityTensor.identity(), rule))
+                                     ConductivityTensor.identity(), CUT_RULE))
     return out
 
 

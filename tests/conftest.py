@@ -1,11 +1,12 @@
 import pytest
 
-from ddcauchy.assembly import OperatorSet, assemble_sharp
+from ddcauchy import experiments as xp
+from ddcauchy.assembly import CUT_RULE, OperatorSet, assemble_sharp
 from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import SharpSolver
 from ddcauchy.mesh import (build_background, levels_for, mesh_annulus,
-                           quadrature, refine_band)
+                           refine_band)
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +21,7 @@ def tensor():
 
 @pytest.fixture(scope="session")
 def rule():
-    return quadrature(2, 4)
+    return CUT_RULE
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +53,45 @@ def sharp_solver(geometry, tensor):
 def truth(geometry, tensor):
     return synthesize_truth(geometry, tensor,
                             AngularSeries.of(("cos", 2, 1.0), ("sin", 3, 0.5)))
+
+
+# The heavy studies, run once per session and shared by the acceptance
+# criteria and the golden-file comparison.
+
+
+@pytest.fixture(scope="session")
+def fig7_runs(tmp_path_factory):
+    """fig7 rate study (nu = 1/2 twice for determinism, and nu = 1/3)."""
+    out = {}
+    base = tmp_path_factory.mktemp("fig7")
+    for label, exp in (("half", "0.5"), ("third", "0.3333333333333333")):
+        cfg = xp.load_config(overrides=xp.apply_preset(
+            "fig7", {"study.eps_exp": exp,
+                     "output.directory": str(base / label)}))
+        ws = xp.Workspace(cfg)
+        out[label] = (cfg, xp.run_rate_study(cfg, ws))
+    cfg_b = xp.load_config(overrides=xp.apply_preset(
+        "fig7", {"output.directory": str(base / "repeat")}))
+    out["repeat"] = (cfg_b, xp.run_rate_study(cfg_b, xp.Workspace(cfg_b)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def fig8_runs():
+    cfg_d = xp.load_config(overrides=xp.apply_preset("fig8"))
+    ws = xp.Workspace(cfg_d)
+    diffuse = xp.run_rate_study(cfg_d, ws)
+    cfg_s = xp.load_config(overrides=xp.apply_preset(
+        "fig8", {"study.eps_coef": "0.0", "study.eps_exp": "0.0"}))
+    sharp = xp.run_rate_study(cfg_s, ws)
+    return {"diffuse": diffuse, "sharp": sharp}
+
+
+@pytest.fixture(scope="session")
+def table_run():
+    cfg = xp.load_config(overrides={
+        "study.kind": "table",
+        "study.alphas": "1.0, 0.1, 0.01, 0.001, 0.0001",
+        "study.epsilons": "0.25, 0.125, 0.0625, 0.03125, 0.015625",
+        "study.table_delta": "0.001"})
+    return xp.run_iteration_table(cfg, xp.Workspace(cfg))

@@ -1,20 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines as they complete (the whole test suite takes about a minute; the
-heavy studies are shared between criteria through module-scoped
-fixtures).  Criteria 1-3 run the matching checks of ``ddcauchy.verify``.
+lines as they complete.  The heavy studies (``table_run``, ``fig7_runs``,
+``fig8_runs``) are session-scoped fixtures of ``tests/conftest.py``,
+shared with the golden-file comparison of ``tests/test_golden.py``.
+Criteria 1-3 run the matching checks of ``ddcauchy.verify``.
 """
 
 import numpy as np
 import pytest
 
 from ddcauchy import experiments as xp
-from ddcauchy.assembly import OperatorSet
+from ddcauchy.assembly import CUT_RULE, OperatorSet
 from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import diffuse_forward, extend_control
-from ddcauchy.mesh import build_background, levels_for, quadrature, refine_band
+from ddcauchy.mesh import build_background, levels_for, refine_band
 from ddcauchy.saddle import build_system, spectrum
 from ddcauchy.verify import (check_adjoint, check_band_measure,
                              check_integral_order)
@@ -50,48 +51,10 @@ def report(num, name, passed, detail):
 
 
 @pytest.fixture(scope="module")
-def fig7_runs(tmp_path_factory):
-    """fig7 rate study (nu = 1/2 twice for determinism, and nu = 1/3)."""
-    out = {}
-    base = tmp_path_factory.mktemp("fig7")
-    for label, exp in (("half", "0.5"), ("third", "0.3333333333333333")):
-        cfg = xp.load_config(overrides=xp.apply_preset(
-            "fig7", {"study.eps_exp": exp,
-                     "output.directory": str(base / label)}))
-        ws = xp.Workspace(cfg)
-        out[label] = (cfg, xp.run_rate_study(cfg, ws))
-    cfg_b = xp.load_config(overrides=xp.apply_preset(
-        "fig7", {"output.directory": str(base / "repeat")}))
-    out["repeat"] = (cfg_b, xp.run_rate_study(cfg_b, xp.Workspace(cfg_b)))
-    return out
-
-
-@pytest.fixture(scope="module")
-def fig8_runs():
-    cfg_d = xp.load_config(overrides=xp.apply_preset("fig8"))
-    ws = xp.Workspace(cfg_d)
-    diffuse = xp.run_rate_study(cfg_d, ws)
-    cfg_s = xp.load_config(overrides=xp.apply_preset(
-        "fig8", {"study.eps_coef": "0.0", "study.eps_exp": "0.0"}))
-    sharp = xp.run_rate_study(cfg_s, ws)
-    return {"diffuse": diffuse, "sharp": sharp}
-
-
-@pytest.fixture(scope="module")
-def table_run():
-    cfg = xp.load_config(overrides={
-        "study.kind": "table",
-        "study.alphas": "1.0, 0.1, 0.01, 0.001, 0.0001",
-        "study.epsilons": "0.25, 0.125, 0.0625, 0.03125, 0.015625",
-        "study.table_delta": "0.001"})
-    return xp.run_iteration_table(cfg, xp.Workspace(cfg))
-
-
-@pytest.fixture(scope="module")
 def spectrum_setup():
     field = PhaseField(GEO, 0.125)
     mesh = build_background(0.08)
-    ops = OperatorSet.build(mesh, field, TEN, quadrature(2, 4))
+    ops = OperatorSet.build(mesh, field, TEN, CUT_RULE)
     f0 = np.zeros(mesh.num_vertices)
     return ops, f0
 
@@ -166,7 +129,7 @@ def test_criterion_05_spectrum_banding(spectrum_setup):
     n_iso = len(isolated) + len(iso_neg)
     ok_d = n_iso <= 12
     # alpha = 0: ill-posedness cluster at the origin
-    system0 = build_system(ops, 0.0, f0, allow_zero_alpha=True)
+    system0 = build_system(ops, 0.0, f0)
     eigs0 = spectrum(system0)
     smallest = np.abs(eigs0).min()
     ok_e = smallest < 1e-8
@@ -217,13 +180,12 @@ def test_criterion_09_perturbation_decay():
     truth = synthesize_truth(GEO, TEN, AngularSeries.of(
         ("cos", 1, 7.0), ("cos", 2, 4.2), ("sin", 3, 2.8)))
     base = build_background(h0)
-    rule = quadrature(2, 4)
     errs, eps_list = [], []
     for k in (3, 4, 5, 6):
         eps = 2.0 ** -k
         field = PhaseField(GEO, eps)
         mesh = refine_band(base, field, levels_for(eps, h0) + 1)
-        ops = OperatorSet.build(mesh, field, TEN, rule)
+        ops = OperatorSet.build(mesh, field, TEN, CUT_RULE)
         v = diffuse_forward(ops, ops.b_h @ extend_control(truth.u_dagger,
                                                           ops))
         a_v = ops.active_v

@@ -6,11 +6,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from ddcauchy import assembly
-from ddcauchy.assembly import (AssemblyError, OperatorSet, _diffuse_forms,
-                               _element_geometry, _Elements, _quad_points,
-                               _scatter, _support_mask, active_sets,
-                               assemble_band_mass, assemble_sharp,
-                               assemble_weighted_stiffness, diffuse_functional)
+from ddcauchy.assembly import (CUT_RULE, AssemblyError, OperatorSet,
+                               _diffuse_forms, _element_geometry, _Elements,
+                               _quad_points, _scatter, _support_mask,
+                               active_sets, assemble_band_mass,
+                               assemble_sharp, assemble_weighted_stiffness,
+                               diffuse_functional)
 from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
                                PhaseField, bulk_integral, band_integral,
                                annulus_integral)
@@ -154,7 +155,6 @@ def test_diffuse_bulk_integral_order_on_mesh(geometry, tensor):
     """Mesh-quadrature diffuse integrals approach the sharp integral at
     order >= 1.9 for the smooth g = |x|^2 (the lemma rate)."""
     base = build_background(0.1)
-    rule = quadrature(2, 4)
     g = lambda p: (np.asarray(p) ** 2).sum(axis=1)
     exact = annulus_integral(geometry, g)
     errs, epss = [], []
@@ -162,7 +162,7 @@ def test_diffuse_bulk_integral_order_on_mesh(geometry, tensor):
         eps = 2.0 ** -k
         field = PhaseField(geometry, eps)
         mesh = refine_band(base, field, max(0, k - 3))
-        errs.append(abs(diffuse_functional(mesh, field, g, "bulk", rule)
+        errs.append(abs(diffuse_functional(mesh, field, g, "bulk", CUT_RULE)
                         - exact))
         epss.append(eps)
     order = np.polyfit(np.log(epss), np.log(errs), 1)[0]
@@ -286,11 +286,10 @@ def test_plateau_elements_have_unit_weights(h0, log2_eps, shift):
     field = PhaseField(geometry, 2.0 ** log2_eps)
     base = build_background(h0)
     mesh = TriMesh(base.vertices + np.array(shift) * h0, base.triangles, [])
-    rule = quadrature(2, 4)
     el = _Elements.select(mesh, field)
     plateau = el.tris[~el.cut]
     _, omega, gradmag = field.phase_and_weights(
-        _quad_points(mesh, plateau, rule))
+        _quad_points(mesh, plateau, CUT_RULE))
     assert np.all(omega == 1.0)
     assert np.all(gradmag == 0.0)
 

@@ -113,7 +113,8 @@ def test_config_defaults_and_overrides(tmp_path):
     (None, {"geometry.sigma_t": "1e-300"}, "geometry.sigma_t"),
     (None, {"truth.amplitude": "1e308", "truth.series": "cos:1:10"},
      "truth.amplitude"),
-    # and so are the points of the rule on a cut element
+    # the cut-element rule is fixed (assembly.CUT_RULE): its former keys
+    # are unknown
     (None, {"mesh.subdivision": "1000"}, "mesh.subdivision"),
     (None, {"mesh.quad_degree": "4", "mesh.subdivision": "12"},
      "mesh.quad_degree"),

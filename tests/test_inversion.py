@@ -227,8 +227,9 @@ def test_sharp_tikhonov_properties(sharp_solver, truth):
     u_dag_norm = sharp_solver.inner_norm(
         truth.u_dagger(sharp_solver.inner_angles))
     assert misfit + penalty <= delta ** 2 + alpha * u_dag_norm ** 2 + 1e-12
-    with pytest.raises(InversionError):
-        sharp_solver.tikhonov(-1.0, f_dag)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(InversionError):
+            sharp_solver.tikhonov(bad, f_dag)
 
 
 def kkt_tikhonov(solver, alpha, f_outer):

@@ -68,7 +68,8 @@ def test_blocks_equal_hand_restrictions(ops):
     system = build_system(ops, 0.01, f_tilde)
     assert_identical(system.matrix, hand_kkt(ops, 0.01, f_tilde))
     prec = RieszPreconditioner(system)
-    assert_identical(prec._riesz_u, ops.b_h[np.ix_(a_u, a_u)].tocsr())
+    assert_identical(ops.riesz_u, ops.b_h[np.ix_(a_u, a_u)].tocsr())
+    assert prec._apply_u.__self__ is ops.riesz_u_lu
     assert_identical(prec._riesz_h,
                      (ops.k_omega + ops.m_omega)[np.ix_(a_v, a_v)].tocsr())
     aug = sp.bmat([[ops.k_vv, ops.mean_col], [ops.mean_col.T, None]],
@@ -98,7 +99,7 @@ def test_blocks_are_shared(ops_16, sharp_solver):
     build_system(ops_16, 0.1, f_tilde)
     for name in BLOCKS:
         assert vars(ops_16)[name] is first[name], name
-    assert RieszPreconditioner(system)._riesz_u is ops_16.riesz_u
+    assert RieszPreconditioner(system)._apply_u.__self__ is ops_16.riesz_u_lu
     assert RieszPreconditioner(system)._riesz_h is ops_16.riesz_h
     ops = sharp_solver.ops
     assert SharpSolver(ops).t_ii is ops.riesz_u

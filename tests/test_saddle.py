@@ -8,7 +8,7 @@ from scipy.linalg import eigh
 
 from ddcauchy.assembly import OperatorSet
 from ddcauchy.geometry import PhaseField
-from ddcauchy.inversion import extend_control
+from ddcauchy.inversion import InversionError, diffuse_tikhonov, extend_control
 from ddcauchy.mesh import build_background
 from ddcauchy.saddle import (RieszPreconditioner, SaddleError, SolveReport,
                              build_system, detect_bands, minres,
@@ -19,11 +19,12 @@ from conftest import make_ops
 
 def test_build_system_validation(ops_16):
     f0 = np.zeros(ops_16.mesh.num_vertices)
-    with pytest.raises(SaddleError):
-        build_system(ops_16, -1.0, f0)
-    with pytest.raises(SaddleError):
-        build_system(ops_16, 0.0, f0)
-    build_system(ops_16, 0.0, f0, allow_zero_alpha=True)
+    for alpha in (-1.0, float("nan")):
+        with pytest.raises(SaddleError):
+            build_system(ops_16, alpha, f0)
+    build_system(ops_16, 0.0, f0)
+    with pytest.raises(InversionError):
+        diffuse_tikhonov(ops_16, 0.0, f0)
     with pytest.raises(SaddleError):
         build_system(ops_16, 1.0, f0[:5])
 
