@@ -25,6 +25,10 @@ operator set only, so it factors each once and every alpha on it reads
 that factor.  MINRES stops when the preconditioned residual norm
 sqrt(r^T P^{-1} r), relative to its initial value, falls below rho.
 
+The dense spectrum solves A q = lambda P q for the same block-diagonal
+P by a block Cholesky reduction to C = L^-1 A L^-T, formed in place in
+one Fortran-ordered dense copy of A, so one n x n array lives.
+
 Every inner product whose value reaches a stopping test or a data file
 goes through ``_dot``.  BLAS ``ddot`` splits long vectors across its
 threads, which reorders the sum (so iteration counts and CSVs would
@@ -108,7 +112,8 @@ def build_system(ops: OperatorSet, alpha: float,
 
 def riesz_matrix(system: SaddleSystem) -> sp.csr_matrix:
     """The Riesz (not inverted) block matrix of ``system``; SPD on the
-    active sets.  Built from the operator set's blocks, without a factor."""
+    active sets.  Built from the operator set's blocks, without a factor:
+    the reference P of the tests (``spectrum`` factors the blocks)."""
     ops = system.ops
     scale = sp.identity(2, format="csr") * system.mult_scale
     return sp.block_diag([ops.riesz_u, ops.riesz_h, ops.riesz_h, scale],
@@ -239,6 +244,46 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
 
 
 DENSE_SPECTRUM_CAP = 4000
+# Columns per row-panel solve of ``_reduce_in_place``: each chunk is
+# copied to one small contiguous buffer, the only other dense array.
+SPECTRUM_CHUNK = 128
+
+
+def _reduce_in_place(a: np.ndarray, system: SaddleSystem) -> None:
+    """Overwrite the Fortran-ordered dense KKT matrix ``a`` with
+    C = L^-1 A L^-T, where L L^T is the block Cholesky factor of the
+    Riesz matrix diag(R_U, R_H, R_H, mult_scale I) (Golub & Van Loan,
+    Matrix Computations, 4th ed., 8.7.2).
+
+    R_U and R_H are factored densely, once each, from copies of the
+    operator set's blocks.  The triangular solves run in place on the
+    column panels of ``a``, then on its row panels through one buffer,
+    a column chunk at a time (a row panel is not contiguous), and the
+    multiplier rows and columns are scaled by 1/sqrt(mult_scale).  The
+    factors are freed on return.
+    """
+    from scipy.linalg import cholesky
+    from scipy.linalg.blas import dtrsm
+
+    nu, nv = system.nu, system.nv
+    l_u, l_h = (cholesky(block.toarray(order="F"), lower=True,
+                         overwrite_a=True)
+                for block in (system.ops.riesz_u, system.ops.riesz_h))
+    panels = ((0, nu, l_u), (nu, nu + nv, l_h), (nu + nv, nu + 2 * nv, l_h))
+    for lo, hi, factor in panels:
+        dtrsm(1.0, factor, a[:, lo:hi], side=1, lower=1, trans_a=1,
+              overwrite_b=1)
+    buffer = np.empty(max(nu, nv) * SPECTRUM_CHUNK)
+    for lo, hi, factor in panels:
+        for c in range(0, a.shape[1], SPECTRUM_CHUNK):
+            rows = a[lo:hi, c:c + SPECTRUM_CHUNK]
+            chunk = buffer[:rows.size].reshape(rows.shape, order="F")
+            chunk[...] = rows
+            dtrsm(1.0, factor, chunk, lower=1, overwrite_b=1)
+            rows[...] = chunk
+    scale = 1.0 / np.sqrt(system.mult_scale)
+    a[nu + 2 * nv:, :] *= scale
+    a[:, nu + 2 * nv:] *= scale
 
 
 def spectrum(system: SaddleSystem,
@@ -246,7 +291,10 @@ def spectrum(system: SaddleSystem,
     """Eigenvalues of the Riesz-preconditioned operator, sorted ascending.
 
     Solves the generalized symmetric problem A q = lambda P q with P the
-    (SPD) Riesz block matrix, densely, for systems up to ``dense_cap``.
+    (SPD) Riesz block matrix, densely, for systems up to ``dense_cap``:
+    P is block diagonal, so ``_reduce_in_place`` turns the one dense copy
+    of A into C = L^-1 A L^-T (P = L L^T), whose standard symmetric
+    eigenvalues are those of the pencil.
     """
     n = system.size
     if n > dense_cap:
@@ -254,12 +302,13 @@ def spectrum(system: SaddleSystem,
                           f"{dense_cap}")
     from scipy.linalg import eigh
 
-    # a and p are fresh dense copies, so LAPACK may overwrite them; the
-    # expert driver (xSYGVX) beats the default divide and conquer here
-    a = system.matrix.toarray()
-    p = riesz_matrix(system).toarray()
-    vals = eigh(a, p, eigvals_only=True, driver="gvx", overwrite_a=True,
-                overwrite_b=True)
+    # F order, so that LAPACK and BLAS overwrite this array rather than
+    # the Fortran-ordered copy f2py would make of a C-ordered one
+    a = system.matrix.toarray(order="F")
+    _reduce_in_place(a, system)
+    # divide and conquer: on the default system its eigenvalues move half
+    # as much as MRRR's (evr) between one and two BLAS threads
+    vals = eigh(a, eigvals_only=True, driver="evd", overwrite_a=True)
     return np.sort(vals)
 
 

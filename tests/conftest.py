@@ -95,3 +95,10 @@ def table_run():
         "study.epsilons": "0.25, 0.125, 0.0625, 0.03125, 0.015625",
         "study.table_delta": "0.001"})
     return xp.run_iteration_table(cfg, xp.Workspace(cfg))
+
+
+@pytest.fixture(scope="session")
+def spectrum_run():
+    """The default spectrum study (eps = 0.125, alpha = 1e-4, h0 = 0.08)."""
+    return xp.run_spectrum_study(xp.load_config(
+        overrides={"study.kind": "spectrum"}))

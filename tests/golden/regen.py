@@ -4,20 +4,23 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-It runs the iteration table, the fig7 rate sweep and the fig8 rate sweep
-(diffuse, then the sharp reference on the same Workspace) at the default
-config and seed 1234, and writes what ``emit_outputs`` writes for them:
+It runs the iteration table, the fig7 rate sweep, the fig8 rate sweep
+(diffuse, then the sharp reference on the same Workspace) and the
+spectrum at the default config and seed 1234, and writes what
+``emit_outputs`` writes for them:
 
     table.csv        the 5 x 5 MINRES iteration counts
     fig7_rates.csv   rates.csv of ``rates --preset fig7``
     fig8_rates.csv   rates.csv of the fig8 diffuse and sharp runs, labelled
                      "fig8" and "sharp"
+    spectrum.csv     the dense preconditioned spectrum and its bands
 
-These are the data files whose content does not depend on the BLAS
-thread count.  Each file starts with one ``# golden:`` line naming the
-git revision and the machine it was written on; ``tests/test_golden.py``
-compares fresh studies with the rest.  A change that moves these files
-regenerates them and says so, with its largest move.
+The first three do not depend on the BLAS thread count; the eigenvalues
+of spectrum.csv do, in their last digits.  Each file starts with one
+``# golden:`` line naming the git revision and the machine it was
+written on; ``tests/test_golden.py`` compares fresh studies with the
+rest.  A change that moves these files regenerates them and says so,
+with its largest move.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ def configs() -> dict:
             "fig7": xp.load_config(overrides=xp.apply_preset("fig7")),
             "fig8": xp.load_config(overrides=xp.apply_preset("fig8")),
             "sharp": xp.load_config(overrides=xp.apply_preset("fig8",
-                                                              sharp))}
+                                                              sharp)),
+            "spectrum": xp.load_config(overrides={"study.kind": "spectrum"})}
 
 
-def texts(table, fig7, fig8: dict) -> dict:
+def texts(table, fig7, fig8: dict, spect) -> dict:
     """Golden file name -> CSV text of the studies, as ``emit_outputs``
     writes it; ``fig8`` maps "diffuse" and "sharp" to their results."""
     cfgs = configs()
@@ -58,6 +62,8 @@ def texts(table, fig7, fig8: dict) -> dict:
         "fig8_rates.csv": (cfgs["fig8"], "rates.csv",
                            {"rates": {"fig8": fig8["diffuse"],
                                       "sharp": fig8["sharp"]}}),
+        "spectrum.csv": (cfgs["spectrum"], "spectrum.csv",
+                         {"spect": spect}),
     }
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,7 +114,8 @@ def main() -> None:
     fig8 = {"diffuse": xp.run_rate_study(cfgs["fig8"], ws),
             "sharp": xp.run_rate_study(cfgs["sharp"], ws)}
     fresh = texts(xp.run_iteration_table(cfgs["table"]),
-                  xp.run_rate_study(cfgs["fig7"]), fig8)
+                  xp.run_rate_study(cfgs["fig7"]), fig8,
+                  xp.run_spectrum_study(cfgs["spectrum"]))
     header = f"{HEADER} rev={_revision()}; {machine_block()}\n"
     for name, text in fresh.items():
         with open(HERE / name, "w", newline="\n") as fh:

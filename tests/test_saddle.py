@@ -1,9 +1,9 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from ddcauchy.assembly import OperatorSet
@@ -277,14 +277,34 @@ def test_spectrum_matches_default_driver(geometry, tensor, rule):
     ops = OperatorSet.build(build_background(0.08),
                             PhaseField(geometry, 0.125), tensor, rule)
     system = build_system(ops, 1e-4, np.zeros(ops.mesh.num_vertices))
-    matrix = system.matrix.copy()
+    blocks = [m.copy() for m in (system.matrix, ops.riesz_u, ops.riesz_h)]
     eigs = spectrum(system)
     want = np.sort(eigh(system.matrix.toarray(),
                         riesz_matrix(system).toarray(), eigvals_only=True))
     assert np.abs(eigs - want).max() <= 1e-10 * np.abs(want).max()
-    # the driver overwrites only its own dense copies
+    # the reduction overwrites only its own dense copies, never the
+    # system matrix or the operator set's Riesz blocks
     assert np.array_equal(spectrum(system), eigs)
-    assert (system.matrix != matrix).nnz == 0
+    for before, after in zip(blocks, (system.matrix, ops.riesz_u,
+                                      ops.riesz_h)):
+        assert (after != before).nnz == 0
+
+
+def test_spectrum_holds_one_dense_matrix(geometry, tensor, rule):
+    # C = L^-1 A L^-T is formed in A's own dense copy; beside it live only
+    # the dense R_H factor and one row-panel chunk
+    ops = OperatorSet.build(build_background(0.15),
+                            PhaseField(geometry, 0.125), tensor, rule)
+    system = build_system(ops, 1e-4, np.zeros(ops.mesh.num_vertices))
+    ops.riesz_h  # restricted first: only the dense arrays are measured
+    n = system.size
+    tracemalloc.start()
+    try:
+        spectrum(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2"
 
 
 def test_spectrum_dense_cap(ops_16):
