@@ -266,34 +266,6 @@ def assemble_band_mass(mesh: TriMesh, field: PhaseField, which: str,
     return forms[1 + KINDS.index(which)]
 
 
-def diffuse_functional(mesh: TriMesh, field: PhaseField, integrand,
-                       kind: str, rule: QuadratureRule) -> float:
-    """int g * omega dx (kind 'bulk') or int g |grad omega| gamma dx
-    (kind 'H' or 'B'), with the cut/plateau split and the cut blocks of
-    the forms."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-
-    def g(points):
-        vals = np.asarray(integrand(points.reshape(-1, 2)), dtype=float)
-        return vals.reshape(points.shape[:2])
-
-    el = _Elements.select(mesh, field)
-    total = 0.0
-    for rows, points, omega, gradmag in el.cut_blocks(mesh, field, rule):
-        if kind == "bulk":
-            weight = omega
-        else:
-            hit, weight = el.band_weights(kind, field, rows, points, gradmag)
-            rows, points = rows[hit], points[hit]
-        total += np.einsum("q,mq,mq,m->", rule.weights, weight, g(points),
-                           el.areas[rows])
-    if kind == "bulk":
-        total += np.einsum("q,mq,m->", PLATEAU_RULE.weights,
-                           g(el.plateau_points(mesh)), el.areas[~el.cut])
-    return float(total)
-
-
 def active_sets(b_h: sp.csr_matrix, k_omega: sp.csr_matrix,
                 m_omega: sp.csr_matrix):
     """Index sets of control and state DOFs actually touched by the weights.

@@ -125,8 +125,8 @@ class ConductivityTensor:
 
     t and n are the unit tangential/radial directions of the polar frame,
     so the boundary normal is an eigenvector of M everywhere (radial
-    eigenvalue sigma_r).  Ellipticity constant m = min(sigma) when
-    max(sigma) <= 1/min(sigma).
+    eigenvalue sigma_r).  M is uniformly elliptic: m |xi|^2 <= xi^T M xi
+    <= |xi|^2 / m with m = min(sigma_t, sigma_r, 1 / max(sigma_t, sigma_r)).
     """
 
     sigma_t: float = 1.0
@@ -141,34 +141,9 @@ class ConductivityTensor:
         return cls(sigma_t=1.0, sigma_r=1.0)
 
     @property
-    def ellipticity(self) -> float:
-        return min(self.sigma_t, self.sigma_r, 1.0 / max(self.sigma_t, self.sigma_r))
-
-    @property
     def anisotropy_exponent(self) -> float:
         """Mode-k separable solutions behave like r^(+-k * this)."""
         return float(np.sqrt(self.sigma_t / self.sigma_r))
-
-    def evaluate(self, points) -> np.ndarray:
-        """Tensor components at points, shape (..., 2, 2): the pointwise
-        reference for ``weighted_sum``, which assembly calls instead.
-
-        At the origin the frame is undefined; the isotropic average is
-        returned there (always multiplied by omega = 0 in assemblies).
-        """
-        pts = np.asarray(points, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        r2 = x * x + y * y
-        safe = np.where(r2 > 0.0, r2, 1.0)
-        c2 = np.where(r2 > 0.0, x * x / safe, 0.5)
-        s2 = np.where(r2 > 0.0, y * y / safe, 0.5)
-        cs = np.where(r2 > 0.0, x * y / safe, 0.0)
-        m = np.empty(pts.shape[:-1] + (2, 2))
-        m[..., 0, 0] = self.sigma_t * s2 + self.sigma_r * c2
-        m[..., 1, 1] = self.sigma_t * c2 + self.sigma_r * s2
-        m[..., 0, 1] = (self.sigma_r - self.sigma_t) * cs
-        m[..., 1, 0] = m[..., 0, 1]
-        return m
 
     def weighted_sum(self, points, weights) -> np.ndarray:
         """sum_q w[m, q] M(x[m, q]), shape (m, 2, 2), from three weighted
@@ -212,11 +187,12 @@ def _polar_ring(f, center: float, half: float, n_theta: int,
     return float(np.einsum("i,ij,ij->", wr, vals, R) * (2.0 * np.pi / n_theta))
 
 
-def band_integral(field: PhaseField, g, which: str, n_theta: int = 256,
-                  n_radial: int = 24) -> float:
+def band_integral(field: PhaseField, g, which: str,
+                  n_theta: int = 256) -> float:
     """Quadrature of int g(x) |grad omega| gamma_which dx over one band,
-    the ring of half-width eps around r_inner (H) or r_outer (B).
-    ``g`` maps an (n, 2) array of points to values."""
+    the ring of half-width eps around r_inner (H) or r_outer (B), on
+    n_theta angles by 24 Gauss points.  ``g`` maps an (n, 2) array of
+    points to values."""
     geo = field.geometry
 
     def integrand(pts):
@@ -225,26 +201,17 @@ def band_integral(field: PhaseField, g, which: str, n_theta: int = 256,
         return vals * gradmag * geo.boundary_weight(which, pts)
 
     radius = geo.r_inner if which == "H" else geo.r_outer
-    return _polar_ring(integrand, radius, field.epsilon, n_theta, n_radial)
+    return _polar_ring(integrand, radius, field.epsilon, n_theta, 24)
 
 
-def bulk_integral(field: PhaseField, g, n_theta: int = 256,
-                  n_radial: int = 24) -> float:
-    """Quadrature of int g(x) omega(x) dx over the support of omega:
-    ring_diffuse_integral over r_inner - eps < r < r_outer + eps."""
-    geo = field.geometry
-    return ring_diffuse_integral(field, g, geo.r_inner - field.epsilon,
-                                 geo.r_outer + field.epsilon, n_theta,
-                                 n_radial)
-
-
-def ring_diffuse_integral(field: PhaseField, g, r_lo: float, r_hi: float,
-                          n_theta: int = 256, n_radial: int = 24) -> float:
+def ring_diffuse_integral(field: PhaseField, g, r_lo: float,
+                          r_hi: float) -> float:
     """Quadrature of int g omega dx restricted to the ring r_lo < r < r_hi.
 
     Splits the radial axis at the band kinks of omega so each Gauss piece
-    is smooth.  Used to isolate the one-sided band defect of a single
-    interface (the two-sided defects of this geometry cancel exactly).
+    (256 angles by 24 points) is smooth.  Used to isolate the one-sided
+    band defect of a single interface (the two-sided defects of this
+    geometry cancel exactly).
     """
     geo = field.geometry
     eps = field.epsilon
@@ -259,16 +226,14 @@ def ring_diffuse_integral(field: PhaseField, g, r_lo: float, r_hi: float,
     total = 0.0  # summed in order: sum() compensates on Python >= 3.12
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         total += _polar_ring(integrand, 0.5 * (hi + lo), 0.5 * (hi - lo),
-                             n_theta, n_radial)
+                             256, 24)
     return total
 
 
-def annulus_integral(geometry: AnnulusGeometry, g, n_theta: int = 256,
-                     n_radial: int = 48, r_lo: float = None,
+def annulus_integral(geometry: AnnulusGeometry, g, r_lo: float = None,
                      r_hi: float = None) -> float:
     """Quadrature of int g dx over the exact (sharp) annulus, optionally
-    restricted to a sub-ring."""
+    restricted to a sub-ring, on 256 angles by 48 Gauss points."""
     lo = geometry.r_inner if r_lo is None else max(r_lo, geometry.r_inner)
     hi = geometry.r_outer if r_hi is None else min(r_hi, geometry.r_outer)
-    return _polar_ring(g, 0.5 * (hi + lo), 0.5 * (hi - lo), n_theta,
-                       n_radial)
+    return _polar_ring(g, 0.5 * (hi + lo), 0.5 * (hi - lo), 256, 48)

@@ -62,15 +62,10 @@ class AngularSeries:
         return AngularSeries(tuple(SeriesTerm(t.kind, t.k, t.coef * factor)
                                    for t in self.terms))
 
-    def l2_norm(self, radius: float) -> float:
-        """Exact L2(circle) norm: ||cos k theta||^2 = pi * radius."""
-        return float(np.sqrt(np.pi * radius * sum(t.coef ** 2
-                                                  for t in self.terms)))
-
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """c * r^mu + d * r^(-mu), with derivative evaluation."""
+    """c * r^mu + d * r^(-mu)."""
 
     c: float
     d: float
@@ -80,30 +75,12 @@ class RadialProfile:
         r = np.asarray(r, dtype=float)
         return self.c * r ** self.mu + self.d * r ** (-self.mu)
 
-    def deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.mu * (self.c * r ** (self.mu - 1.0)
-                          - self.d * r ** (-self.mu - 1.0))
-
 
 @dataclass(frozen=True)
 class ModeField:
-    """Sum of separable modes: callable on points or on (r, theta)."""
+    """Sum of separable modes, callable on points."""
 
     profiles: tuple  # of (SeriesTerm, RadialProfile)
-
-    def _sum(self, radial, r, theta) -> np.ndarray:
-        """Sum over the modes of radial(profile, r) times their trig."""
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
-        for term, prof in self.profiles:
-            trig = np.cos if term.kind == "cos" else np.sin
-            out += radial(prof, r) * trig(term.k * theta)
-        return out
-
-    def eval_polar(self, r, theta) -> np.ndarray:
-        return self._sum(RadialProfile.value, r, theta)
 
     def __call__(self, points, r_min: float = 0.0) -> np.ndarray:
         """Evaluate at points; radii are clamped from below by r_min.
@@ -117,11 +94,11 @@ class ModeField:
         if r_min > 0.0:
             r = np.maximum(r, r_min)
         theta = np.arctan2(pts[..., 1], pts[..., 0])
-        return self.eval_polar(r, theta)
-
-    def radial_flux(self, r, theta) -> np.ndarray:
-        """dv/dr at (r, theta)."""
-        return self._sum(RadialProfile.deriv, r, theta)
+        out = np.zeros(r.shape)
+        for term, prof in self.profiles:
+            trig = np.cos if term.kind == "cos" else np.sin
+            out += prof.value(r) * trig(term.k * theta)
+        return out
 
     def trace_series(self, radius: float) -> AngularSeries:
         return AngularSeries(tuple(

@@ -70,20 +70,6 @@ class TriMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-
-    def total_area(self) -> float:
-        return float(self.signed_areas().sum())
-
-    def diameters(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-        e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-        e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-        return np.maximum(np.maximum(e0, e1), e2)
-
     def smallest_angles(self) -> np.ndarray:
         """Smallest interior angle of each triangle, in degrees."""
         p = self.vertices[self.triangles]
@@ -92,37 +78,6 @@ class TriMesh:
         num = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
         den = np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2)
         return np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0)).min(axis=1))
-
-    def min_angle(self) -> float:
-        """Smallest interior angle over all triangles, in degrees."""
-        return float(self.smallest_angles().min())
-
-    def edges(self):
-        """(unique_edges, per-triangle edge indices); edges as sorted pairs."""
-        return _edge_numbering(self.triangles, self.num_vertices)
-
-    def check_conforming(self) -> None:
-        """Audit edge incidence: every edge borders 1 or 2 triangles and
-        no vertex sits strictly inside another triangle's edge."""
-        uniq, per_tri = self.edges()
-        counts = np.bincount(per_tri.ravel(), minlength=len(uniq))
-        bad = np.flatnonzero(counts > 2)
-        if bad.size:
-            raise MeshError(f"edge {tuple(uniq[bad[0]])} shared by "
-                            f"{counts[bad[0]]} triangles")
-        # match edge midpoints against vertices by rounded coordinates,
-        # as complex numbers (+ 0.0 folds -0.0 into 0.0)
-        mids = 0.5 * (self.vertices[uniq[:, 0]] + self.vertices[uniq[:, 1]])
-        points = np.round(np.vstack([self.vertices, mids]), 12) + 0.0
-        _, cls = np.unique(points[:, 0] + 1j * points[:, 1],
-                           return_inverse=True)
-        vertex_of = np.full(cls.max() + 1, -1, dtype=np.int64)
-        vertex_of[cls[:self.num_vertices]] = np.arange(self.num_vertices)
-        k = vertex_of[cls[self.num_vertices:]]
-        bad = np.flatnonzero((k >= 0) & (k != uniq[:, 0]) & (k != uniq[:, 1]))
-        if bad.size:
-            i, j = uniq[bad[0]]
-            raise MeshError(f"hanging node {k[bad[0]]} on edge ({i}, {j})")
 
 
 def background_vertices(h0: float) -> float:

@@ -110,16 +110,6 @@ def build_system(ops: OperatorSet, alpha: float,
     return SaddleSystem(mat, rhs, nu, nv, ops, mult_scale)
 
 
-def riesz_matrix(system: SaddleSystem) -> sp.csr_matrix:
-    """The Riesz (not inverted) block matrix of ``system``; SPD on the
-    active sets.  Built from the operator set's blocks, without a factor:
-    the reference P of the tests (``spectrum`` factors the blocks)."""
-    ops = system.ops
-    scale = sp.identity(2, format="csr") * system.mult_scale
-    return sp.block_diag([ops.riesz_u, ops.riesz_h, ops.riesz_h, scale],
-                         format="csr")
-
-
 @dataclass
 class RieszPreconditioner:
     """Block-diagonal inverse Riesz map, by its operator set's LU factors."""

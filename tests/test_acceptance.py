@@ -2,8 +2,9 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete.  The heavy studies (``table_run``, ``fig7_runs``,
-``fig8_runs``) are session-scoped fixtures of ``tests/conftest.py``,
-shared with the golden-file comparison of ``tests/test_golden.py``.
+``fig8_runs``, ``spectrum_run``) are session-scoped fixtures of
+``tests/conftest.py``, shared with the golden-file comparison of
+``tests/test_golden.py``.
 Criteria 1-3 run the matching checks of ``ddcauchy.verify``.
 """
 
@@ -52,6 +53,7 @@ def report(num, name, passed, detail):
 
 @pytest.fixture(scope="module")
 def spectrum_setup():
+    """Operator set of the default spectrum system, for alpha = 0."""
     field = PhaseField(GEO, 0.125)
     mesh = build_background(0.08)
     ops = OperatorSet.build(mesh, field, TEN, CUT_RULE)
@@ -110,12 +112,11 @@ def test_criterion_04_iteration_robustness(table_run):
            "; ".join(detail))
 
 
-def test_criterion_05_spectrum_banding(spectrum_setup):
-    ops, f0 = spectrum_setup
+def test_criterion_05_spectrum_banding(spectrum_run, spectrum_setup):
     alpha = 1e-4
-    system = build_system(ops, alpha, f0)
-    assert system.size <= 2000
-    eigs = spectrum(system)
+    assert (spectrum_run.alpha, spectrum_run.epsilon) == (alpha, 0.125)
+    assert spectrum_run.size <= 2000
+    eigs = spectrum_run.eigenvalues
     neg = eigs[eigs < 0.0]
     pos = eigs[eigs > 0.0]
     ok_a = neg.max() <= -NEG_SEPARATION
@@ -129,6 +130,7 @@ def test_criterion_05_spectrum_banding(spectrum_setup):
     n_iso = len(isolated) + len(iso_neg)
     ok_d = n_iso <= 12
     # alpha = 0: ill-posedness cluster at the origin
+    ops, f0 = spectrum_setup
     system0 = build_system(ops, 0.0, f0)
     eigs0 = spectrum(system0)
     smallest = np.abs(eigs0).min()

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ddcauchy.geometry import (AnnulusGeometry, BandError, ConductivityTensor,
-                               PhaseField, band_integral, bulk_integral,
+                               PhaseField, band_integral,
                                ring_diffuse_integral, annulus_integral)
+
+from oracles import bulk_integral, evaluate
 
 
 def test_signed_distance_examples(geometry):
@@ -133,13 +135,15 @@ def test_annulus_integral_oracle(geometry):
 def test_conductivity_tensor_properties(tensor):
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1.4, 1.4, size=(200, 2))
-    m = tensor.evaluate(pts)
+    m = evaluate(tensor, pts)
     assert np.abs(m - np.swapaxes(m, -1, -2)).max() == 0.0
     xi = rng.standard_normal((200, 2))
     quad = np.einsum("na,nab,nb->n", xi, m, xi)
     norms = (xi ** 2).sum(axis=1)
-    assert (quad >= tensor.ellipticity * norms - 1e-12).all()
-    assert (quad <= norms / tensor.ellipticity + 1e-12).all()
+    ellipticity = min(tensor.sigma_t, tensor.sigma_r,
+                      1.0 / max(tensor.sigma_t, tensor.sigma_r))
+    assert (quad >= ellipticity * norms - 1e-12).all()
+    assert (quad <= norms / ellipticity + 1e-12).all()
     # the radial direction is an eigenvector with eigenvalue sigma_r
     n = pts / np.hypot(pts[:, 0], pts[:, 1])[:, None]
     mn = np.einsum("nab,nb->na", m, n)
@@ -160,7 +164,7 @@ def test_weighted_sum_matches_pointwise_tensor(sigma):
     pts[3] = 0.0
     w = rng.uniform(0.0, 1.0, size=(40, 12))
     for weights, spec in ((w, "mq,mqab->mab"), (w[0], "q,mqab->mab")):
-        ref = np.einsum(spec, weights, tensor.evaluate(pts))
+        ref = np.einsum(spec, weights, evaluate(tensor, pts))
         got = tensor.weighted_sum(pts, weights)
         assert got.shape == (40, 2, 2)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -168,5 +172,5 @@ def test_weighted_sum_matches_pointwise_tensor(sigma):
 
 def test_identity_tensor():
     iden = ConductivityTensor.identity()
-    m = iden.evaluate(np.array([[0.4, 0.7]]))
+    m = evaluate(iden, np.array([[0.4, 0.7]]))
     assert m[0] == pytest.approx(np.eye(2))

@@ -11,10 +11,10 @@ from ddcauchy.geometry import PhaseField
 from ddcauchy.inversion import InversionError, diffuse_tikhonov, extend_control
 from ddcauchy.mesh import build_background
 from ddcauchy.saddle import (RieszPreconditioner, SaddleError, SolveReport,
-                             build_system, detect_bands, minres,
-                             riesz_matrix, spectrum)
+                             build_system, detect_bands, minres, spectrum)
 
 from conftest import make_ops
+from oracles import diffuse_functional, evaluate, riesz_matrix
 
 
 def test_build_system_validation(ops_16):
@@ -80,8 +80,6 @@ def test_third_row_consistency_functional_oracle(ops_16, tensor, rule):
     """For the exactly representable pair (u*, v*) = (1, x), weighted sums
     of the row-3 residual equal the bilinear form b(u*, v*; w) for the
     test functions w = 1 and w = x, each side integrated independently."""
-    from ddcauchy.assembly import diffuse_functional
-
     n = ops_16.mesh.num_vertices
     ones = np.ones(n)
     u_star = np.zeros(n)
@@ -102,7 +100,7 @@ def test_third_row_consistency_functional_oracle(ops_16, tensor, rule):
     assert got == pytest.approx(want, rel=1e-12)
     # w = x: b(1, x; x) = int M_00 omega dx - int x |grad omega| gamma_H dx
     got = float(v_star @ resid)
-    m00 = lambda p: tensor.evaluate(p)[..., 0, 0]
+    m00 = lambda p: evaluate(tensor, p)[..., 0, 0]
     xval = lambda p: np.asarray(p)[:, 0]
     want = (diffuse_functional(mesh, field, m00, "bulk", rule)
             - diffuse_functional(mesh, field, xval, "H", rule))
