@@ -135,6 +135,8 @@ def _support_mask(mesh: TriMesh, field: PhaseField, kind: str) -> np.ndarray:
 def _scatter(ni: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
     """Accumulate blocks (m, k, k) on node lists ni (m, k) into CSR."""
     k = ni.shape[1]
+    # the index width coo_matrix keeps, so that it copies nothing down
+    ni = ni.astype(np.int32 if n < 2 ** 31 else np.int64, copy=False)
     rows = np.repeat(ni, k, axis=1).ravel()
     cols = np.tile(ni, (1, k)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))

@@ -16,12 +16,24 @@ then every triangle is split green (longest edge bisected), blue (longest
 edge and one leg) or red (quartered through all three midpoints).  Every
 child of a right-isosceles triangle is right-isosceles again, so the
 refined meshes keep a minimum angle of 45 degrees.
+
+The per-triangle kernels (radial interval, angles, edge numbering,
+longest edge) read each triangle's three corners once, as 1-D columns
+(``_corners``), and write every reduction over the corners out as
+elementwise arithmetic on those columns: ``np.maximum`` chains for
+``max(axis=1)``, ``a + b`` for a length-2 ``sum``, ``|`` for ``any``.
+In numpy 2.4 a reduction over an axis of length 2 or 3 costs ten to
+forty times the same arithmetic done column by column.  Each expression
+keeps the order of the reduction it replaces (dot products as
+``ax*bx + ay*by``, the first maximum winning ties), so the results are
+the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 import numpy as np
 
@@ -35,8 +47,11 @@ class MeshError(StageError, ValueError):
     stage = "mesh"
 
 
-def _cross2(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+def _corners(vertices: np.ndarray, tris: np.ndarray):
+    """Corner coordinates (x, y), each (3, m): row k is corner k of every
+    triangle, a contiguous column."""
+    idx = np.ascontiguousarray(tris.T)
+    return vertices[:, 0][idx], vertices[:, 1][idx]
 
 
 @dataclass
@@ -72,12 +87,16 @@ class TriMesh:
 
     def smallest_angles(self) -> np.ndarray:
         """Smallest interior angle of each triangle, in degrees."""
-        p = self.vertices[self.triangles]
-        a = np.roll(p, -1, axis=1) - p
-        b = np.roll(p, -2, axis=1) - p
-        num = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-        den = np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2)
-        return np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0)).min(axis=1))
+        x, y = _corners(self.vertices, self.triangles)
+        angles = []
+        for k in range(3):
+            # corner k, between the edges to corners k + 1 and k + 2
+            ax, ay = x[(k + 1) % 3] - x[k], y[(k + 1) % 3] - y[k]
+            bx, by = x[(k + 2) % 3] - x[k], y[(k + 2) % 3] - y[k]
+            den = np.sqrt(ax * ax + ay * ay) * np.sqrt(bx * bx + by * by)
+            angles.append(np.arccos(np.clip((ax * bx + ay * by) / den,
+                                            -1.0, 1.0)))
+        return np.degrees(reduce(np.minimum, angles))
 
 
 def background_vertices(h0: float) -> float:
@@ -113,23 +132,20 @@ def build_background(h0: float) -> TriMesh:
 
 def _radial_interval(vertices: np.ndarray, tris: np.ndarray):
     """Exact range [r_low, r_high] of |x| over each triangle."""
-    p = vertices[tris]  # (m, 3, 2)
-    rv = np.hypot(p[..., 0], p[..., 1])
-    r_high = rv.max(axis=1)
-    r_low = rv.min(axis=1)
+    x, y = _corners(vertices, tris)
+    rv = [np.hypot(x[k], y[k]) for k in range(3)]
+    r_high, r_low = reduce(np.maximum, rv), reduce(np.minimum, rv)
+    inside = True
     for k in range(3):
-        a = p[:, k]
-        b = p[:, (k + 1) % 3]
-        ab = b - a
-        denom = (ab * ab).sum(axis=1)
-        t = np.clip(-(a * ab).sum(axis=1) / np.where(denom > 0, denom, 1.0),
+        # edge k from corner a = k to corner k + 1: nearest point to 0
+        ax, ay = x[k], y[k]
+        abx, aby = x[(k + 1) % 3] - ax, y[(k + 1) % 3] - ay
+        denom = abx * abx + aby * aby
+        t = np.clip(-(ax * abx + ay * aby) / np.where(denom > 0, denom, 1.0),
                     0.0, 1.0)
-        proj = a + t[:, None] * ab
-        r_low = np.minimum(r_low, np.hypot(proj[:, 0], proj[:, 1]))
-    d0 = _cross2(p[:, 1] - p[:, 0], -p[:, 0])
-    d1 = _cross2(p[:, 2] - p[:, 1], -p[:, 1])
-    d2 = _cross2(p[:, 0] - p[:, 2], -p[:, 2])
-    inside = (d0 >= 0) & (d1 >= 0) & (d2 >= 0)
+        r_low = np.minimum(r_low, np.hypot(ax + t * abx, ay + t * aby))
+        # 0 is on the left of (or on) the counterclockwise edge
+        inside = inside & (ax * aby - ay * abx >= 0)
     r_low = np.where(inside, 0.0, r_low)
     return r_low, r_high
 
@@ -170,19 +186,22 @@ def _edge_numbering(tris: np.ndarray, num_vertices: int):
     Edge k of a triangle joins its local vertices k and k + 1 (mod 3);
     unique edges are sorted pairs in lexicographic order.
     """
-    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    raw = np.sort(raw, axis=1)
-    _, first, inv = np.unique(raw[:, 0] * num_vertices + raw[:, 1],
+    t = np.ascontiguousarray(tris.T)
+    nxt = t[[1, 2, 0]]  # row k: the other end of edge k
+    lo, hi = np.minimum(t, nxt).ravel(), np.maximum(t, nxt).ravel()
+    _, first, inv = np.unique(lo * num_vertices + hi,
                               return_index=True, return_inverse=True)
-    return raw[first], inv.reshape(3, -1).T
+    return np.column_stack([lo[first], hi[first]]), inv.reshape(3, -1).T
 
 
 def _longest_edge_first(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Rotate each (counterclockwise) triangle so its longest edge is (0, 1)."""
-    p = vertices[tris]
-    lengths = np.stack([((p[:, (k + 1) % 3] - p[:, k]) ** 2).sum(axis=1)
-                        for k in range(3)], axis=1)
-    first = np.argmax(lengths, axis=1)
+    x, y = _corners(vertices, tris)
+    dx, dy = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y
+    lengths = dx * dx + dy * dy  # (3, m), row k: edge from corner k
+    # argmax over the rows, the first maximum winning ties
+    first = np.where(lengths[1] > lengths[0], 1, 0)
+    first[lengths[2] > np.maximum(lengths[0], lengths[1])] = 2
     cols = (first[:, None] + np.arange(3)) % 3
     return np.take_along_axis(tris, cols, axis=1)
 
@@ -246,7 +265,8 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int) -> TriMesh:
         marked = np.zeros(len(uniq), dtype=bool)
         marked[tri_edges[hit]] = True
         while True:
-            need = marked[tri_edges].any(axis=1) & ~marked[tri_edges[:, 0]]
+            m0, m1, m2 = (marked[tri_edges[:, k]] for k in range(3))
+            need = (m1 | m2) & ~m0  # some edge marked, the longest not
             if not need.any():
                 break
             marked[tri_edges[need, 0]] = True
@@ -256,8 +276,9 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int) -> TriMesh:
         verts = np.vstack([verts, 0.5 * (verts[ends[:, 0]]
                                          + verts[ends[:, 1]])])
         local = np.hstack([tris, mid[tri_edges]])
-        # the closure leaves only the patterns listed in _SPLITS
-        pattern = (local[:, 3:] >= 0) @ np.array([1, 2, 4])
+        # the closure's last pass read the final marks; it leaves only
+        # the patterns listed in _SPLITS
+        pattern = m0 + 2 * m1 + 4 * m2
         masks = {code: pattern == code for code in _SPLITS}
         count = np.zeros(len(tris), dtype=np.int64)
         for code, mask in masks.items():

@@ -6,7 +6,11 @@ import scipy.sparse as sp
 
 from ddcauchy.assembly import KINDS, PLATEAU_RULE, _Elements
 from ddcauchy.geometry import ring_diffuse_integral
-from ddcauchy.mesh import MeshError, _cross2, _edge_numbering
+from ddcauchy.mesh import _SPLITS, MeshError, TriMesh, _edge_numbering
+
+
+def _cross2(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def evaluate(tensor, points) -> np.ndarray:
@@ -126,3 +130,115 @@ def riesz_matrix(system) -> sp.csr_matrix:
     scale = sp.identity(2, format="csr") * system.mult_scale
     return sp.block_diag([ops.riesz_u, ops.riesz_h, ops.riesz_h, scale],
                          format="csr")
+
+
+# The mesh kernels as they were written before they moved to per-corner
+# columns: reductions over the corner and coordinate axes.  The column
+# kernels in ``mesh`` must give the same bits.
+
+
+def radial_interval(vertices: np.ndarray, tris: np.ndarray):
+    """Exact range [r_low, r_high] of |x| over each triangle."""
+    p = vertices[tris]  # (m, 3, 2)
+    rv = np.hypot(p[..., 0], p[..., 1])
+    r_high = rv.max(axis=1)
+    r_low = rv.min(axis=1)
+    for k in range(3):
+        a = p[:, k]
+        b = p[:, (k + 1) % 3]
+        ab = b - a
+        denom = (ab * ab).sum(axis=1)
+        t = np.clip(-(a * ab).sum(axis=1) / np.where(denom > 0, denom, 1.0),
+                    0.0, 1.0)
+        proj = a + t[:, None] * ab
+        r_low = np.minimum(r_low, np.hypot(proj[:, 0], proj[:, 1]))
+    d0 = _cross2(p[:, 1] - p[:, 0], -p[:, 0])
+    d1 = _cross2(p[:, 2] - p[:, 1], -p[:, 1])
+    d2 = _cross2(p[:, 0] - p[:, 2], -p[:, 2])
+    inside = (d0 >= 0) & (d1 >= 0) & (d2 >= 0)
+    r_low = np.where(inside, 0.0, r_low)
+    return r_low, r_high
+
+
+def smallest_angles(mesh) -> np.ndarray:
+    """Smallest interior angle of each triangle, in degrees."""
+    p = mesh.vertices[mesh.triangles]
+    a = np.roll(p, -1, axis=1) - p
+    b = np.roll(p, -2, axis=1) - p
+    num = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    den = np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2)
+    return np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0)).min(axis=1))
+
+
+def edge_numbering(tris: np.ndarray, num_vertices: int):
+    """(unique_edges, per-triangle edge indices) of a triangle array.
+
+    Edge k of a triangle joins its local vertices k and k + 1 (mod 3);
+    unique edges are sorted pairs in lexicographic order.
+    """
+    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    raw = np.sort(raw, axis=1)
+    _, first, inv = np.unique(raw[:, 0] * num_vertices + raw[:, 1],
+                              return_index=True, return_inverse=True)
+    return raw[first], inv.reshape(3, -1).T
+
+
+def longest_edge_first(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Rotate each (counterclockwise) triangle so its longest edge is (0, 1)."""
+    p = vertices[tris]
+    lengths = np.stack([((p[:, (k + 1) % 3] - p[:, k]) ** 2).sum(axis=1)
+                        for k in range(3)], axis=1)
+    first = np.argmax(lengths, axis=1)
+    cols = (first[:, None] + np.arange(3)) % 3
+    return np.take_along_axis(tris, cols, axis=1)
+
+
+def refine_band(mesh, field, levels: int):
+    """``mesh.refine_band`` on the kernels above, with the closure and the
+    split pattern as row reductions; the quality floor is left out."""
+    if levels == 0:
+        return mesh
+    verts = mesh.vertices
+    tris = longest_edge_first(verts, mesh.triangles)
+    gen = mesh.generation
+    target = 2 * levels
+    margin = 2.0 * field.epsilon
+    geo = field.geometry
+    while True:
+        coarse = np.flatnonzero(gen < target)
+        r_low, r_high = radial_interval(verts, tris[coarse])
+        band = np.zeros(len(coarse), dtype=bool)
+        for r in (geo.r_inner, geo.r_outer):
+            band |= (r_high > r - margin) & (r_low < r + margin)
+        hit = coarse[band]
+        if not hit.size:
+            break
+        uniq, tri_edges = edge_numbering(tris, len(verts))
+        marked = np.zeros(len(uniq), dtype=bool)
+        marked[tri_edges[hit]] = True
+        while True:
+            need = marked[tri_edges].any(axis=1) & ~marked[tri_edges[:, 0]]
+            if not need.any():
+                break
+            marked[tri_edges[need, 0]] = True
+        mid = np.full(len(uniq), -1, dtype=np.int64)
+        mid[marked] = len(verts) + np.arange(int(marked.sum()))
+        ends = uniq[marked]
+        verts = np.vstack([verts, 0.5 * (verts[ends[:, 0]]
+                                         + verts[ends[:, 1]])])
+        local = np.hstack([tris, mid[tri_edges]])
+        pattern = (local[:, 3:] >= 0) @ np.array([1, 2, 4])
+        masks = {code: pattern == code for code in _SPLITS}
+        count = np.zeros(len(tris), dtype=np.int64)
+        for code, mask in masks.items():
+            count[mask] = len(_SPLITS[code][1])
+        start = np.cumsum(count) - count
+        new_tris = np.empty((int(count.sum()), 3), dtype=np.int64)
+        new_gen = np.empty(len(new_tris), dtype=np.int64)
+        for code, mask in masks.items():
+            children, gains = _SPLITS[code]
+            slots = start[mask][:, None] + np.arange(len(gains))
+            new_tris[slots] = local[mask][:, children]
+            new_gen[slots] = gen[mask][:, None] + gains
+        tris, gen = new_tris, new_gen
+    return TriMesh(verts, tris, generation=gen)

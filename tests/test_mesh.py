@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from ddcauchy import experiments as xp
+from ddcauchy.assembly import _support_masks
 from ddcauchy.geometry import AnnulusGeometry, PhaseField
-from ddcauchy.mesh import (MeshError, TriMesh, band_triangles,
-                           build_background, mesh_annulus, quadrature,
-                           refine_band)
+from ddcauchy.mesh import (MeshError, TriMesh, _edge_numbering,
+                           _longest_edge_first, _radial_interval,
+                           band_triangles, build_background, levels_for,
+                           mesh_annulus, quadrature, refine_band)
 
 from oracles import check_conforming, diameters, signed_areas
 
@@ -81,6 +85,88 @@ def test_refine_band_deterministic(geometry):
     a = refine_band(m, field, 2)
     b = refine_band(m, field, 2)
     assert mesh_bytes(a) == mesh_bytes(b)
+
+
+def assert_same_bits(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def assert_kernels_match(mesh, field):
+    """The column kernels of ``mesh`` give the bits of the row-reduction
+    kernels in ``oracles`` on every triangle of ``mesh``."""
+    verts, tris = mesh.vertices, mesh.triangles
+    old_low, old_high = oracles.radial_interval(verts, tris)
+    for new, old in zip(_radial_interval(verts, tris), (old_low, old_high)):
+        assert_same_bits(new, old)
+    geo, eps = field.geometry, field.epsilon
+    rings = [(geo.r_inner - eps, geo.r_outer + eps),
+             (geo.r_inner - eps, geo.r_inner + eps),
+             (geo.r_outer - eps, geo.r_outer + eps)]
+    for new, (lo, hi) in zip(_support_masks(mesh, field), rings):
+        assert_same_bits(new, (old_high > lo) & (old_low < hi))
+    assert_same_bits(mesh.smallest_angles(), oracles.smallest_angles(mesh))
+    for new, old in zip(_edge_numbering(tris, mesh.num_vertices),
+                        oracles.edge_numbering(tris, mesh.num_vertices)):
+        assert_same_bits(new, old)
+    for turn in range(3):
+        turned = np.roll(tris, turn, axis=1)
+        assert_same_bits(_longest_edge_first(verts, turned),
+                         oracles.longest_edge_first(verts, turned))
+
+
+def study_cells(study):
+    """(h0, max_levels, eps) of every diffuse mesh a study refines."""
+    if study == "table":
+        cfg = xp.load_config()
+        return [(cfg.h0, cfg.max_levels, eps)
+                for eps in (0.25, 0.125, 0.0625, 0.03125, 0.015625)]
+    cfg = xp.load_config(overrides=xp.apply_preset(study))
+    return [(cfg.h0, cfg.max_levels, xp._schedule(cfg, delta)[1])
+            for delta in cfg.deltas]
+
+
+@pytest.mark.parametrize("study", ["fig7", "fig8", "table"])
+def test_column_kernels_match_row_reductions(geometry, study):
+    for h0, max_levels, eps in study_cells(study):
+        field = PhaseField(geometry, eps)
+        background = build_background(h0)
+        levels = levels_for(eps, h0, max_levels)
+        out = refine_band(background, field, levels)
+        old = oracles.refine_band(background, field, levels)
+        for new_arr, old_arr in zip(mesh_bytes(out), mesh_bytes(old)):
+            assert new_arr == old_arr
+        assert_kernels_match(out, field)
+
+
+def test_column_kernels_match_on_background(geometry):
+    assert_kernels_match(build_background(0.08), PhaseField(geometry, 0.125))
+
+
+def test_column_kernels_match_on_random_triangles(geometry):
+    # triangles of random corners, many around the origin and either
+    # orientation, then some with a repeated corner (a zero-length edge)
+    rng = np.random.default_rng(5)
+    verts = rng.uniform(-1.0, 1.0, (600, 2))
+    tris = rng.integers(0, 600, (4000, 3))
+    tris = tris[(tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                & (tris[:, 2] != tris[:, 0])]
+    assert_kernels_match(TriMesh(verts, tris), PhaseField(geometry, 0.125))
+    tris[:100, 2] = tris[:100, 1]
+    for new, old in zip(_radial_interval(verts, tris),
+                        oracles.radial_interval(verts, tris)):
+        assert_same_bits(new, old)
+
+
+def test_longest_edge_first_keeps_the_first_maximum():
+    # an isosceles triangle with its two long edges tied, in all three
+    # rotations, and a triangle shrunk to a point (three tied zeros)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0]])
+    tris = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 0, 0]])
+    assert_same_bits(_longest_edge_first(verts, tris),
+                     oracles.longest_edge_first(verts, tris))
+    assert _longest_edge_first(verts, tris).tolist() == [
+        [1, 2, 0], [1, 2, 0], [2, 0, 1], [0, 0, 0]]
 
 
 def test_refine_refined_mesh(geometry):

@@ -270,7 +270,8 @@ def test_detect_bands_under_two_values_above_two_alpha(above, unit_band):
         "unit_band": unit_band, "isolated": []}
 
 
-def test_spectrum_matches_default_driver(geometry, tensor, rule):
+def test_spectrum_matches_default_driver(geometry, tensor, rule,
+                                        spectrum_run):
     # the criterion-5 system: eps = 0.125 on the unrefined h0 = 0.08 mesh
     ops = OperatorSet.build(build_background(0.08),
                             PhaseField(geometry, 0.125), tensor, rule)
@@ -280,9 +281,10 @@ def test_spectrum_matches_default_driver(geometry, tensor, rule):
     want = np.sort(eigh(system.matrix.toarray(),
                         riesz_matrix(system).toarray(), eigvals_only=True))
     assert np.abs(eigs - want).max() <= 1e-10 * np.abs(want).max()
+    # the spectrum study of the same config gives the same bits
+    assert eigs.tobytes() == spectrum_run.eigenvalues.tobytes()
     # the reduction overwrites only its own dense copies, never the
     # system matrix or the operator set's Riesz blocks
-    assert np.array_equal(spectrum(system), eigs)
     for before, after in zip(blocks, (system.matrix, ops.riesz_u,
                                       ops.riesz_h)):
         assert (after != before).nnz == 0
