@@ -39,8 +39,7 @@ from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
 from .mesh import (MAX_BAND_LEVELS, MAX_VERTICES, SHARP_MIN_ANGULAR,
                    SHARP_MIN_RADIAL, background_vertices, build_background,
                    levels_for, mesh_annulus, refine_band)
-from .saddle import (DENSE_SPECTRUM_CAP, build_system, detect_bands,
-                     spectrum)
+from .saddle import build_system, detect_bands, spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +111,7 @@ SCHEMA = (
     ("solver.rho", "rho", _finite, "1e-10",
      _require(lambda x: 0.0 < x < 1.0, "in (0, 1)")),
     ("solver.max_iter", "max_iter", int, "2000", _at_least(1)),
-    ("solver.dense_cap", "dense_cap", int, str(DENSE_SPECTRUM_CAP),
-     _at_least(1)),
+    ("solver.dense_cap", "dense_cap", int, "4000", _at_least(1)),
     # source density on the outer boundary, scaled by the amplitude
     ("truth.series", "series", _series, "cos:2:1.0, sin:3:0.5", None),
     ("truth.amplitude", "amplitude", _finite, "1.0", None),
@@ -501,7 +499,9 @@ class SpectrumResult:
 
 def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
     """Dense preconditioned spectrum on a dedicated coarse mesh.  The size
-    is known only after assembly, so ``solver.dense_cap`` is checked here."""
+    is known only after assembly, so ``solver.dense_cap`` is checked here,
+    before any dense array exists; ``saddle.spectrum`` does not check it
+    again."""
     pf = PhaseField(cfg.geometry, cfg.spec_epsilon)
     mesh = build_background(cfg.spectrum_h0)
     ops = OperatorSet.build(mesh, pf, cfg.tensor, CUT_RULE)
@@ -510,7 +510,7 @@ def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
         raise ConfigError(f"study.spectrum_h0, solver.dense_cap: the "
                           f"spectrum system has {system.size} unknowns, "
                           f"more than the dense cap {cfg.dense_cap}")
-    eigs = spectrum(system, dense_cap=cfg.dense_cap)
+    eigs = spectrum(system)
     bands = (detect_bands(eigs, cfg.spec_alpha) if cfg.spec_alpha > 0.0
              else {})
     return SpectrumResult(eigs, bands, cfg.spec_alpha, cfg.spec_epsilon,

@@ -26,8 +26,11 @@ that factor.  MINRES stops when the preconditioned residual norm
 sqrt(r^T P^{-1} r), relative to its initial value, falls below rho.
 
 The dense spectrum solves A q = lambda P q for the same block-diagonal
-P by a block Cholesky reduction to C = L^-1 A L^-T, formed in place in
-one Fortran-ordered dense copy of A, so one n x n array lives.
+P by a block Cholesky reduction to C = L^-1 A L^-T.  Only the blocks of
+A's lower triangle that the KKT structure lets be nonzero are reduced,
+from their sparse blocks, straight into the lower triangle of one
+Fortran-ordered n x n array, which the symmetric eigensolver then
+overwrites; A is never dense, so one n x n array lives.
 
 Every inner product whose value reaches a stopping test or a data file
 goes through ``_dot``.  BLAS ``ddot`` splits long vectors across its
@@ -233,72 +236,96 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
     return x, SolveReport(k, history, converged)
 
 
-DENSE_SPECTRUM_CAP = 4000
-# Columns per row-panel solve of ``_reduce_in_place``: each chunk is
-# copied to one small contiguous buffer, the only other dense array.
-SPECTRUM_CHUNK = 128
+def _reduced_lower(system: SaddleSystem) -> np.ndarray:
+    """The lower triangle of C = L^-1 A L^-T, in a new Fortran-ordered
+    n x n array whose strictly upper triangle is zero; L L^T is the
+    block Cholesky factor of the Riesz matrix diag(R_U, R_H, R_H, s I)
+    with s = mult_scale (Golub & Van Loan, Matrix Computations, 4th ed.,
+    8.7.2).
 
-
-def _reduce_in_place(a: np.ndarray, system: SaddleSystem) -> None:
-    """Overwrite the Fortran-ordered dense KKT matrix ``a`` with
-    C = L^-1 A L^-T, where L L^T is the block Cholesky factor of the
-    Riesz matrix diag(R_U, R_H, R_H, mult_scale I) (Golub & Van Loan,
-    Matrix Computations, 4th ed., 8.7.2).
-
-    R_U and R_H are factored densely, once each, from copies of the
-    operator set's blocks.  The triangular solves run in place on the
-    column panels of ``a``, then on its row panels through one buffer,
-    a column chunk at a time (a row panel is not contiguous), and the
-    multiplier rows and columns are scaled by 1/sqrt(mult_scale).  The
-    factors are freed on return.
+    Only the blocks of A's lower triangle that the KKT structure lets be
+    nonzero are reduced, each from its sparse block of ``system.matrix``:
+    (u, u), (v, v) and (p, v) by LAPACK ``dsygst``, (p, u) by two
+    ``dtrsm`` and the multiplier rows by one ``dtrsm`` against L_H.
+    ``dsygst`` reads the lower triangle of its symmetric input, so the
+    rounding-level asymmetry of the assembled K drops out; (p, v) lies
+    wholly below the diagonal, so both of its triangles are written.
+    The (v, u), (p, p), (mu, u) and (mu, mu) blocks must be empty.  The
+    dense scratch lives in C's p columns, which are contiguous and whose
+    lower triangle receives only the multiplier rows, written after the
+    scratch is zeroed.  R_U and R_H are factored densely, once each, from
+    copies of the operator set's blocks.
     """
     from scipy.linalg import cholesky
     from scipy.linalg.blas import dtrsm
+    from scipy.linalg.lapack import dsygst
 
-    nu, nv = system.nu, system.nv
+    # tocsr() of a CSR matrix is the matrix itself, not a copy
+    a, nu, nv = system.matrix.tocsr(), system.nu, system.nv
+    n = a.shape[0]
+    u, v, p, mu = (slice(0, nu), slice(nu, nu + nv),
+                   slice(nu + nv, nu + 2 * nv), slice(nu + 2 * nv, n))
+    for rows, cols, name in ((v, u, "(v, u)"), (p, p, "(p, p)"),
+                             (mu, u, "(mu, u)"), (mu, mu, "(mu, mu)")):
+        if a[rows, cols].count_nonzero():
+            raise SaddleError(f"KKT block {name} holds an entry; the "
+                              f"spectrum reduction needs it empty")
     l_u, l_h = (cholesky(block.toarray(order="F"), lower=True,
                          overwrite_a=True)
                 for block in (system.ops.riesz_u, system.ops.riesz_h))
-    panels = ((0, nu, l_u), (nu, nu + nv, l_h), (nu + nv, nu + 2 * nv, l_h))
-    for lo, hi, factor in panels:
-        dtrsm(1.0, factor, a[:, lo:hi], side=1, lower=1, trans_a=1,
-              overwrite_b=1)
-    buffer = np.empty(max(nu, nv) * SPECTRUM_CHUNK)
-    for lo, hi, factor in panels:
-        for c in range(0, a.shape[1], SPECTRUM_CHUNK):
-            rows = a[lo:hi, c:c + SPECTRUM_CHUNK]
-            chunk = buffer[:rows.size].reshape(rows.shape, order="F")
-            chunk[...] = rows
-            dtrsm(1.0, factor, chunk, lower=1, overwrite_b=1)
-            rows[...] = chunk
-    scale = 1.0 / np.sqrt(system.mult_scale)
-    a[nu + 2 * nv:, :] *= scale
-    a[:, nu + 2 * nv:] *= scale
+    c = np.zeros((n, n), order="F")
+    flat = c[:, p].reshape(-1, order="F")   # a view of n * nv values
+
+    def scratch(block) -> np.ndarray:
+        """Sparse ``block`` as a dense F-ordered array in the scratch."""
+        return block.toarray(out=flat[:block.shape[0] * block.shape[1]]
+                             .reshape(block.shape, order="F"))
+
+    for rows, factor, work in ((u, l_u, a[u, u].toarray(order="F")),
+                               (v, l_h, scratch(a[v, v]))):
+        dsygst(work, factor, lower=1, overwrite_a=1)
+        diag = c[rows, rows]
+        for j in range(work.shape[1]):      # the lower triangle only
+            diag[j:, j] = work[j:, j]
+    work = scratch(a[p, v])
+    dsygst(work, l_h, lower=1, overwrite_a=1)
+    c_pv = c[p, v]
+    c_pv[...] = work
+    for j in range(1, nv):                  # mirror the lower triangle
+        c_pv[:j, j] = c_pv[j, :j]
+    work = scratch(a[p, u])
+    dtrsm(1.0, l_h, work, lower=1, overwrite_b=1)
+    dtrsm(1.0, l_u, work, side=1, lower=1, trans_a=1, overwrite_b=1)
+    c[p, u] = work
+    # multiplier rows: s^-1/2 A_mu,v L_H^-T and s^-1/2 A_mu,p L_H^-T
+    k = n - nu - 2 * nv
+    work = scratch(sp.vstack([a[mu, v], a[mu, p]]).T)
+    dtrsm(1.0 / np.sqrt(system.mult_scale), l_h, work, lower=1,
+          overwrite_b=1)
+    c[mu, v] = work[:, :k].T
+    mu_p = work[:, k:].T.copy()
+    flat[:] = 0.0
+    c[mu, p] = mu_p
+    return c
 
 
-def spectrum(system: SaddleSystem,
-             dense_cap: int = DENSE_SPECTRUM_CAP) -> np.ndarray:
+def spectrum(system: SaddleSystem) -> np.ndarray:
     """Eigenvalues of the Riesz-preconditioned operator, sorted ascending.
 
     Solves the generalized symmetric problem A q = lambda P q with P the
-    (SPD) Riesz block matrix, densely, for systems up to ``dense_cap``:
-    P is block diagonal, so ``_reduce_in_place`` turns the one dense copy
-    of A into C = L^-1 A L^-T (P = L L^T), whose standard symmetric
-    eigenvalues are those of the pencil.
+    (SPD) Riesz block matrix, densely: P is block diagonal, so
+    ``_reduced_lower`` forms the lower triangle of C = L^-1 A L^-T
+    (P = L L^T), whose standard symmetric eigenvalues are those of the
+    pencil.  Callers bound the size; the spectrum study checks it
+    against ``solver.dense_cap``.
     """
-    n = system.size
-    if n > dense_cap:
-        raise SaddleError(f"system size {n} exceeds dense spectrum cap "
-                          f"{dense_cap}")
     from scipy.linalg import eigh
 
-    # F order, so that LAPACK and BLAS overwrite this array rather than
-    # the Fortran-ordered copy f2py would make of a C-ordered one
-    a = system.matrix.toarray(order="F")
-    _reduce_in_place(a, system)
+    c = _reduced_lower(system)
     # divide and conquer: on the default system its eigenvalues move half
-    # as much as MRRR's (evr) between one and two BLAS threads
-    vals = eigh(a, eigvals_only=True, driver="evd", overwrite_a=True)
+    # as much as MRRR's (evr) between one and two BLAS threads; it reads
+    # the lower triangle only
+    vals = eigh(c, eigvals_only=True, driver="evd", overwrite_a=True)
     return np.sort(vals)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ddcauchy import experiments as xp
@@ -7,6 +8,7 @@ from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import SharpSolver
 from ddcauchy.mesh import (build_background, levels_for, mesh_annulus,
                            refine_band)
+from ddcauchy.saddle import build_system, spectrum
 
 
 @pytest.fixture(scope="session")
@@ -102,3 +104,18 @@ def spectrum_run():
     """The default spectrum study (eps = 0.125, alpha = 1e-4, h0 = 0.08)."""
     return xp.run_spectrum_study(xp.load_config(
         overrides={"study.kind": "spectrum"}))
+
+
+@pytest.fixture(scope="session")
+def spectrum_setup(geometry, tensor, rule):
+    """Operator set of the default spectrum system and its zero data."""
+    mesh = build_background(0.08)
+    ops = OperatorSet.build(mesh, PhaseField(geometry, 0.125), tensor, rule)
+    return ops, np.zeros(mesh.num_vertices)
+
+
+@pytest.fixture(scope="session")
+def spectrum_alpha0(spectrum_setup):
+    """The default spectrum system at alpha = 0 and its eigenvalues."""
+    system = build_system(spectrum_setup[0], 0.0, spectrum_setup[1])
+    return system, spectrum(system)

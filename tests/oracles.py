@@ -132,6 +132,53 @@ def riesz_matrix(system) -> sp.csr_matrix:
                          format="csr")
 
 
+# The spectrum reduction as it was before it reduced only the nonzero
+# KKT blocks: triangular solves over a whole dense copy of A.
+# ``saddle._reduced_lower`` must give the same lower triangle to
+# rounding.
+
+# Columns per row-panel solve of ``reduce_in_place``: each chunk is
+# copied to one small contiguous buffer, the only other dense array.
+SPECTRUM_CHUNK = 128
+
+
+def reduce_in_place(a: np.ndarray, system) -> None:
+    """Overwrite the Fortran-ordered dense KKT matrix ``a`` with
+    C = L^-1 A L^-T, where L L^T is the block Cholesky factor of the
+    Riesz matrix diag(R_U, R_H, R_H, mult_scale I) (Golub & Van Loan,
+    Matrix Computations, 4th ed., 8.7.2).
+
+    R_U and R_H are factored densely, once each, from copies of the
+    operator set's blocks.  The triangular solves run in place on the
+    column panels of ``a``, then on its row panels through one buffer,
+    a column chunk at a time (a row panel is not contiguous), and the
+    multiplier rows and columns are scaled by 1/sqrt(mult_scale).  The
+    factors are freed on return.
+    """
+    from scipy.linalg import cholesky
+    from scipy.linalg.blas import dtrsm
+
+    nu, nv = system.nu, system.nv
+    l_u, l_h = (cholesky(block.toarray(order="F"), lower=True,
+                         overwrite_a=True)
+                for block in (system.ops.riesz_u, system.ops.riesz_h))
+    panels = ((0, nu, l_u), (nu, nu + nv, l_h), (nu + nv, nu + 2 * nv, l_h))
+    for lo, hi, factor in panels:
+        dtrsm(1.0, factor, a[:, lo:hi], side=1, lower=1, trans_a=1,
+              overwrite_b=1)
+    buffer = np.empty(max(nu, nv) * SPECTRUM_CHUNK)
+    for lo, hi, factor in panels:
+        for c in range(0, a.shape[1], SPECTRUM_CHUNK):
+            rows = a[lo:hi, c:c + SPECTRUM_CHUNK]
+            chunk = buffer[:rows.size].reshape(rows.shape, order="F")
+            chunk[...] = rows
+            dtrsm(1.0, factor, chunk, lower=1, overwrite_b=1)
+            rows[...] = chunk
+    scale = 1.0 / np.sqrt(system.mult_scale)
+    a[nu + 2 * nv:, :] *= scale
+    a[:, nu + 2 * nv:] *= scale
+
+
 # The mesh kernels as they were written before they moved to per-corner
 # columns: reductions over the corner and coordinate axes.  The column
 # kernels in ``mesh`` must give the same bits.

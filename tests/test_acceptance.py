@@ -4,12 +4,13 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete.  The heavy studies (``table_run``, ``fig7_runs``,
 ``fig8_runs``, ``spectrum_run``) are session-scoped fixtures of
 ``tests/conftest.py``, shared with the golden-file comparison of
-``tests/test_golden.py``.
+``tests/test_golden.py``; so is the alpha = 0 spectrum
+(``spectrum_alpha0``), shared with the reduction oracle of
+``tests/test_saddle.py``.
 Criteria 1-3 run the matching checks of ``ddcauchy.verify``.
 """
 
 import numpy as np
-import pytest
 
 from ddcauchy import experiments as xp
 from ddcauchy.assembly import CUT_RULE, OperatorSet
@@ -17,7 +18,6 @@ from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import diffuse_forward, extend_control
 from ddcauchy.mesh import build_background, levels_for, refine_band
-from ddcauchy.saddle import build_system, spectrum
 from ddcauchy.verify import (check_adjoint, check_band_measure,
                              check_integral_order)
 
@@ -44,21 +44,6 @@ def report(num, name, passed, detail):
     print(f"\n[criterion {num:2d}] {'PASS' if passed else 'FAIL'} "
           f"{name}: {detail}")
     assert passed, f"criterion {num} ({name}): {detail}"
-
-
-# ---------------------------------------------------------------------------
-# shared heavy computations
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def spectrum_setup():
-    """Operator set of the default spectrum system, for alpha = 0."""
-    field = PhaseField(GEO, 0.125)
-    mesh = build_background(0.08)
-    ops = OperatorSet.build(mesh, field, TEN, CUT_RULE)
-    f0 = np.zeros(mesh.num_vertices)
-    return ops, f0
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +97,7 @@ def test_criterion_04_iteration_robustness(table_run):
            "; ".join(detail))
 
 
-def test_criterion_05_spectrum_banding(spectrum_run, spectrum_setup):
+def test_criterion_05_spectrum_banding(spectrum_run, spectrum_alpha0):
     alpha = 1e-4
     assert (spectrum_run.alpha, spectrum_run.epsilon) == (alpha, 0.125)
     assert spectrum_run.size <= 2000
@@ -130,9 +115,7 @@ def test_criterion_05_spectrum_banding(spectrum_run, spectrum_setup):
     n_iso = len(isolated) + len(iso_neg)
     ok_d = n_iso <= 12
     # alpha = 0: ill-posedness cluster at the origin
-    ops, f0 = spectrum_setup
-    system0 = build_system(ops, 0.0, f0)
-    eigs0 = spectrum(system0)
+    eigs0 = spectrum_alpha0[1]
     smallest = np.abs(eigs0).min()
     ok_e = smallest < 1e-8
     report(5, "spectrum banding", ok_a and ok_b and ok_c and ok_d and ok_e,

@@ -1,6 +1,7 @@
 import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,22 @@ def test_spectrum_study_smoke():
     res = xp.run_spectrum_study(cfg)
     assert res.bands["negative"][1] < 0
     assert len(res.eigenvalues) == res.size
+
+
+def test_spectrum_study_over_dense_cap_raises_before_dense_work():
+    # solver.dense_cap is checked once, by the study, right after
+    # assembly: no n x n array exists when it raises
+    cfg = xp.load_config(overrides={"study.kind": "spectrum",
+                                    "solver.dense_cap": "100"})
+    tracemalloc.start()
+    try:
+        with pytest.raises(xp.ConfigError, match="solver.dense_cap") as err:
+            xp.run_spectrum_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = int(re.search(r"has (\d+) unknowns", str(err.value)).group(1))
+    assert peak < n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2"
 
 
 def test_fig8_schedule_monotonicity():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,10 +12,12 @@ from ddcauchy.geometry import PhaseField
 from ddcauchy.inversion import InversionError, diffuse_tikhonov, extend_control
 from ddcauchy.mesh import build_background
 from ddcauchy.saddle import (RieszPreconditioner, SaddleError, SolveReport,
-                             build_system, detect_bands, minres, spectrum)
+                             _reduced_lower, build_system, detect_bands,
+                             minres, spectrum)
 
 from conftest import make_ops
-from oracles import diffuse_functional, evaluate, riesz_matrix
+from oracles import diffuse_functional, evaluate, reduce_in_place, riesz_matrix
+from test_golden import SPECTRUM_TOL
 
 
 def test_build_system_validation(ops_16):
@@ -229,11 +232,18 @@ def test_solution_solves_system(ops_16):
     assert resid <= 1e-9 * np.linalg.norm(system.rhs)
 
 
-def test_spectrum_banding_small(geometry, tensor, rule):
+@pytest.fixture(scope="module")
+def small_spectrum(geometry, tensor, rule):
+    """A refined spectrum system (eps = 0.125, h0 = 0.2, alpha = 1e-3)
+    and its eigenvalues."""
     ops = make_ops(geometry, tensor, rule, 0.125, h0=0.2)
+    system = build_system(ops, 1e-3, np.zeros(ops.mesh.num_vertices))
+    return system, spectrum(system)
+
+
+def test_spectrum_banding_small(small_spectrum):
     alpha = 1e-3
-    system = build_system(ops, alpha, np.zeros(ops.mesh.num_vertices))
-    eigs = spectrum(system)
+    system, eigs = small_spectrum
     assert len(eigs) == system.size
     assert np.isrealobj(eigs)
     bands = detect_bands(eigs, alpha)
@@ -270,12 +280,10 @@ def test_detect_bands_under_two_values_above_two_alpha(above, unit_band):
         "unit_band": unit_band, "isolated": []}
 
 
-def test_spectrum_matches_default_driver(geometry, tensor, rule,
-                                        spectrum_run):
+def test_spectrum_matches_default_driver(spectrum_setup, spectrum_run):
     # the criterion-5 system: eps = 0.125 on the unrefined h0 = 0.08 mesh
-    ops = OperatorSet.build(build_background(0.08),
-                            PhaseField(geometry, 0.125), tensor, rule)
-    system = build_system(ops, 1e-4, np.zeros(ops.mesh.num_vertices))
+    ops, f0 = spectrum_setup
+    system = build_system(ops, 1e-4, f0)
     blocks = [m.copy() for m in (system.matrix, ops.riesz_u, ops.riesz_h)]
     eigs = spectrum(system)
     want = np.sort(eigh(system.matrix.toarray(),
@@ -283,16 +291,49 @@ def test_spectrum_matches_default_driver(geometry, tensor, rule,
     assert np.abs(eigs - want).max() <= 1e-10 * np.abs(want).max()
     # the spectrum study of the same config gives the same bits
     assert eigs.tobytes() == spectrum_run.eigenvalues.tobytes()
-    # the reduction overwrites only its own dense copies, never the
-    # system matrix or the operator set's Riesz blocks
+    # the reduction reads the system matrix and the operator set's Riesz
+    # blocks, and never writes them
     for before, after in zip(blocks, (system.matrix, ops.riesz_u,
                                       ops.riesz_h)):
         assert (after != before).nnz == 0
 
 
+@pytest.mark.parametrize("case", ["alpha=1e-4", "alpha=0", "small"])
+def test_block_reduction_matches_full_reduction(case, request):
+    # the block reduction against the full dense one it replaced: the same
+    # lower triangle to rounding, a zero strictly upper triangle, and the
+    # same spectrum within the golden bound; the systems and their new
+    # spectra are the fixtures' (ops_16, with n = 4,072 above the dense
+    # cap, would take seconds)
+    if case == "alpha=1e-4":
+        ops, f0 = request.getfixturevalue("spectrum_setup")
+        system = build_system(ops, 1e-4, f0)
+        eigs = request.getfixturevalue("spectrum_run").eigenvalues
+    else:
+        system, eigs = request.getfixturevalue(
+            "spectrum_alpha0" if case == "alpha=0" else "small_spectrum")
+    c = _reduced_lower(system)
+    a = system.matrix.toarray(order="F")
+    reduce_in_place(a, system)
+    lower = np.tril(a)
+    assert np.abs(c - lower).max() <= 1e-14 * np.abs(lower).max()
+    want = np.sort(eigh(a, eigvals_only=True, driver="evd",
+                        overwrite_a=True))
+    assert np.abs(eigs - want).max() <= SPECTRUM_TOL * np.abs(want).max()
+
+
+def test_spectrum_refuses_an_entry_in_a_zero_block(ops_16):
+    system = build_system(ops_16, 1.0, np.zeros(ops_16.mesh.num_vertices))
+    i = system.nu + system.nv          # the first p row
+    entry = sp.csr_matrix(([1.0], ([i], [i])), shape=system.matrix.shape)
+    bad = dataclasses.replace(system, matrix=system.matrix + entry)
+    with pytest.raises(SaddleError, match=r"\(p, p\)"):
+        spectrum(bad)
+
+
 def test_spectrum_holds_one_dense_matrix(geometry, tensor, rule):
-    # C = L^-1 A L^-T is formed in A's own dense copy; beside it live only
-    # the dense R_H factor and one row-panel chunk
+    # C = L^-1 A L^-T is formed in one new dense array, its scratch in
+    # C's own columns; beside it live only the dense Cholesky factors
     ops = OperatorSet.build(build_background(0.15),
                             PhaseField(geometry, 0.125), tensor, rule)
     system = build_system(ops, 1e-4, np.zeros(ops.mesh.num_vertices))
@@ -305,12 +346,6 @@ def test_spectrum_holds_one_dense_matrix(geometry, tensor, rule):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2"
-
-
-def test_spectrum_dense_cap(ops_16):
-    system = build_system(ops_16, 1.0, np.zeros(ops_16.mesh.num_vertices))
-    with pytest.raises(SaddleError):
-        spectrum(system, dense_cap=10)
 
 
 def test_brezzi_stability_across_eps(geometry, tensor, rule):

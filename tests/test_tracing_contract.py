@@ -4,8 +4,9 @@
 functions and methods for timing wrappers, and hands MINRES a proxy of
 the KKT matrix.  These tests load that file read-only and check that
 every name it wraps still resolves, that a sharp and a diffuse
-Tikhonov solve under an installed recorder equal their untraced results,
-and that a traced rate study records each layer of every cell once.
+Tikhonov solve and a spectrum under an installed recorder equal their
+untraced results, and that a traced rate study records each layer of
+every cell once.
 """
 
 import importlib.util
@@ -88,6 +89,20 @@ def test_traced_rate_cells_record_every_layer():
         layers = tracer.layers()
         for name in per_delta:
             assert layers.get(name, (0,))[0] == len(cfg.deltas), name
+
+
+def test_traced_spectrum_equals_untraced():
+    # the recorder swaps the built system's matrix for a proxy that
+    # forwards attributes but not indexing; the spectrum must read it
+    spans = load_spans()
+    cfg = experiments.load_config(overrides={
+        "study.kind": "spectrum", "study.spectrum_h0": "0.25"})
+    plain = experiments.run_spectrum_study(cfg)
+    tracer = spans.Tracer()
+    with tracer:
+        traced = experiments.run_spectrum_study(cfg)
+    assert traced.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
+    assert tracer.layers()["saddle.spectrum"][0] == 1
 
 
 def test_layer_metrics_classify_the_built_operator_sets(geometry, tensor,
