@@ -11,7 +11,7 @@ verify    analytic property suite (band measure, integral orders, adjoint,
 
 Every subcommand but verify accepts --config FILE (INI) and repeated
 --set section.key=value overrides; command-line values win over the file.
-The rates/table subcommands also accept --preset fig7|fig8.  An unknown
+The rates subcommand also accepts --preset fig7|fig8.  An unknown
 key or unusable value, a malformed --set, an output directory that
 cannot be created and a solve flag out of range are each reported as one
 line on stderr, exit code 2.  A solve or rates error that is not finite
@@ -125,7 +125,7 @@ def cmd_solve(args):
 
 
 def cmd_table(args):
-    cfg = xp.load_config(args.config, _overrides(args, args.preset))
+    cfg = xp.load_config(args.config, _overrides(args))
     _out_dir(cfg)
     with _quiet_overflow():
         res = xp.run_iteration_table(cfg)
@@ -220,7 +220,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("table", help="iteration-count table")
     _common(p)
-    p.add_argument("--preset", choices=sorted(xp.PRESETS), default=None)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("rates", help="convergence-rate study")

@@ -357,7 +357,10 @@ class RateFit:
     intercept: float
     r_squared: float
     n_points: int
-    defined: bool = True
+
+    @property
+    def defined(self) -> bool:
+        return self.n_points >= 2
 
 
 def fit_loglog_slope(points) -> RateFit:
@@ -370,8 +373,7 @@ def fit_loglog_slope(points) -> RateFit:
     if any(d <= 0.0 or e <= 0.0 for d, e in pts):
         raise ValueError("log-log fit requires positive deltas and errors")
     if len(pts) < 2:
-        return RateFit(float("nan"), float("nan"), float("nan"), len(pts),
-                       defined=False)
+        return RateFit(float("nan"), float("nan"), float("nan"), len(pts))
     x = np.log([d for d, _ in pts])
     y = np.log([e for _, e in pts])
     a = np.vstack([x, np.ones_like(x)]).T
@@ -481,7 +483,7 @@ def run_rate_study(cfg: ExperimentConfig, ws: Workspace = None) -> RateResult:
             for delta in cfg.deltas]
     if cfg.eps_coef == 0.0:
         u_fit = fit_loglog_slope([(r.delta, r.u_err_sharp) for r in rows])
-        v_fit = RateFit(float("nan"), float("nan"), float("nan"), 0, False)
+        v_fit = fit_loglog_slope([])
     else:
         u_fit = fit_loglog_slope([(r.delta, r.u_err_band) for r in rows])
         v_fit = fit_loglog_slope([(r.delta, r.v_err_band) for r in rows])

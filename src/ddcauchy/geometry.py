@@ -19,7 +19,7 @@ neither band can reach the split radius for admissible eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,8 +93,8 @@ def sigmoid_profile(t) -> np.ndarray:
 class PhaseField:
     """Phase-field representation phi = S(-d/eps) of an annulus."""
 
-    geometry: AnnulusGeometry = field(default_factory=AnnulusGeometry)
-    epsilon: float = 0.125
+    geometry: AnnulusGeometry
+    epsilon: float
 
     def __post_init__(self):
         if not self.epsilon > 0.0:

@@ -26,9 +26,10 @@ that factor.  MINRES stops when the preconditioned residual norm
 sqrt(r^T P^{-1} r), relative to its initial value, falls below rho.
 
 The dense spectrum solves A q = lambda P q for the same block-diagonal
-P by a block Cholesky reduction to C = L^-1 A L^-T.  Only the blocks of
-A's lower triangle that the KKT structure lets be nonzero are reduced,
-from their sparse blocks, straight into the lower triangle of one
+P by a block Cholesky reduction to C = L^-1 A L^-T.  C is built from
+the operator set's blocks and alpha, not from the assembled matrix:
+C_uu = alpha I exactly, and the other nonzero blocks of its lower
+triangle are reduced from their sparse blocks straight into one
 Fortran-ordered n x n array, which the symmetric eigensolver then
 overwrites; A is never dense, so one n x n array lives.
 
@@ -69,6 +70,7 @@ class SaddleSystem:
     nu: int                 # number of active control DOFs
     nv: int                 # number of active state DOFs
     ops: OperatorSet
+    alpha: float            # Tikhonov weight: A_uu = alpha R_U
     mult_scale: float       # <1, 1>_U, natural multiplier scaling
 
     @property
@@ -91,10 +93,9 @@ def build_system(ops: OperatorSet, alpha: float,
     operator set of ``assemble_sharp`` this is the sharp reference
     system, with f_tilde the data on the outer ring.  alpha = 0 builds
     the unregularized system, whose spectrum the spectrum study reads;
-    the Tikhonov solves refuse it.
+    the Tikhonov solves refuse it.  Callers check alpha: the solves
+    refuse alpha <= 0 and the config refuses a negative one.
     """
-    if not alpha >= 0.0:
-        raise SaddleError(f"alpha must be >= 0, got {alpha}")
     f_tilde = np.asarray(f_tilde, dtype=float)
     if f_tilde.shape != (ops.mesh.num_vertices,):
         raise SaddleError("f_tilde must be a full-length nodal vector")
@@ -110,7 +111,7 @@ def build_system(ops: OperatorSet, alpha: float,
     rhs = np.zeros(mat.shape[0])
     rhs[nu:nu + nv] = (ops.b_b @ f_tilde)[ops.active_v]
     mult_scale = float(ops.mean_vec.sum())
-    return SaddleSystem(mat, rhs, nu, nv, ops, mult_scale)
+    return SaddleSystem(mat, rhs, nu, nv, ops, alpha, mult_scale)
 
 
 @dataclass
@@ -243,37 +244,32 @@ def _reduced_lower(system: SaddleSystem) -> np.ndarray:
     with s = mult_scale (Golub & Van Loan, Matrix Computations, 4th ed.,
     8.7.2).
 
-    Only the blocks of A's lower triangle that the KKT structure lets be
-    nonzero are reduced, each from its sparse block of ``system.matrix``:
-    (u, u), (v, v) and (p, v) by LAPACK ``dsygst``, (p, u) by two
-    ``dtrsm`` and the multiplier rows by one ``dtrsm`` against L_H.
-    ``dsygst`` reads the lower triangle of its symmetric input, so the
-    rounding-level asymmetry of the assembled K drops out; (p, v) lies
-    wholly below the diagonal, so both of its triangles are written.
-    The (v, u), (p, p), (mu, u) and (mu, mu) blocks must be empty.  The
-    dense scratch lives in C's p columns, which are contiguous and whose
-    lower triangle receives only the multiplier rows, written after the
-    scratch is zeroed.  R_U and R_H are factored densely, once each, from
-    copies of the operator set's blocks.
+    The blocks of A's lower triangle are the operator set's, and the
+    rest are empty by construction, so C is built from ``system.ops``
+    and ``system.alpha`` alone; of ``system.matrix`` only its size is
+    read.  A_uu = alpha R_U, so C_uu = alpha I exactly.  (v, v) and
+    (p, v) are reduced by LAPACK ``dsygst``, (p, u) = -B_vu by two
+    ``dtrsm`` and the two multiplier rows, both s^-1/2 (L_H^-1 m)^T, by
+    one ``dtrsm`` against L_H.  ``dsygst`` reads the lower triangle of
+    its symmetric input, so the rounding-level asymmetry of the
+    assembled K drops out; (p, v) lies wholly below the diagonal, so
+    both of its triangles are written.  The dense scratch lives in C's
+    p columns, which are contiguous and whose lower triangle receives
+    only the multiplier rows, written after the scratch is zeroed.  R_U
+    and R_H are factored densely, once each, from copies of the
+    operator set's blocks.
     """
     from scipy.linalg import cholesky
     from scipy.linalg.blas import dtrsm
     from scipy.linalg.lapack import dsygst
 
-    # tocsr() of a CSR matrix is the matrix itself, not a copy
-    a, nu, nv = system.matrix.tocsr(), system.nu, system.nv
-    n = a.shape[0]
-    u, v, p, mu = (slice(0, nu), slice(nu, nu + nv),
-                   slice(nu + nv, nu + 2 * nv), slice(nu + 2 * nv, n))
-    for rows, cols, name in ((v, u, "(v, u)"), (p, p, "(p, p)"),
-                             (mu, u, "(mu, u)"), (mu, mu, "(mu, mu)")):
-        if a[rows, cols].count_nonzero():
-            raise SaddleError(f"KKT block {name} holds an entry; the "
-                              f"spectrum reduction needs it empty")
+    ops, nu, nv, n = system.ops, system.nu, system.nv, system.size
+    u, v, p = slice(0, nu), slice(nu, nu + nv), slice(nu + nv, nu + 2 * nv)
     l_u, l_h = (cholesky(block.toarray(order="F"), lower=True,
                          overwrite_a=True)
-                for block in (system.ops.riesz_u, system.ops.riesz_h))
+                for block in (ops.riesz_u, ops.riesz_h))
     c = np.zeros((n, n), order="F")
+    np.fill_diagonal(c[u, u], system.alpha)
     flat = c[:, p].reshape(-1, order="F")   # a view of n * nv values
 
     def scratch(block) -> np.ndarray:
@@ -281,31 +277,24 @@ def _reduced_lower(system: SaddleSystem) -> np.ndarray:
         return block.toarray(out=flat[:block.shape[0] * block.shape[1]]
                              .reshape(block.shape, order="F"))
 
-    for rows, factor, work in ((u, l_u, a[u, u].toarray(order="F")),
-                               (v, l_h, scratch(a[v, v]))):
-        dsygst(work, factor, lower=1, overwrite_a=1)
-        diag = c[rows, rows]
-        for j in range(work.shape[1]):      # the lower triangle only
-            diag[j:, j] = work[j:, j]
-    work = scratch(a[p, v])
-    dsygst(work, l_h, lower=1, overwrite_a=1)
+    work = dsygst(scratch(ops.t_vv), l_h, lower=1, overwrite_a=1)[0]
+    c_vv = c[v, v]
+    for j in range(nv):                     # the lower triangle only
+        c_vv[j:, j] = work[j:, j]
+    work = dsygst(scratch(ops.k_vv), l_h, lower=1, overwrite_a=1)[0]
     c_pv = c[p, v]
     c_pv[...] = work
     for j in range(1, nv):                  # mirror the lower triangle
         c_pv[:j, j] = c_pv[j, :j]
-    work = scratch(a[p, u])
-    dtrsm(1.0, l_h, work, lower=1, overwrite_b=1)
-    dtrsm(1.0, l_u, work, side=1, lower=1, trans_a=1, overwrite_b=1)
-    c[p, u] = work
-    # multiplier rows: s^-1/2 A_mu,v L_H^-T and s^-1/2 A_mu,p L_H^-T
-    k = n - nu - 2 * nv
-    work = scratch(sp.vstack([a[mu, v], a[mu, p]]).T)
-    dtrsm(1.0 / np.sqrt(system.mult_scale), l_h, work, lower=1,
-          overwrite_b=1)
-    c[mu, v] = work[:, :k].T
-    mu_p = work[:, k:].T.copy()
+    work = dtrsm(-1.0, l_h, scratch(ops.b_vu), lower=1, overwrite_b=1)
+    c[p, u] = dtrsm(1.0, l_u, work, side=1, lower=1, trans_a=1,
+                    overwrite_b=1)
+    # multiplier rows: mu_v in the v columns, mu_p in the p columns
+    row = dtrsm(1.0 / np.sqrt(system.mult_scale), l_h,
+                scratch(ops.mean_col), lower=1, overwrite_b=1)[:, 0].copy()
     flat[:] = 0.0
-    c[mu, p] = mu_p
+    c[n - 2, v] = row
+    c[n - 1, p] = row
     return c
 
 
@@ -315,9 +304,10 @@ def spectrum(system: SaddleSystem) -> np.ndarray:
     Solves the generalized symmetric problem A q = lambda P q with P the
     (SPD) Riesz block matrix, densely: P is block diagonal, so
     ``_reduced_lower`` forms the lower triangle of C = L^-1 A L^-T
-    (P = L L^T), whose standard symmetric eigenvalues are those of the
-    pencil.  Callers bound the size; the spectrum study checks it
-    against ``solver.dense_cap``.
+    (P = L L^T) from ``system.ops`` and ``system.alpha``, and C's
+    standard symmetric eigenvalues are those of the pencil.  Callers
+    bound the size; the spectrum study checks it against
+    ``solver.dense_cap``.
     """
     from scipy.linalg import eigh
 

@@ -103,6 +103,14 @@ def test_bad_set_flag(capsys):
         assert named in err and "Traceback" not in err
 
 
+def test_table_has_no_preset_flag(capsys):
+    # presets hold rate schedules; the table reads none of them
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--preset", "fig7"])
+    assert exc.value.code == 2
+    assert "--preset" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["table", "rates", "spectrum"])
 def test_unusable_out_dir_exits_2(tmp_path, capsys, monkeypatch, command):
     def no_study(*args):

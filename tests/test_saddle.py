@@ -22,10 +22,6 @@ from test_golden import SPECTRUM_TOL
 
 def test_build_system_validation(ops_16):
     f0 = np.zeros(ops_16.mesh.num_vertices)
-    for alpha in (-1.0, float("nan")):
-        with pytest.raises(SaddleError):
-            build_system(ops_16, alpha, f0)
-    build_system(ops_16, 0.0, f0)
     with pytest.raises(InversionError):
         diffuse_tikhonov(ops_16, 0.0, f0)
     with pytest.raises(SaddleError):
@@ -322,13 +318,13 @@ def test_block_reduction_matches_full_reduction(case, request):
     assert np.abs(eigs - want).max() <= SPECTRUM_TOL * np.abs(want).max()
 
 
-def test_spectrum_refuses_an_entry_in_a_zero_block(ops_16):
-    system = build_system(ops_16, 1.0, np.zeros(ops_16.mesh.num_vertices))
-    i = system.nu + system.nv          # the first p row
-    entry = sp.csr_matrix(([1.0], ([i], [i])), shape=system.matrix.shape)
-    bad = dataclasses.replace(system, matrix=system.matrix + entry)
-    with pytest.raises(SaddleError, match=r"\(p, p\)"):
-        spectrum(bad)
+def test_spectrum_reads_only_the_size_of_the_matrix(small_spectrum):
+    # the reduction builds C from the operator set's blocks and alpha: a
+    # stand-in matrix that has nothing but a shape gives the same bits
+    system, eigs = small_spectrum
+    shape_only = SimpleNamespace(shape=system.matrix.shape)
+    assert np.array_equal(
+        spectrum(dataclasses.replace(system, matrix=shape_only)), eigs)
 
 
 def test_spectrum_holds_one_dense_matrix(geometry, tensor, rule):
