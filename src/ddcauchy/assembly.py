@@ -303,8 +303,11 @@ class OperatorSet:
         riesz_h   K_omega + M_omega on active_v: the H Gram matrix
         mean_col  mean_vec on active_v, as a CSR column
 
-    So are the package's sparse LU factors, which depend on neither alpha
-    nor the data: ``riesz_u_lu`` and ``riesz_h_lu`` (the Riesz
+    So is ``_kkt``, the KKT matrix of ``saddle.build_system`` with R_U in
+    its (u, u) block (alpha = 1), its arrays read-only: every system on
+    the set copies its values and shares its index arrays.  So are the
+    package's sparse LU factors, which depend on neither alpha nor the
+    data: ``riesz_u_lu`` and ``riesz_h_lu`` (the Riesz
     preconditioner and the dual error norm) and ``mean_lu``, of
     [[k_vv, mean_col], [mean_col^T, 0]] (the mean-constrained solve).
     The two Riesz blocks are SPD, so ``_spd_lu`` factors them in
@@ -370,6 +373,20 @@ class OperatorSet:
     @functools.cached_property
     def mean_col(self) -> sp.csr_matrix:
         return sp.csr_matrix(self.mean_vec[self.active_v][:, None])
+
+    @functools.cached_property
+    def _kkt(self) -> sp.csr_matrix:
+        m_col = self.mean_col
+        kkt = sp.bmat([
+            [self.riesz_u, None, -self.b_vu.T, None, None],
+            [None, self.t_vv, self.k_vv, m_col, None],
+            [-self.b_vu, self.k_vv, None, None, m_col],
+            [None, m_col.T, None, None, None],
+            [None, None, m_col.T, None, None],
+        ], format="csr")
+        for array in (kkt.data, kkt.indices, kkt.indptr):
+            array.flags.writeable = False
+        return kkt
 
     @functools.cached_property
     def riesz_u_lu(self) -> spla.SuperLU:

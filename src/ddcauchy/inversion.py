@@ -256,9 +256,11 @@ def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
                      max_iter: int = 2000) -> DiffuseSolution:
     """Solve the diffuse Tikhonov saddle system by preconditioned MINRES.
 
-    The Riesz factors depend on ``ops`` only, not on alpha or the data:
-    the first solve on an operator set factors them, and every later
-    alpha on it reuses them.  alpha must be > 0.
+    The Riesz factors and the KKT matrix at alpha = 1 depend on ``ops``
+    only, not on alpha or the data: the first solve on an operator set
+    factors and assembles them, and every later alpha on it reuses them,
+    copying the kept matrix's values and scaling its (u, u) slots by
+    alpha.  alpha must be > 0.
     """
     if not alpha > 0.0:
         raise InversionError(f"alpha must be positive, got {alpha}")

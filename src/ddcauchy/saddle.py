@@ -14,6 +14,21 @@ each restricted at its first read and kept.  The two scalar multipliers
 enforce the mean constraints <v, 1>_U = <p, 1>_U = 0 while keeping the
 matrix symmetric for MINRES.
 
+There is one KKT pattern per operator set: ``OperatorSet._kkt`` is the
+matrix above at alpha = 1, assembled once and read-only.  alpha scales
+only the (u, u) slots, so each system is a new CSR matrix that shares
+the kept index arrays and owns a copy of the values, with alpha B_H in
+those slots; no system changes another's matrix or the kept one.
+
+MINRES works in place: it allocates its iterate, its three direction
+vectors, the Lanczos vector and one scratch vector once per solve and
+does every scaled sum into them, in the order of the textbook
+recurrence, so its bits equal those of the allocating form.  The only
+new vectors per iteration are the product ``A @ v`` and the output of
+the preconditioner.  ``apply`` may return its input: MINRES never
+writes into y (the vector ``apply`` returned), r1 or r2, only into its
+own work vectors and into the fresh ``A @ v`` before that becomes r2.
+
 The preconditioner applies the inverse Riesz maps blockwise and exactly,
 by the operator set's sparse LU factors: B_H on the control block, the
 H-norm matrix (M-weighted stiffness + bulk mass) on the state and
@@ -42,6 +57,7 @@ through every solve; einsum never calls BLAS and sums in one order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,15 +115,13 @@ def build_system(ops: OperatorSet, alpha: float,
     f_tilde = np.asarray(f_tilde, dtype=float)
     if f_tilde.shape != (ops.mesh.num_vertices,):
         raise SaddleError("f_tilde must be a full-length nodal vector")
-    b_vu, k_vv, m_col = ops.b_vu, ops.k_vv, ops.mean_col
     nu, nv = len(ops.active_u), len(ops.active_v)
-    mat = sp.bmat([
-        [alpha * ops.riesz_u, None, -b_vu.T, None, None],
-        [None, ops.t_vv, k_vv, m_col, None],
-        [-b_vu, k_vv, None, None, m_col],
-        [None, m_col.T, None, None, None],
-        [None, None, m_col.T, None, None],
-    ], format="csr")
+    kkt = ops._kkt
+    data = kkt.data.copy()
+    # the (u, u) slots: the first nu rows' entries in columns below nu
+    head = data[:kkt.indptr[nu]]
+    np.multiply(head, alpha, out=head, where=kkt.indices[:len(head)] < nu)
+    mat = sp.csr_matrix((data, kkt.indices, kkt.indptr), shape=kkt.shape)
     rhs = np.zeros(mat.shape[0])
     rhs[nu:nu + nv] = (ops.b_b @ f_tilde)[ops.active_v]
     mult_scale = float(ops.mean_vec.sum())
@@ -140,9 +154,10 @@ class RieszPreconditioner:
         nu, nv = s.nu, s.nv
         z = np.empty_like(r)
         z[:nu] = self._apply_u(r[:nu])
-        # state and adjoint blocks: one solve with an (nv, 2) right side
-        z[nu:nu + 2 * nv].reshape(2, nv).T[:] = self._apply_h(
-            r[nu:nu + 2 * nv].reshape(2, nv).T)
+        # state and adjoint blocks: one solve with an (nv, 2) right side,
+        # whose Fortran-ordered solution is the two blocks back to back
+        z[nu:nu + 2 * nv] = self._apply_h(
+            r[nu:nu + 2 * nv].reshape(2, nv).T).ravel(order="F")
         z[nu + 2 * nv:] = r[nu + 2 * nv:] / s.mult_scale
         return z
 
@@ -171,15 +186,16 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
     a = system.matrix
     b = system.rhs
     n = len(b)
-    x = np.zeros(n)
     history: list = []
 
     r1 = b.copy()
     y = prec.apply(r1)
+    # np.sqrt, not math.sqrt: a negative r1 . y gives nan and the
+    # not-finite return below instead of a ValueError
     beta1 = float(np.sqrt(_dot(r1, y)))
     if beta1 == 0.0:
-        return x, SolveReport(0, history, True)
-    if not np.isfinite(beta1):
+        return np.zeros(n), SolveReport(0, history, True)
+    if not math.isfinite(beta1):
         return np.full(n, np.nan), SolveReport(0, history, False)
 
     oldb = 0.0
@@ -189,20 +205,24 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
     phibar = beta1
     cs = -1.0
     sn = 0.0
+    machine_eps = np.finfo(float).eps
+    x = np.zeros(n)
+    v = np.empty(n)
     w = np.zeros(n)
+    w1 = np.empty(n)
     w2 = np.zeros(n)
+    tmp = np.empty(n)           # each scaled vector, before it is summed
     r2 = r1.copy()
 
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
-        s = 1.0 / beta
-        v = s * y
+        np.multiply(y, 1.0 / beta, out=v)
         y = a @ v
         if k >= 2:
-            y -= (beta / oldb) * r1
+            y -= np.multiply(r1, beta / oldb, out=tmp)
         alfa = _dot(v, y)
-        y -= (alfa / beta) * r2
+        y -= np.multiply(r2, alfa / beta, out=tmp)
         r1 = r2
         r2 = y
         y = prec.apply(r2)
@@ -210,24 +230,25 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
         beta2 = _dot(r2, y)
         if beta2 < 0.0:
             raise SaddleError("preconditioner is not positive definite")
-        beta = float(np.sqrt(beta2))
+        beta = math.sqrt(beta2)
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = float(np.sqrt(gbar * gbar + beta * beta))
-        gamma = max(gamma, np.finfo(float).eps)
+        gamma = max(math.sqrt(gbar * gbar + beta * beta), machine_eps)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w = (v - oldeps w1 - delta w2) / gamma, into the oldest buffer
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(w1, oldeps, out=tmp), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w /= gamma
+        x += np.multiply(w, phi, out=tmp)
 
         history.append(phibar / beta1)
         if history[-1] < rho:

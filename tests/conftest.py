@@ -51,6 +51,12 @@ def sharp_solver(geometry, tensor):
     return SharpSolver(assemble_sharp(mesh, tensor))
 
 
+@pytest.fixture(params=["diffuse", "sharp"])
+def ops(request, ops_16, sharp_solver):
+    """``ops_16``, then the sharp operator set."""
+    return ops_16 if request.param == "diffuse" else sharp_solver.ops
+
+
 @pytest.fixture(scope="session")
 def truth(geometry, tensor):
     return synthesize_truth(geometry, tensor,

@@ -2,20 +2,21 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [NAME ...]
 
 It runs the iteration table, the fig7 rate sweep, the fig8 rate sweep
 (diffuse, then the sharp reference on the same Workspace) and the
 spectrum at the default config and seed 1234, and writes what
-``emit_outputs`` writes for them:
+``emit_outputs`` writes for them, or only the files named:
 
     table.csv        the 5 x 5 MINRES iteration counts
+    residuals.csv    the table's MINRES residual histories, 2,620 rows
     fig7_rates.csv   rates.csv of ``rates --preset fig7``
     fig8_rates.csv   rates.csv of the fig8 diffuse and sharp runs, labelled
                      "fig8" and "sharp"
     spectrum.csv     the dense preconditioned spectrum and its bands
 
-The first three do not depend on the BLAS thread count; the eigenvalues
+The first four do not depend on the BLAS thread count; the eigenvalues
 of spectrum.csv do, in their last digits.  Each file starts with one
 ``# golden:`` line naming the git revision and the machine it was
 written on; ``tests/test_golden.py`` compares fresh studies with the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -57,6 +59,7 @@ def texts(table, fig7, fig8: dict, spect) -> dict:
     cfgs = configs()
     files = {
         "table.csv": (cfgs["table"], "table.csv", {"table": table}),
+        "residuals.csv": (cfgs["table"], "residuals.csv", {"table": table}),
         "fig7_rates.csv": (cfgs["fig7"], "rates.csv",
                            {"rates": {"fig7": fig7}}),
         "fig8_rates.csv": (cfgs["fig8"], "rates.csv",
@@ -108,7 +111,7 @@ def machine_block() -> str:
             f"threads={threads}")
 
 
-def main() -> None:
+def main(names: list) -> None:
     cfgs = configs()
     ws = xp.Workspace(cfgs["fig8"])
     fig8 = {"diffuse": xp.run_rate_study(cfgs["fig8"], ws),
@@ -117,11 +120,16 @@ def main() -> None:
                   xp.run_rate_study(cfgs["fig7"]), fig8,
                   xp.run_spectrum_study(cfgs["spectrum"]))
     header = f"{HEADER} rev={_revision()}; {machine_block()}\n"
+    unknown = set(names) - set(fresh)
+    if unknown:
+        raise SystemExit(f"no golden file named {', '.join(sorted(unknown))}")
     for name, text in fresh.items():
+        if names and name not in names:
+            continue
         with open(HERE / name, "w", newline="\n") as fh:
             fh.write(header + text)
         print(f"wrote {HERE / name}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from ddcauchy.assembly import KINDS, PLATEAU_RULE, _Elements
 from ddcauchy.geometry import ring_diffuse_integral
 from ddcauchy.mesh import _SPLITS, MeshError, TriMesh, _edge_numbering
+from ddcauchy.saddle import SaddleError, SaddleSystem, SolveReport, _dot
 
 
 def _cross2(u, v):
@@ -289,3 +290,102 @@ def refine_band(mesh, field, levels: int):
             new_gen[slots] = gen[mask][:, None] + gains
         tris, gen = new_tris, new_gen
     return TriMesh(verts, tris, generation=gen)
+
+
+# The saddle system and MINRES as they were before the KKT matrix was
+# kept per operator set and MINRES worked in place: one ``sp.bmat`` per
+# alpha, and new vectors every iteration.  ``saddle.build_system`` and
+# ``saddle.minres`` must give the same bits.
+
+
+def build_system(ops, alpha: float, f_tilde: np.ndarray) -> SaddleSystem:
+    """``saddle.build_system`` by one ``sp.bmat`` of the blocks at alpha."""
+    f_tilde = np.asarray(f_tilde, dtype=float)
+    if f_tilde.shape != (ops.mesh.num_vertices,):
+        raise SaddleError("f_tilde must be a full-length nodal vector")
+    b_vu, k_vv, m_col = ops.b_vu, ops.k_vv, ops.mean_col
+    nu, nv = len(ops.active_u), len(ops.active_v)
+    mat = sp.bmat([
+        [alpha * ops.riesz_u, None, -b_vu.T, None, None],
+        [None, ops.t_vv, k_vv, m_col, None],
+        [-b_vu, k_vv, None, None, m_col],
+        [None, m_col.T, None, None, None],
+        [None, None, m_col.T, None, None],
+    ], format="csr")
+    rhs = np.zeros(mat.shape[0])
+    rhs[nu:nu + nv] = (ops.b_b @ f_tilde)[ops.active_v]
+    mult_scale = float(ops.mean_vec.sum())
+    return SaddleSystem(mat, rhs, nu, nv, ops, alpha, mult_scale)
+
+
+def minres(system, prec, rho: float, max_iter: int = 2000):
+    """``saddle.minres`` with new vectors for every product and sum."""
+    if not (0.0 < rho < 1.0):
+        raise SaddleError(f"rho must be in (0, 1), got {rho}")
+    a = system.matrix
+    b = system.rhs
+    n = len(b)
+    x = np.zeros(n)
+    history: list = []
+
+    r1 = b.copy()
+    y = prec.apply(r1)
+    beta1 = float(np.sqrt(_dot(r1, y)))
+    if beta1 == 0.0:
+        return x, SolveReport(0, history, True)
+    if not np.isfinite(beta1):
+        return np.full(n, np.nan), SolveReport(0, history, False)
+
+    oldb = 0.0
+    beta = beta1
+    dbar = 0.0
+    epsln = 0.0
+    phibar = beta1
+    cs = -1.0
+    sn = 0.0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1.copy()
+
+    converged = False
+    k = 0
+    for k in range(1, max_iter + 1):
+        s = 1.0 / beta
+        v = s * y
+        y = a @ v
+        if k >= 2:
+            y -= (beta / oldb) * r1
+        alfa = _dot(v, y)
+        y -= (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = prec.apply(r2)
+        oldb = beta
+        beta2 = _dot(r2, y)
+        if beta2 < 0.0:
+            raise SaddleError("preconditioner is not positive definite")
+        beta = float(np.sqrt(beta2))
+
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = float(np.sqrt(gbar * gbar + beta * beta))
+        gamma = max(gamma, np.finfo(float).eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+
+        history.append(phibar / beta1)
+        if history[-1] < rho:
+            converged = True
+            break
+
+    return x, SolveReport(k, history, converged)

@@ -9,6 +9,7 @@ within SPECTRUM_TOL of the largest |eigenvalue|), and the remaining text
 exactly.  ``tests/golden/regen.py`` rewrites the files.
 """
 
+import collections
 import math
 
 import pytest
@@ -60,7 +61,13 @@ def _diff(name: str, golden: str, fresh: str, rtol: float = GOLDEN_RTOL,
             if not ln.startswith(regen.HEADER)]
     got = fresh.splitlines()
     if len(want) != len(got):
-        return [f"{name}: {len(got)} lines, golden has {len(want)}"]
+        # rows per first cell (per table context in residuals.csv)
+        count_w = collections.Counter(_cells(w)[0] for w in want)
+        count_g = collections.Counter(_cells(g)[0] for g in got)
+        return [f"{name}: {len(got)} lines, golden has {len(want)}"] + [
+            f"{name} {key}: {count_g[key]} lines, golden {count_w[key]}"
+            for key in sorted(count_w.keys() | count_g.keys())
+            if count_w[key] != count_g[key]]
     columns = want[0].split(",")
     out = []
     for row, (w, g) in enumerate(zip(want, got), start=1):

@@ -57,11 +57,6 @@ def assert_identical(got, want):
     assert (got != want).nnz == 0
 
 
-@pytest.fixture(params=["diffuse", "sharp"])
-def ops(request, ops_16, sharp_solver):
-    return ops_16 if request.param == "diffuse" else sharp_solver.ops
-
-
 def test_blocks_equal_hand_restrictions(ops):
     a_u, a_v = ops.active_u, ops.active_v
     f_tilde = np.random.default_rng(3).standard_normal(ops.mesh.num_vertices)

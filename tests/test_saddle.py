@@ -15,6 +15,7 @@ from ddcauchy.saddle import (RieszPreconditioner, SaddleError, SolveReport,
                              _reduced_lower, build_system, detect_bands,
                              minres, spectrum)
 
+import oracles
 from conftest import make_ops
 from oracles import diffuse_functional, evaluate, reduce_in_place, riesz_matrix
 from test_golden import SPECTRUM_TOL
@@ -161,6 +162,61 @@ def test_minres_identity_converges_in_one_iteration():
     assert report.iterations == 1
     assert report.converged
     assert x == pytest.approx(system.rhs)
+
+
+def _unit_data(ops) -> np.ndarray:
+    f = np.zeros(ops.mesh.num_vertices)
+    f[ops.active_v] = 1.0
+    return f
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e-4, 0.0])
+def test_build_system_matches_per_alpha_bmat(ops, alpha):
+    f = _unit_data(ops)
+    got = build_system(ops, alpha, f)
+    want = oracles.build_system(ops, alpha, f)
+    for name in ("indptr", "indices", "data"):
+        assert (getattr(got.matrix, name).tobytes()
+                == getattr(want.matrix, name).tobytes()), name
+    assert got.rhs.tobytes() == want.rhs.tobytes()
+    assert got.matrix.shape == want.matrix.shape
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-4])
+def test_minres_matches_allocating_minres(ops_16, alpha):
+    system = build_system(ops_16, alpha, _unit_data(ops_16))
+    prec = RieszPreconditioner(system)
+    x, report = minres(system, prec, rho=1e-10)
+    x_want, want = oracles.minres(system, prec, rho=1e-10)
+    assert x.tobytes() == x_want.tobytes()
+    assert report == want
+
+
+def test_minres_with_a_preconditioner_returning_its_input(ops_16):
+    # _IdentityPrec hands MINRES its own residual back as y
+    system = build_system(ops_16, 1e-2, _unit_data(ops_16))
+    x, report = minres(system, _IdentityPrec(), rho=1e-10, max_iter=40)
+    x_want, want = oracles.minres(system, _IdentityPrec(), rho=1e-10,
+                                  max_iter=40)
+    assert x.tobytes() == x_want.tobytes()
+    assert report == want
+
+
+def test_systems_copy_the_kept_matrix_and_change_no_block(ops_16):
+    f = _unit_data(ops_16)
+    riesz_u = ops_16.riesz_u.data.tobytes()
+    kkt = ops_16._kkt
+    kept = [kkt.data.tobytes(), kkt.indices.tobytes(), kkt.indptr.tobytes()]
+    systems = [build_system(ops_16, alpha, f)
+               for alpha in (1.0, 0.5, 1e-3, 0.0, 1e-3)]
+    assert ops_16._kkt is kkt
+    assert ops_16.riesz_u.data.tobytes() == riesz_u
+    assert [kkt.data.tobytes(), kkt.indices.tobytes(),
+            kkt.indptr.tobytes()] == kept
+    assert len({id(s.matrix) for s in systems}) == len(systems)
+    for system in systems:
+        assert system.matrix.data.flags.writeable
+        assert not np.shares_memory(system.matrix.data, kkt.data)
 
 
 def test_minres_exact_breakdown():

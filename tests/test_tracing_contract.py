@@ -5,14 +5,17 @@ functions and methods for timing wrappers, and hands MINRES a proxy of
 the KKT matrix.  These tests load that file read-only and check that
 every name it wraps still resolves, that a sharp and a diffuse
 Tikhonov solve and a spectrum under an installed recorder equal their
-untraced results, and that a traced rate study records each layer of
-every cell once.
+untraced results, that the recorder's matrix proxy never reaches the
+KKT matrix an operator set keeps, and that a traced rate study records
+each layer of every cell once.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 import ddcauchy
 # imported so that every traced module is an attribute of the package
@@ -65,6 +68,37 @@ def test_traced_solves_equal_untraced(ops_16, sharp_solver, truth):
     assert metrics["inversion.sharp_tikhonov.calls"] == 1
     # read through getattr defaults: a renamed factor would read 0 silently
     assert metrics["saddle.riesz_h.fill"] > 1
+
+
+def test_traced_systems_leave_the_kept_matrix_untraced(ops_16):
+    # the recorder puts a timed proxy on each system it sees built; the
+    # operator set's kept KKT matrix, built here under the recorder, and
+    # every later untraced system must stay plain CSR
+    spans = load_spans()
+    f = np.zeros(ops_16.mesh.num_vertices)
+    f[ops_16.active_v] = 1.0
+    alphas = (1e-2, 1e-3, 1e-4)
+
+    def solve(ops, alpha):
+        system = saddle.build_system(ops, alpha, f)
+        x, report = saddle.minres(system, saddle.RieszPreconditioner(system),
+                                  rho=1e-6)
+        return system, x, report
+
+    want = [solve(ops_16, alpha)[1:] for alpha in alphas]
+    ops = dataclasses.replace(ops_16)     # nothing restricted or kept yet
+    tracer = spans.Tracer()
+    with tracer:
+        got = [solve(ops, alpha) for alpha in alphas[:2]]
+    assert all(isinstance(system.matrix, spans._TimedMatrix)
+               for system, _, _ in got)
+    got.append(solve(ops, alphas[2]))
+    assert type(got[2][0].matrix) is sp.csr_matrix
+    assert type(ops._kkt) is sp.csr_matrix
+    for (_, x, report), (x_want, report_want) in zip(got, want):
+        assert x.tobytes() == x_want.tobytes()
+        assert report == report_want
+    assert tracer.layers()["saddle.build_system"][0] == 2
 
 
 def test_traced_rate_cells_record_every_layer():
