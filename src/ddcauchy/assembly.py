@@ -36,9 +36,12 @@ structural zeros there.  ``OperatorSet.build`` then refuses a band
 mass that is identically zero, naming its band, and the active DOF sets
 are read off the diagonals.
 
-Diffuse and sharp alike, ``_stiffness`` forms every local stiffness
-from the tensor sums of ``ConductivityTensor.weighted_sum`` (the polar
-form of M), and ``_scatter`` builds every element and edge matrix.
+Diffuse and sharp alike, ``_local_stiffness`` forms every element
+stiffness from the tensor sums of ``ConductivityTensor.weighted_sum``
+(the polar form of M), and ``_scatter`` builds every element and edge
+matrix.  ``_sharp_local_stiffness`` gives the sharp element stiffness of
+any set of polar triangles, so the sharp solver reads one angular
+sector's without assembling the annulus.
 """
 
 from __future__ import annotations
@@ -143,13 +146,13 @@ def _scatter(ni: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def _stiffness(tris: np.ndarray, areas: np.ndarray, grads: np.ndarray,
-               m_sum: np.ndarray, n: int) -> sp.csr_matrix:
-    """P1 stiffness of the tensor sums m_sum: grads (area m_sum) grads^T."""
+def _local_stiffness(areas: np.ndarray, grads: np.ndarray,
+                     m_sum: np.ndarray) -> np.ndarray:
+    """P1 element stiffness (m, 3, 3) of the tensor sums m_sum:
+    grads (area m_sum) grads^T; ``_scatter`` assembles it."""
     if not np.all(np.isfinite(m_sum)):
         raise AssemblyError("conductivity tensor sums are not finite")
-    local = grads @ (areas[:, None, None] * m_sum) @ grads.transpose(0, 2, 1)
-    return _scatter(tris, local, n)
+    return grads @ (areas[:, None, None] * m_sum) @ grads.transpose(0, 2, 1)
 
 
 @dataclass
@@ -242,7 +245,7 @@ def _diffuse_forms(mesh: TriMesh, field: PhaseField, rule: QuadratureRule,
                                       PLATEAU_RULE.weights)
     local_m[~cut] = _P1_MASS
     local_m *= areas[:, None, None]
-    return (_stiffness(el.tris, areas, el.grads, m_eff, n),
+    return (_scatter(el.tris, _local_stiffness(areas, el.grads, m_eff), n),
             _scatter(el.tris, local_m, n),
             *(_scatter(el.tris[el.in_band(which)], local, n)
               for which, local in band_local.items()))
@@ -268,6 +271,11 @@ def assemble_band_mass(mesh: TriMesh, field: PhaseField, which: str,
     return forms[1 + KINDS.index(which)]
 
 
+def _active_nodes(diagonal: np.ndarray) -> np.ndarray:
+    """Nodes whose diagonal entry is above ACTIVE_RTOL of the largest."""
+    return np.flatnonzero(diagonal > ACTIVE_RTOL * diagonal.max())
+
+
 def active_sets(b_h: sp.csr_matrix, k_omega: sp.csr_matrix,
                 m_omega: sp.csr_matrix):
     """Index sets of control and state DOFs actually touched by the weights.
@@ -275,10 +283,8 @@ def active_sets(b_h: sp.csr_matrix, k_omega: sp.csr_matrix,
     active_u: diagonal of B_H above threshold; active_v: diagonal of
     M_omega + K_omega above threshold.  All solves are restricted to them.
     """
-    du = b_h.diagonal()
-    dv = m_omega.diagonal() + k_omega.diagonal()
-    active_u = np.flatnonzero(du > ACTIVE_RTOL * du.max())
-    active_v = np.flatnonzero(dv > ACTIVE_RTOL * dv.max())
+    active_u = _active_nodes(b_h.diagonal())
+    active_v = _active_nodes(m_omega.diagonal() + k_omega.diagonal())
     if active_u.size == 0 or active_v.size == 0:
         raise AssemblyError("empty active set")
     return active_u, active_v
@@ -289,8 +295,9 @@ class OperatorSet:
     """Assembled operators plus bookkeeping for one (mesh, eps).
 
     eps = 0 is the sharp reference on the polar annulus mesh (built by
-    ``assemble_sharp``; ``field`` is None there).  ``mean_vec`` and the
-    active DOF sets are derived from the forms.
+    ``assemble_sharp`` for the sharp forward and adjoint solves only;
+    ``field`` is None there).  ``mean_vec`` and the active DOF sets are
+    derived from the forms.
 
     The blocks on the active sets are restricted here, by ``block``, and
     nowhere else; each is restricted at its first read and kept:
@@ -431,16 +438,25 @@ def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:
 
 def assemble_sharp(mesh: TriMesh,
                    tensor: ConductivityTensor) -> OperatorSet:
-    """The eps = 0 operator set on the polar annulus mesh.
+    """The eps = 0 operator set on the polar annulus mesh: the annulus
+    stiffness and mass, which ``SharpSolver.ops`` builds for the sharp
+    forward and adjoint solves, and the inner and outer edge masses.
 
     Its active sets are the inner ring (control) and all nodes (state);
     ``mesh_annulus`` numbers each ring in increasing angle.
     """
-    tris, areas, grads = _element_geometry(mesh)
-    m_sum = tensor.weighted_sum(_quad_points(mesh, tris, SHARP_RULE),
-                                SHARP_RULE.weights)
+    tris, areas, local = _sharp_local_stiffness(mesh, tensor, None)
     n = mesh.num_vertices
-    return OperatorSet(mesh, None,
-                       _stiffness(tris, areas, grads, m_sum, n),
+    return OperatorSet(mesh, None, _scatter(tris, local, n),
                        _scatter(tris, areas[:, None, None] * _P1_MASS, n),
                        _edge_mass(mesh, "inner"), _edge_mass(mesh, "outer"))
+
+
+def _sharp_local_stiffness(mesh: TriMesh, tensor: ConductivityTensor,
+                           tri_ids):
+    """(tris, areas, local): the sharp reference's element stiffness, by
+    SHARP_RULE, of the triangles ``tri_ids`` (all of them for None)."""
+    tris, areas, grads = _element_geometry(mesh, tri_ids)
+    m_sum = tensor.weighted_sum(_quad_points(mesh, tris, SHARP_RULE),
+                                SHARP_RULE.weights)
+    return tris, areas, _local_stiffness(areas, grads, m_sum)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
-from .assembly import CUT_RULE, OperatorSet, assemble_sharp
+from .assembly import CUT_RULE, OperatorSet
 from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
@@ -310,8 +310,9 @@ def apply_preset(name: str, overrides: dict = None) -> dict:
 @dataclass
 class Workspace:
     """What the cells of a study share: the background mesh, the sharp
-    solver (which factors and restricts nothing until it solves) and the
-    config's ground truth.
+    solver (which holds the polar mesh's boundary edge masses and node
+    sets, and assembles, factors and restricts nothing more until a
+    solve reads it) and the config's ground truth.
 
     Operator sets are built per ``diffuse_ops`` call and not kept: every
     study asks for each eps once, and a caller solving several alphas on
@@ -328,7 +329,7 @@ class Workspace:
         self.background = build_background(cfg.h0)
         ann = mesh_annulus(cfg.geometry, cfg.sharp_n_angular,
                            cfg.sharp_n_radial)
-        self.sharp_solver = SharpSolver(assemble_sharp(ann, cfg.tensor))
+        self.sharp_solver = SharpSolver(ann, cfg.tensor)
         self.truth = cfg.truth
 
     def diffuse_ops(self, eps: float) -> OperatorSet:

@@ -2,11 +2,14 @@
 
 The sharp reference problem lives on the polar annulus mesh: boundary
 data are nodal vectors on the tagged inner/outer polygon nodes (angular
-order); forward and adjoint share one load-solve-trace path.  The
-diffuse problem lives on the background mesh: boundary data are extended
-into the interface bands by the one constant-normal extension,
-``_extend_constant`` (a node's polar angle is that of its closest
-boundary point), and solved through the saddle machinery.
+order).  Its Tikhonov solve is an FFT filter whose transfer symbol comes
+from the stiffness of one angular sector, so the studies never assemble
+or factor the annulus; forward and adjoint, which do, share one
+load-solve-trace path and check it.  The diffuse problem lives on the
+background mesh: boundary data are extended into the interface bands by
+the one constant-normal extension, ``_extend_constant`` (a node's polar
+angle is that of its closest boundary point), and solved through the
+saddle machinery.
 
 Noise is Gaussian per node, rescaled so the discrete boundary norm of
 the perturbation equals delta exactly; a run with the same seed is
@@ -21,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import OperatorSet
-from .geometry import StageError
+from .assembly import (OperatorSet, _active_nodes, _edge_mass,
+                       _sharp_local_stiffness, assemble_sharp)
+from .geometry import ConductivityTensor, StageError
 from .harmonics import GroundTruth
+from .mesh import TriMesh
 from .saddle import (RieszPreconditioner, SolveReport, _dot, build_system,
                      minres)
 
@@ -61,54 +66,71 @@ def diffuse_forward(ops: OperatorSet, load: np.ndarray) -> np.ndarray:
 # Sharp solver (exact mesh)
 # ---------------------------------------------------------------------------
 
-# Largest relative defect of G's column at inner node nb // 2 against its
-# column at node 0 rolled by nb // 2; a rotation-invariant mesh meets it
-# to roundoff (7e-14 on fig8's 192 x 48 mesh).
+# Largest distance of a sharp-mesh vertex from the rotation of its
+# counterpart in the first angular sector, relative to the largest
+# vertex radius; ``mesh_annulus`` meets it to roundoff (9.6e-16 on fig8's
+# 192 x 48 mesh).
 _CIRCULANT_TOL = 1e-10
 
 
 class SharpSolver:
     """Forward/adjoint/Tikhonov solves on the exact annulus mesh.
 
-    ``ops`` is the eps = 0 operator set of ``assemble_sharp``.  The
-    forward map takes a Neumann flux u on the inner boundary to the
-    potential trace on the outer one; the mean constraint
-    <v, 1>_inner = 0 is imposed by one scalar multiplier to keep the
-    system symmetric.  Nothing is factored or restricted up front: every
-    forward and adjoint solve is ``diffuse_forward`` on ``ops``, whose
-    ``mean_lu`` is factored at the first solve and kept.
+    Built from the polar mesh of ``mesh_annulus`` and the conductivity,
+    it holds at once only what the studies read off the two boundary
+    edge masses T_inner (``b_h``) and T_outer (``b_b``): the inner and
+    outer node sets (in increasing angle), their angles and the mean
+    vector (row sums of T_inner); ``t_ii`` and ``t_oo`` are restricted at
+    their first read.  The forward map takes a Neumann flux u on the
+    inner boundary to the potential trace on the outer one; the mean
+    constraint <v, 1>_inner = 0 is imposed by one scalar multiplier to
+    keep the system symmetric.
+
+    ``forward`` and ``adjoint`` solve on ``ops``, the eps = 0 operator set
+    of ``assemble_sharp``, built and factored (``mean_lu``) at their first
+    call: the annulus stiffness and mass exist only there.  They are the
+    independent check of ``tikhonov``, which needs neither.
 
     The Tikhonov solve assumes that the discrete problem is invariant
     under rotation by 2 pi / nb, nb the number of inner nodes:
     ``mesh_annulus`` splits every polar cell alike, the conductivity
-    lives in the polar frame, and inner and outer nodes are both numbered
-    by increasing angle from 0.  Then G (the outer traces of the inner
-    unit fluxes), T_ii and T_oo are circulant, and the FFT diagonalizes
-    the Tikhonov normal equation.
+    lives in the polar frame, and every ring is numbered by increasing
+    angle from 0.  Then G (the outer traces of the inner unit fluxes),
+    T_ii and T_oo are circulant, and the FFT diagonalizes the Tikhonov
+    normal equation.
     """
 
-    def __init__(self, ops: OperatorSet):
-        self.ops = ops
-        self.inner = ops.active_u
-        self.outer = np.flatnonzero(ops.b_b.diagonal() > 0.0)
+    def __init__(self, mesh: TriMesh, tensor: ConductivityTensor):
+        self.mesh = mesh
+        self.tensor = tensor
+        self.b_h = _edge_mass(mesh, "inner")
+        self.b_b = _edge_mass(mesh, "outer")
+        self.inner = _active_nodes(self.b_h.diagonal())
+        self.outer = np.flatnonzero(self.b_b.diagonal() > 0.0)
+        self.mean_vec = np.asarray(self.b_h.sum(axis=1)).ravel()
         self.inner_angles, self.outer_angles = (
             np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
-            for xy in (ops.mesh.vertices[self.inner],
-                       ops.mesh.vertices[self.outer]))
+            for xy in (mesh.vertices[self.inner],
+                       mesh.vertices[self.outer]))
         self._symbols = None  # FFTs of G, T_ii, T_oo, at the first tikhonov
 
-    @property
+    @functools.cached_property
+    def ops(self) -> OperatorSet:
+        """The eps = 0 operator set, assembled at the first read."""
+        return assemble_sharp(self.mesh, self.tensor)
+
+    @functools.cached_property
     def t_ii(self) -> sp.csr_matrix:
-        """T_inner on the inner nodes: the operator set's ``riesz_u``."""
-        return self.ops.riesz_u
+        """T_inner on the inner nodes, restricted at the first read."""
+        return OperatorSet.block(self.b_h, self.inner, self.inner)
 
     @functools.cached_property
     def t_oo(self) -> sp.csr_matrix:
         """T_outer on the outer nodes, restricted at the first read."""
-        return self.ops.block(self.ops.b_b, self.outer, self.outer)
+        return OperatorSet.block(self.b_b, self.outer, self.outer)
 
     def _boundary_load(self, nodes: np.ndarray, values: np.ndarray):
-        load = np.zeros((self.ops.mesh.num_vertices,) + np.shape(values)[1:])
+        load = np.zeros((self.mesh.num_vertices,) + np.shape(values)[1:])
         load[nodes] = values
         return load
 
@@ -123,12 +145,12 @@ class SharpSolver:
         """State field and its trace f = v | outer for flux u on the inner
         boundary (nodal values in the order of ``inner``, shape (nb,) or
         (nb, k) for k fluxes)."""
-        return self._trace(self.ops.b_h, self.inner, u_inner, self.outer)
+        return self._trace(self.b_h, self.inner, u_inner, self.outer)
 
     def adjoint(self, w_outer: np.ndarray):
         """Adjoint field and its trace u = p | inner for density w on the
         outer boundary (shape (nb,) or (nb, k))."""
-        return self._trace(self.ops.b_b, self.outer, w_outer, self.inner)
+        return self._trace(self.b_b, self.outer, w_outer, self.inner)
 
     def inner_norm(self, u_inner: np.ndarray) -> float:
         return float(np.sqrt(_dot(u_inner, self.t_ii @ u_inner)))
@@ -136,29 +158,107 @@ class SharpSolver:
     def outer_norm(self, f_outer: np.ndarray) -> float:
         return float(np.sqrt(_dot(f_outer, self.t_oo @ f_outer)))
 
+    def _sector_bands(self) -> np.ndarray:
+        """K's ring couplings, from the stiffness of the first angular
+        sector: bands[s + 1, d + 1, r] = K[(r, j), (r + d, j + s)] for
+        every angle index j, r the ring and s, d in {-1, 0, 1}.
+
+        The mesh must be ``mesh_annulus``'s polar cells rotated: every
+        vertex (r, j) within _CIRCULANT_TOL of (r, 0) rotated by
+        2 pi j / nb, and every triangle of angular column j that of
+        column 0 with its angle indices shifted by j.  Otherwise K is not
+        block-circulant and InversionError is raised.
+        """
+        mesh, nb = self.mesh, len(self.inner)
+        rings = mesh.num_vertices // nb
+        tris = mesh.triangles
+        if (mesh.num_vertices != rings * nb or rings < 2
+                or len(tris) != 2 * nb * (rings - 1)
+                or not np.array_equal(self.inner, np.arange(nb))
+                or not np.array_equal(self.outer, np.arange(
+                    (rings - 1) * nb, rings * nb))):
+            raise InversionError(
+                "the sharp mesh is not rotation-invariant: its nodes are "
+                "not numbered ring by ring in increasing angle")
+        phi = 2.0 * np.pi * np.arange(nb) / nb
+        xy = mesh.vertices.reshape(rings, nb, 2)
+        x0, y0 = xy[:, :1, 0], xy[:, :1, 1]
+        defect = np.hypot(x0 * np.cos(phi) - y0 * np.sin(phi) - xy[..., 0],
+                          x0 * np.sin(phi) + y0 * np.cos(phi) - xy[..., 1])
+        # (ring cell, angular column, 2 triangles, 3 corners), as
+        # (ring, angle index) pairs; column j must be column 0 shifted
+        ring, angle = np.divmod(tris.reshape(rings - 1, nb, 2, 3), nb)
+        shift = np.arange(nb)[:, None, None]
+        if not (defect.max() <= _CIRCULANT_TOL * np.abs(xy).max()
+                and (ring == ring[:, :1]).all()
+                and (angle == (angle[:, :1] + shift) % nb).all()):
+            raise InversionError(
+                f"the sharp mesh is not rotation-invariant: it is not one "
+                f"angular sector rotated (vertex defect "
+                f"{defect.max():.1e})")
+        # the sector: the 2 (rings - 1) triangles of angular column 0
+        sector = np.arange(len(tris)).reshape(rings - 1, nb, 2)[:, 0]
+        _, _, local = _sharp_local_stiffness(mesh, self.tensor,
+                                             sector.ravel())
+        ring, angle = ring[:, 0].reshape(-1, 3), angle[:, 0].reshape(-1, 3)
+        s = angle[:, None, :] - angle[:, :, None]
+        d = ring[:, None, :] - ring[:, :, None]
+        row = np.broadcast_to(ring[:, :, None], d.shape)
+        if np.abs(s).max() > 1 or np.abs(d).max() > 1:
+            raise InversionError(
+                "the sharp mesh is not rotation-invariant: a sector "
+                "triangle spans more than one cell")
+        index = ((s + 1) * 3 + d + 1) * rings + row
+        return np.bincount(index.ravel(), local.ravel(),
+                           minlength=9 * rings).reshape(3, 3, rings)
+
     def _transfer_symbols(self):
         """(g, t, o): the FFTs of the first columns of G, T_ii and T_oo.
 
-        Built once, from one forward solve of two unit fluxes, at inner
-        nodes 0 and nb // 2.  The second trace must be the first rolled by
-        nb // 2; otherwise the mesh is not rotation-invariant, G is not
-        circulant, and InversionError is raised.
+        Built once.  t and o are the FFTs of the columns themselves.  g
+        comes from the block-circulant structure of K, without the
+        annulus: each angular mode k of the forward solve for the unit
+        flux at inner node 0 is a tridiagonal system in the ring index,
+        K_k x = t_k e_0 with K_k = sum_s K_s exp(2 pi i k s / nb) (the
+        bands of ``_sector_bands``), and g_k is its outer-ring entry.
+        For k != 0, K_k is Hermitian positive definite, and one forward
+        elimination, vectorized across the modes, gives g_k; mode 0 is
+        singular and is solved as a small dense system with the mean
+        multiplier.  Modes above nb // 2 are the conjugates of those
+        below, as G is real.
         """
         if self._symbols is None:
             nb = len(self.inner)
-            half = nb // 2
-            units = np.zeros((nb, 2))
-            units[[0, half], [0, 1]] = 1.0
-            _, g = self.forward(units)
-            defect = (np.linalg.norm(g[:, 1] - np.roll(g[:, 0], half))
-                      / np.linalg.norm(g[:, 0]))
-            if not defect <= _CIRCULANT_TOL:
-                raise InversionError(
-                    f"the sharp mesh is not rotation-invariant: G is not "
-                    f"circulant (relative defect {defect:.1e})")
-            self._symbols = (np.fft.fft(g[:, 0]),
-                             np.fft.fft(self.t_ii[:, 0].toarray()[:, 0]).real,
-                             np.fft.fft(self.t_oo[:, 0].toarray()[:, 0]).real)
+            t = np.fft.fft(self.t_ii[:, 0].toarray()[:, 0]).real
+            o = np.fft.fft(self.t_oo[:, 0].toarray()[:, 0]).real
+            bands = self._sector_bands()
+            rings = bands.shape[-1]
+            modes = np.arange(nb // 2 + 1)
+            phase = np.exp(2j * np.pi / nb * np.outer(modes, [-1, 0, 1]))
+            lower, diag, upper = np.moveaxis(
+                np.tensordot(phase, bands, axes=1), 1, 0)
+            # forward elimination of K_k x = t_k e_0, k >= 1: y[r] is the
+            # rhs after elimination over the diagonal m, c the ratio
+            # upper / m; the last y is the outer entry itself
+            y = t[modes[1:]] / diag[1:, 0]
+            c = upper[1:, 0] / diag[1:, 0]
+            for r in range(1, rings):
+                m = diag[1:, r] - lower[1:, r] * c
+                y = -lower[1:, r] * y / m
+                c = upper[1:, r] / m
+            g = np.empty(nb, dtype=complex)
+            g[1:len(modes)] = y
+            g[len(modes):] = np.conj(y[:nb - len(modes)][::-1])
+            # mode 0: [[K_0, m e_0], [m e_0^T, 0]] [x; lam] = [t_0 e_0; 0]
+            aug = np.zeros((rings + 1, rings + 1))
+            aug[:rings, :rings] = (np.diag(diag[0].real)
+                                   + np.diag(lower[0, 1:].real, -1)
+                                   + np.diag(upper[0, :-1].real, 1))
+            aug[0, rings] = aug[rings, 0] = self.mean_vec[self.inner[0]]
+            rhs = np.zeros(rings + 1)
+            rhs[0] = t[0]
+            g[0] = np.linalg.solve(aug, rhs)[rings - 1]
+            self._symbols = (g, t, o)
         return self._symbols
 
     def tikhonov(self, alpha: float, f_outer: np.ndarray) -> np.ndarray:
@@ -169,7 +269,8 @@ class SharpSolver:
         the eps = 0 operators) leaves the normal equation
         (alpha T_ii + G^T T_oo G) u = G^T T_oo f, exactly.  Its matrices are
         circulant (see the class), so with g, t, o the FFTs of the first
-        columns of G, T_ii and T_oo, built at the first call and kept,
+        columns of G, T_ii and T_oo, built at the first call from one
+        angular sector and kept (``_transfer_symbols``),
         u = ifft(conj(g) fft(T_oo f) / (alpha t + o |g|^2)): two FFTs and
         no sparse solve per alpha.  u is all nan when T_oo f is not
         finite.  The state and adjoint, if wanted, are forward(u) and

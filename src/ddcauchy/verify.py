@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CUT_RULE, OperatorSet, assemble_sharp
+from .assembly import CUT_RULE, OperatorSet
 from .experiments import fit_loglog_slope
 from .geometry import (AnnulusGeometry, ConductivityTensor, PhaseField,
                        annulus_integral, band_integral, ring_diffuse_integral)
@@ -139,7 +139,7 @@ def check_adjoint(geometry: AnnulusGeometry, tensor: ConductivityTensor,
                   tol: float = 1e-10):
     """|<F u, w> - <u, F* w>| <= tol * ||u|| ||w|| for 10 random pairs."""
     mesh = mesh_annulus(geometry, 128, 32)
-    solver = SharpSolver(assemble_sharp(mesh, tensor))
+    solver = SharpSolver(mesh, tensor)
     rng = np.random.default_rng(123)
     draws = [(rng.standard_normal(len(solver.inner)),
               rng.standard_normal(len(solver.outer)))

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from ddcauchy import experiments as xp
-from ddcauchy.assembly import CUT_RULE, OperatorSet, assemble_sharp
+from ddcauchy.assembly import CUT_RULE, OperatorSet
 from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import SharpSolver
 from ddcauchy.mesh import (build_background, levels_for, mesh_annulus,
                            refine_band)
 from ddcauchy.saddle import build_system, spectrum
+from golden import regen
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +49,7 @@ def ops_16(geometry, tensor, rule, background_coarse):
 @pytest.fixture(scope="session")
 def sharp_solver(geometry, tensor):
     mesh = mesh_annulus(geometry, 128, 32)
-    return SharpSolver(assemble_sharp(mesh, tensor))
+    return SharpSolver(mesh, tensor)
 
 
 @pytest.fixture(params=["diffuse", "sharp"])
@@ -92,7 +93,7 @@ def fig8_runs():
     cfg_s = xp.load_config(overrides=xp.apply_preset(
         "fig8", {"study.eps_coef": "0.0", "study.eps_exp": "0.0"}))
     sharp = xp.run_rate_study(cfg_s, ws)
-    return {"diffuse": diffuse, "sharp": sharp}
+    return {"diffuse": diffuse, "sharp": sharp, "workspace": ws}
 
 
 @pytest.fixture(scope="session")
@@ -103,6 +104,12 @@ def table_run():
         "study.epsilons": "0.25, 0.125, 0.0625, 0.03125, 0.015625",
         "study.table_delta": "0.001"})
     return xp.run_iteration_table(cfg, xp.Workspace(cfg))
+
+
+@pytest.fixture(scope="session")
+def verify_run():
+    """(exit code, stdout) of ``ddcauchy verify``."""
+    return regen.verify_run()
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,10 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/regen.py [NAME ...]
 
 It runs the iteration table, the fig7 rate sweep, the fig8 rate sweep
-(diffuse, then the sharp reference on the same Workspace) and the
-spectrum at the default config and seed 1234, and writes what
-``emit_outputs`` writes for them, or only the files named:
+(diffuse, then the sharp reference on the same Workspace), the spectrum
+at the default config and seed 1234 and ``ddcauchy verify``, and writes
+what ``emit_outputs`` and the CLI write for them, or only the files
+named:
 
     table.csv        the 5 x 5 MINRES iteration counts
     residuals.csv    the table's MINRES residual histories, 2,620 rows
@@ -15,17 +16,23 @@ spectrum at the default config and seed 1234, and writes what
     fig8_rates.csv   rates.csv of the fig8 diffuse and sharp runs, labelled
                      "fig8" and "sharp"
     spectrum.csv     the dense preconditioned spectrum and its bands
+    truth.csv        ``truth_fixture_csv`` of the fig8 Workspace: the
+                     truth's series and its nodal values at the sharp
+                     boundary angles
+    verify.txt       the seven lines ``ddcauchy verify`` prints
 
-The first four do not depend on the BLAS thread count; the eigenvalues
-of spectrum.csv do, in their last digits.  Each file starts with one
-``# golden:`` line naming the git revision and the machine it was
-written on; ``tests/test_golden.py`` compares fresh studies with the
-rest.  A change that moves these files regenerates them and says so,
-with its largest move.
+Only the eigenvalues of spectrum.csv depend on the BLAS thread count, in
+their last digits.  Each file starts with one ``# golden:`` line naming
+the git revision and the machine it was written on;
+``tests/test_golden.py`` compares fresh studies with the rest.  A change
+that moves these files regenerates them and says so, with its largest
+move.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import platform
 import subprocess
@@ -37,6 +44,8 @@ import numpy as np
 import scipy
 
 from ddcauchy import experiments as xp
+from ddcauchy.cli import main as cli_main
+from ddcauchy.inversion import truth_fixture_csv
 
 HERE = Path(__file__).resolve().parent
 HEADER = "# golden:"
@@ -53,10 +62,21 @@ def configs() -> dict:
             "spectrum": xp.load_config(overrides={"study.kind": "spectrum"})}
 
 
-def texts(table, fig7, fig8: dict, spect) -> dict:
-    """Golden file name -> CSV text of the studies, as ``emit_outputs``
-    writes it; ``fig8`` maps "diffuse" and "sharp" to their results."""
+def verify_run() -> tuple:
+    """(exit code, stdout) of ``ddcauchy verify``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["verify"])
+    return code, out.getvalue()
+
+
+def texts(table, fig7, fig8: dict, spect, verify: str) -> dict:
+    """Golden file name -> text of the studies, as ``emit_outputs``
+    writes it, and of ``verify``, the stdout of ``ddcauchy verify``;
+    ``fig8`` maps "diffuse" and "sharp" to their results and "workspace"
+    to the Workspace they ran on."""
     cfgs = configs()
+    ws = fig8["workspace"]
     files = {
         "table.csv": (cfgs["table"], "table.csv", {"table": table}),
         "residuals.csv": (cfgs["table"], "residuals.csv", {"table": table}),
@@ -67,8 +87,11 @@ def texts(table, fig7, fig8: dict, spect) -> dict:
                                       "sharp": fig8["sharp"]}}),
         "spectrum.csv": (cfgs["spectrum"], "spectrum.csv",
                          {"spect": spect}),
+        "truth.csv": (cfgs["fig8"], "truth.csv",
+                      {"truth_csv": truth_fixture_csv(ws.truth,
+                                                      ws.sharp_solver)}),
     }
-    out = {}
+    out = {"verify.txt": verify}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (cfg, emitted, results) in files.items():
             directory = os.path.join(tmp, name)
@@ -115,10 +138,10 @@ def main(names: list) -> None:
     cfgs = configs()
     ws = xp.Workspace(cfgs["fig8"])
     fig8 = {"diffuse": xp.run_rate_study(cfgs["fig8"], ws),
-            "sharp": xp.run_rate_study(cfgs["sharp"], ws)}
+            "sharp": xp.run_rate_study(cfgs["sharp"], ws), "workspace": ws}
     fresh = texts(xp.run_iteration_table(cfgs["table"]),
                   xp.run_rate_study(cfgs["fig7"]), fig8,
-                  xp.run_spectrum_study(cfgs["spectrum"]))
+                  xp.run_spectrum_study(cfgs["spectrum"]), verify_run()[1])
     header = f"{HEADER} rev={_revision()}; {machine_block()}\n"
     unknown = set(names) - set(fresh)
     if unknown:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ddcauchy import assembly
 from ddcauchy.assembly import (CUT_RULE, AssemblyError, OperatorSet,
                                _diffuse_forms, _element_geometry, _Elements,
-                               _quad_points, _scatter, _support_mask,
+                               _quad_points, _scatter, _sharp_local_stiffness,
+                               _support_mask,
                                active_sets, assemble_band_mass,
                                assemble_sharp, assemble_weighted_stiffness)
 from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
@@ -212,6 +213,18 @@ def test_sharp_operators(geometry, tensor):
     v = np.log(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
     energy = float(v @ (iso.k_omega @ v))
     assert energy == pytest.approx(2 * np.pi * np.log(1.0 / 0.3), rel=2e-3)
+
+
+def test_sharp_sector_stiffness_is_the_assembly_kernel(geometry, tensor):
+    """The sharp solver's sector stiffness (the 2 n_radial triangles of
+    the first polar column) is the assembly's element stiffness of those
+    triangles, bit for bit."""
+    mesh = mesh_annulus(geometry, 64, 16)
+    sector = np.arange(mesh.num_triangles).reshape(16, 64, 2)[:, 0].ravel()
+    tris, areas, local = _sharp_local_stiffness(mesh, tensor, None)
+    got = _sharp_local_stiffness(mesh, tensor, sector)
+    for whole, part in zip((tris, areas, local), got):
+        assert np.array_equal(whole[sector], part)
 
 
 def test_sharp_untagged_boundary_signal(geometry, tensor):

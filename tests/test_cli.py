@@ -199,9 +199,9 @@ def test_table_non_finite_cell_exits_1(capsys, tmp_path):
     assert "eps=0.25 alpha=1" in err[0] and "study.table_delta" in err[0]
 
 
-def test_verify_passes(capsys):
-    assert main(["verify"]) == 0
-    out = capsys.readouterr().out
+def test_verify_passes(verify_run):
+    code, out = verify_run
+    assert code == 0
     assert out.count("[PASS]") == 7
 
 

@@ -1,12 +1,14 @@
 """Fresh studies against the committed golden data files.
 
-The table, fig7, fig8 and spectrum studies are session fixtures of
-``conftest.py`` (the first three shared with the acceptance criteria), so
-this comparison runs no study of its own.  Counts, sizes, indices and
-other integers must match exactly, every other number within GOLDEN_RTOL
-relative (eigenvalues, on the data and ``# band`` lines of spectrum.csv,
-within SPECTRUM_TOL of the largest |eigenvalue|), and the remaining text
-exactly.  ``tests/golden/regen.py`` rewrites the files.
+The table, fig7, fig8 and spectrum studies and ``ddcauchy verify`` are
+session fixtures of ``conftest.py`` (the studies shared with the
+acceptance criteria, verify with the CLI test), so this comparison runs
+no study of its own.  truth.csv and verify.txt must match byte for byte.
+In the other files counts, sizes, indices and other integers must match
+exactly, every other number within GOLDEN_RTOL relative (eigenvalues, on
+the data and ``# band`` lines of spectrum.csv, within SPECTRUM_TOL of the
+largest |eigenvalue|), and the remaining text exactly.
+``tests/golden/regen.py`` rewrites the files.
 """
 
 import collections
@@ -91,6 +93,21 @@ def _diff(name: str, golden: str, fresh: str, rtol: float = GOLDEN_RTOL,
     return out
 
 
+# Files whose text must not move at all.
+EXACT = ("truth.csv", "verify.txt")
+
+
+def _diff_text(name: str, golden: str, fresh: str) -> list:
+    """One line per line of ``fresh`` that differs from the golden text."""
+    want = [ln for ln in golden.splitlines(keepends=True)
+            if not ln.startswith(regen.HEADER)]
+    got = fresh.splitlines(keepends=True)
+    if len(want) != len(got):
+        return [f"{name}: {len(got)} lines, golden has {len(want)}"]
+    return [f"{name} line {row}: {g!r}, golden {w!r}"
+            for row, (w, g) in enumerate(zip(want, got), start=1) if w != g]
+
+
 def _largest_eigenvalue(golden: str) -> float:
     """max |eigenvalue| over the data rows of a golden spectrum.csv."""
     rows = [ln.split(",") for ln in golden.splitlines()[2:]
@@ -99,14 +116,16 @@ def _largest_eigenvalue(golden: str) -> float:
 
 
 def test_studies_match_golden_files(table_run, fig7_runs, fig8_runs,
-                                    spectrum_run):
+                                    spectrum_run, verify_run):
     fresh = regen.texts(table_run, fig7_runs["half"][1], fig8_runs,
-                        spectrum_run)
+                        spectrum_run, verify_run[1])
     diffs, headers = [], []
     for name, text in fresh.items():
         golden = (regen.HERE / name).read_text()
         headers.append(f"{name}: {golden.splitlines()[0]}")
-        if name == "spectrum.csv":
+        if name in EXACT:
+            diffs += _diff_text(name, golden, text)
+        elif name == "spectrum.csv":
             diffs += _diff(name, golden, text, rtol=0.0, atol=SPECTRUM_TOL
                            * _largest_eigenvalue(golden))
         else:

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from ddcauchy.assembly import assemble_sharp
 from ddcauchy.geometry import ConductivityTensor
 from ddcauchy.harmonics import AngularSeries, solve_forward_modes
 from ddcauchy.inversion import (DiffuseSolution, InversionError, SharpSolver,
@@ -43,7 +42,7 @@ def test_sharp_forward_matches_separable_oracle(geometry):
     errs = []
     for n_ang in (64, 128):
         mesh = mesh_annulus(geometry, n_ang, n_ang // 4)
-        solver = SharpSolver(assemble_sharp(mesh, iso))
+        solver = SharpSolver(mesh, iso)
         u = np.cos(solver.inner_angles)
         _, f = solver.forward(u)
         oracle = solve_forward_modes(geometry, iso,
@@ -249,7 +248,7 @@ def test_sharp_normal_equation_matches_kkt(sharp_solver, geometry, tensor,
     normal matrix has condition 1.5e5 at alpha = 1e-6, so the last bound
     measures conditioning, not the elimination."""
     solver = sharp_solver if n_angular == 128 else SharpSolver(
-        assemble_sharp(mesh_annulus(geometry, 192, 48), tensor))
+        mesh_annulus(geometry, 192, 48), tensor)
     f = add_noise(truth.f_dagger(solver.outer_angles), 1e-3, 9, solver.t_oo)
     for alpha, tol in ((1e-1, 1e-9), (1e-2, 1e-9), (1e-3, 1e-9),
                        (1e-4, 1e-8), (1e-6, 1e-6)):
@@ -282,7 +281,7 @@ def test_sharp_fft_matches_dense_normal_equation(sharp_solver, geometry,
     equation on the blocked G gives the FFT's u.  97 covers an odd
     number of nodes, where nb // 2 is not half a turn."""
     solver = sharp_solver if n_angular == 128 else SharpSolver(
-        assemble_sharp(mesh_annulus(geometry, n_angular, n_radial), tensor))
+        mesh_annulus(geometry, n_angular, n_radial), tensor)
     f = add_noise(truth.f_dagger(solver.outer_angles), 1e-3, 9, solver.t_oo)
     alpha = 1e-2
     u = solver.tikhonov(alpha, f)
@@ -308,8 +307,8 @@ def test_sharp_symbols_match_the_separable_modes(geometry, tensor):
             geometry.r_outer).terms[0].coef for k in ks])
     defects = []
     for n_angular in (96, 192):
-        solver = SharpSolver(assemble_sharp(
-            mesh_annulus(geometry, n_angular, n_angular // 4), tensor))
+        solver = SharpSolver(
+            mesh_annulus(geometry, n_angular, n_angular // 4), tensor)
         g_hat = solver._transfer_symbols()[0][list(ks)]
         defects.append(np.abs(np.abs(g_hat) / exact - 1.0))
     coarse, fine = defects
@@ -326,10 +325,37 @@ def test_sharp_tikhonov_rejects_unsymmetric_mesh(geometry, tensor):
     ring = slice(5 * 64, 6 * 64)
     radial = np.random.default_rng(4).uniform(0.98, 1.02, 64)
     mesh.vertices[ring] *= radial[:, None]
-    solver = SharpSolver(assemble_sharp(mesh, tensor))
+    solver = SharpSolver(mesh, tensor)
     f = np.cos(2 * solver.outer_angles)
     with pytest.raises(InversionError, match="not rotation-invariant"):
         solver.tikhonov(1e-2, f)
+
+
+# one sector of the 64 x 16 mesh perturbed, at angle index 7 of ring 5
+
+
+def _move_one_vertex(mesh):
+    mesh.vertices[5 * 64 + 7] *= 1.01
+
+
+def _flip_one_cell(mesh):
+    """Split polar cell (5, 7) along its other diagonal."""
+    a, b = 5 * 64 + 7, 5 * 64 + 8
+    mesh.triangles[2 * a:2 * a + 2] = [[a, a + 64, b], [b, a + 64, b + 64]]
+
+
+@pytest.mark.parametrize("perturb", [_move_one_vertex, _flip_one_cell],
+                         ids=["vertex", "cell"])
+def test_sharp_tikhonov_rejects_one_perturbed_sector(geometry, tensor,
+                                                     perturb):
+    """One vertex moved, or one cell split the other way, at angle index
+    7 of an interior ring, away from sectors 0 and nb // 2: the guard
+    compares every vertex and triangle with the rotated first sector."""
+    mesh = mesh_annulus(geometry, 64, 16)
+    perturb(mesh)
+    solver = SharpSolver(mesh, tensor)
+    with pytest.raises(InversionError, match="not rotation-invariant"):
+        solver.tikhonov(1e-2, np.cos(2 * solver.outer_angles))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ddcauchy import experiments as xp
-from ddcauchy.inversion import (InversionError, SharpSolver,
-                                diffuse_forward, diffuse_tikhonov,
-                                error_norms, extend_data)
+from ddcauchy.inversion import (InversionError, diffuse_forward,
+                                diffuse_tikhonov, error_norms, extend_data)
 from ddcauchy.saddle import RieszPreconditioner, SaddleError, build_system
 
 BLOCKS = ("riesz_u", "b_vu", "k_vv", "t_vv", "riesz_h", "mean_col")
@@ -81,13 +80,18 @@ def test_blocks_equal_hand_restrictions(ops):
 
 
 def test_sharp_boundary_blocks(sharp_solver):
+    """The solver reads its node sets, mean vector and boundary blocks off
+    the two edge masses; they equal those of the assembled operator set,
+    bit for bit."""
     ops = sharp_solver.ops
     inner, outer = sharp_solver.inner, sharp_solver.outer
+    assert np.array_equal(inner, ops.active_u)
+    assert np.array_equal(sharp_solver.mean_vec, ops.mean_vec)
     assert_identical(sharp_solver.t_ii, ops.b_h[np.ix_(inner, inner)])
     assert_identical(sharp_solver.t_oo, ops.b_b[np.ix_(outer, outer)])
 
 
-def test_blocks_are_shared(ops_16, sharp_solver):
+def test_blocks_are_shared(ops_16):
     f_tilde = np.zeros(ops_16.mesh.num_vertices)
     system = build_system(ops_16, 1.0, f_tilde)
     first = {name: getattr(ops_16, name) for name in BLOCKS}
@@ -96,8 +100,6 @@ def test_blocks_are_shared(ops_16, sharp_solver):
         assert vars(ops_16)[name] is first[name], name
     assert RieszPreconditioner(system)._apply_u.__self__ is ops_16.riesz_u_lu
     assert RieszPreconditioner(system)._riesz_h is ops_16.riesz_h
-    ops = sharp_solver.ops
-    assert SharpSolver(ops).t_ii is ops.riesz_u
 
 
 def test_fresh_workspace_restricts_nothing():
@@ -105,9 +107,26 @@ def test_fresh_workspace_restricts_nothing():
                                     "mesh.sharp_n_angular": "48",
                                     "mesh.sharp_n_radial": "12"})
     ws = xp.Workspace(cfg)
-    assert not set(BLOCKS) & set(vars(ws.sharp_solver.ops))
-    assert "t_oo" not in vars(ws.sharp_solver)
+    assert not {"ops", "t_ii", "t_oo"} & set(vars(ws.sharp_solver))
     assert ws.truth is cfg.truth
+
+
+def test_studies_leave_the_sharp_operator_set_unbuilt():
+    """A table cell and the fig8 sharp rate study read the sharp solver's
+    boundary blocks and FFT symbols only: its operator set, and with it
+    the annulus stiffness and mass and ``mean_lu``, is never built."""
+    small = {"mesh.h0": "0.2", "mesh.sharp_n_angular": "48",
+             "mesh.sharp_n_radial": "12"}
+    cfg = xp.load_config(overrides=dict(small, **{
+        "study.kind": "table", "study.alphas": "0.1",
+        "study.epsilons": "0.25"}))
+    ws = xp.Workspace(cfg)
+    assert xp.run_iteration_table(cfg, ws).converged.all()
+    sharp = xp.load_config(overrides=xp.apply_preset("fig8", dict(small, **{
+        "study.eps_coef": "0.0", "study.eps_exp": "0.0"})))
+    rows = xp.run_rate_study(sharp, ws).rows
+    assert rows and all(np.isfinite(r.u_err_sharp) for r in rows)
+    assert "ops" not in vars(ws.sharp_solver)
 
 
 def test_each_matrix_factored_once(monkeypatch, ops_16, sharp_solver,
