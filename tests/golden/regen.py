@@ -6,9 +6,9 @@ Run from the repository root:
 
 It runs the iteration table, the fig7 rate sweep, the fig8 rate sweep
 (diffuse, then the sharp reference on the same Workspace), the spectrum
-at the default config and seed 1234 and ``ddcauchy verify``, and writes
-what ``emit_outputs`` and the CLI write for them, or only the files
-named:
+at the default config and seed 1234, ``ddcauchy verify`` and two
+``ddcauchy solve`` triples, and writes what ``emit_outputs`` and the CLI
+write for them, or only the files named:
 
     table.csv        the 5 x 5 MINRES iteration counts
     residuals.csv    the table's MINRES residual histories, 2,620 rows
@@ -20,6 +20,8 @@ named:
                      truth's series and its nodal values at the sharp
                      boundary angles
     verify.txt       the seven lines ``ddcauchy verify`` prints
+    solve.txt        what ``ddcauchy solve`` prints for SOLVE_ARGS: one
+                     diffuse and one sharp (delta, alpha, eps) triple
 
 Only the eigenvalues of spectrum.csv depend on the BLAS thread count, in
 their last digits.  Each file starts with one ``# golden:`` line naming
@@ -62,6 +64,14 @@ def configs() -> dict:
             "spectrum": xp.load_config(overrides={"study.kind": "spectrum"})}
 
 
+# The ``ddcauchy solve`` triples of solve.txt: a diffuse one (124 MINRES
+# iterations) and the sharp reference (eps = 0).
+SOLVE_ARGS = (
+    ["--delta", "1e-3", "--alpha", "1e-3", "--epsilon", "0.0625"],
+    ["--delta", "1e-3", "--alpha", "1e-3", "--epsilon", "0"],
+)
+
+
 def verify_run() -> tuple:
     """(exit code, stdout) of ``ddcauchy verify``."""
     out = io.StringIO()
@@ -70,11 +80,20 @@ def verify_run() -> tuple:
     return code, out.getvalue()
 
 
-def texts(table, fig7, fig8: dict, spect, verify: str) -> dict:
+def solve_run() -> str:
+    """The stdout of ``ddcauchy solve`` for each of SOLVE_ARGS, in order."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for args in SOLVE_ARGS:
+            cli_main(["solve", *args])
+    return out.getvalue()
+
+
+def texts(table, fig7, fig8: dict, spect, verify: str, solve: str) -> dict:
     """Golden file name -> text of the studies, as ``emit_outputs``
-    writes it, and of ``verify``, the stdout of ``ddcauchy verify``;
-    ``fig8`` maps "diffuse" and "sharp" to their results and "workspace"
-    to the Workspace they ran on."""
+    writes it, of ``verify``, the stdout of ``ddcauchy verify``, and of
+    ``solve``, that of ``solve_run``; ``fig8`` maps "diffuse" and "sharp"
+    to their results and "workspace" to the Workspace they ran on."""
     cfgs = configs()
     ws = fig8["workspace"]
     files = {
@@ -91,7 +110,7 @@ def texts(table, fig7, fig8: dict, spect, verify: str) -> dict:
                       {"truth_csv": truth_fixture_csv(ws.truth,
                                                       ws.sharp_solver)}),
     }
-    out = {"verify.txt": verify}
+    out = {"verify.txt": verify, "solve.txt": solve}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (cfg, emitted, results) in files.items():
             directory = os.path.join(tmp, name)
@@ -141,7 +160,8 @@ def main(names: list) -> None:
             "sharp": xp.run_rate_study(cfgs["sharp"], ws), "workspace": ws}
     fresh = texts(xp.run_iteration_table(cfgs["table"]),
                   xp.run_rate_study(cfgs["fig7"]), fig8,
-                  xp.run_spectrum_study(cfgs["spectrum"]), verify_run()[1])
+                  xp.run_spectrum_study(cfgs["spectrum"]), verify_run()[1],
+                  solve_run())
     header = f"{HEADER} rev={_revision()}; {machine_block()}\n"
     unknown = set(names) - set(fresh)
     if unknown:

@@ -3,7 +3,9 @@
 The table, fig7, fig8 and spectrum studies and ``ddcauchy verify`` are
 session fixtures of ``conftest.py`` (the studies shared with the
 acceptance criteria, verify with the CLI test), so this comparison runs
-no study of its own.  truth.csv and verify.txt must match byte for byte.
+no study of its own, only the two ``ddcauchy solve`` triples of
+solve.txt.  truth.csv, verify.txt and solve.txt must match byte for
+byte.
 In the other files counts, sizes, indices and other integers must match
 exactly, every other number within GOLDEN_RTOL relative (eigenvalues, on
 the data and ``# band`` lines of spectrum.csv, within SPECTRUM_TOL of the
@@ -94,7 +96,7 @@ def _diff(name: str, golden: str, fresh: str, rtol: float = GOLDEN_RTOL,
 
 
 # Files whose text must not move at all.
-EXACT = ("truth.csv", "verify.txt")
+EXACT = ("truth.csv", "verify.txt", "solve.txt")
 
 
 def _diff_text(name: str, golden: str, fresh: str) -> list:
@@ -118,7 +120,7 @@ def _largest_eigenvalue(golden: str) -> float:
 def test_studies_match_golden_files(table_run, fig7_runs, fig8_runs,
                                     spectrum_run, verify_run):
     fresh = regen.texts(table_run, fig7_runs["half"][1], fig8_runs,
-                        spectrum_run, verify_run[1])
+                        spectrum_run, verify_run[1], regen.solve_run())
     diffs, headers = [], []
     for name, text in fresh.items():
         golden = (regen.HERE / name).read_text()
