@@ -35,7 +35,8 @@ from .assembly import CUT_RULE, OperatorSet
 from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
-                        error_norms, extend_data, sharp_error)
+                        diffuse_tikhonov_alphas, error_norms, extend_data,
+                        sharp_error)
 from .mesh import (MAX_BAND_LEVELS, MAX_VERTICES, SHARP_MIN_ANGULAR,
                    SHARP_MIN_RADIAL, background_vertices, build_background,
                    levels_for, mesh_annulus, refine_band)
@@ -402,7 +403,12 @@ class TableResult:
 def run_iteration_table(cfg: ExperimentConfig,
                         ws: Workspace = None) -> TableResult:
     """One diffuse solve per (alpha, eps) cell; counts laid out with eps
-    rows and alpha columns, like the reference iteration table."""
+    rows and alpha columns, like the reference iteration table.
+
+    The alphas of one eps row share its operator set, data and Riesz
+    factors and are solved together (``diffuse_tikhonov_alphas``); a
+    row's systems are freed before the next row's operators are built.
+    """
     ws = ws or Workspace(cfg)
     iters = np.zeros((len(cfg.epsilons), len(cfg.alphas)), dtype=int)
     conv = np.zeros_like(iters, dtype=bool)
@@ -411,12 +417,13 @@ def run_iteration_table(cfg: ExperimentConfig,
     for i, eps in enumerate(cfg.epsilons):
         ops = ws.diffuse_ops(eps)
         f_tilde = extend_data(f_del, ws.sharp_solver.outer_angles, ops)
-        for j, alpha in enumerate(cfg.alphas):
-            sol = diffuse_tikhonov(ops, alpha, f_tilde, rho=cfg.rho,
-                                   max_iter=cfg.max_iter)
+        sols = diffuse_tikhonov_alphas(ops, cfg.alphas, f_tilde,
+                                       rho=cfg.rho, max_iter=cfg.max_iter)
+        for j, (alpha, sol) in enumerate(zip(cfg.alphas, sols)):
             iters[i, j] = sol.report.iterations
             conv[i, j] = sol.report.converged
             hist[(eps, alpha)] = sol.report.residual_history
+        del ops, sols
     return TableResult(list(cfg.alphas), list(cfg.epsilons), iters, conv,
                        hist)
 

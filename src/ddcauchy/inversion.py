@@ -29,8 +29,8 @@ from .assembly import (OperatorSet, _active_nodes, _edge_mass,
 from .geometry import ConductivityTensor, StageError
 from .harmonics import GroundTruth
 from .mesh import TriMesh
-from .saddle import (RieszPreconditioner, SolveReport, _dot, build_system,
-                     minres)
+from .saddle import (RieszPreconditioner, SaddleSystem, SolveReport, _dot,
+                     build_system, minres, minres_lockstep)
 
 
 class InversionError(StageError, RuntimeError):
@@ -352,6 +352,26 @@ class DiffuseSolution:
     report: SolveReport
 
 
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 0.0:
+        raise InversionError(f"alpha must be positive, got {alpha}")
+
+
+def _solution(system: SaddleSystem, x: np.ndarray,
+              report: SolveReport) -> DiffuseSolution:
+    """The full-length nodal (u, v, p) of a system solution x."""
+    ops = system.ops
+    n = ops.mesh.num_vertices
+    u_r, v_r, p_r, _ = system.split(x)
+    u = np.zeros(n)
+    v = np.zeros(n)
+    p = np.zeros(n)
+    u[ops.active_u] = u_r
+    v[ops.active_v] = v_r
+    p[ops.active_v] = p_r
+    return DiffuseSolution(u, v, p, report)
+
+
 def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
                      rho: float = 1e-10,
                      max_iter: int = 2000) -> DiffuseSolution:
@@ -363,20 +383,33 @@ def diffuse_tikhonov(ops: OperatorSet, alpha: float, f_tilde: np.ndarray,
     copying the kept matrix's values and scaling its (u, u) slots by
     alpha.  alpha must be > 0.
     """
-    if not alpha > 0.0:
-        raise InversionError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     system = build_system(ops, alpha, f_tilde)
     x, report = minres(system, RieszPreconditioner(system), rho=rho,
                        max_iter=max_iter)
-    n = ops.mesh.num_vertices
-    u_r, v_r, p_r, _ = system.split(x)
-    u = np.zeros(n)
-    v = np.zeros(n)
-    p = np.zeros(n)
-    u[ops.active_u] = u_r
-    v[ops.active_v] = v_r
-    p[ops.active_v] = p_r
-    return DiffuseSolution(u, v, p, report)
+    return _solution(system, x, report)
+
+
+def diffuse_tikhonov_alphas(ops: OperatorSet, alphas, f_tilde: np.ndarray,
+                            rho: float = 1e-10,
+                            max_iter: int = 2000) -> list:
+    """``diffuse_tikhonov`` at each alpha on one operator set and data,
+    solved together: one system per alpha, one preconditioner, and
+    ``minres_lockstep``, which preconditions every running system's
+    residual in one wide solve per factor.  Returns the solutions in the
+    order of ``alphas``.  On a large operator set a count may differ by a
+    few from that of ``diffuse_tikhonov``, as the wider solves round
+    differently.
+    """
+    for alpha in alphas:
+        _check_alpha(alpha)
+    systems = [build_system(ops, alpha, f_tilde) for alpha in alphas]
+    if not systems:
+        return []
+    results = minres_lockstep(systems, RieszPreconditioner(systems[0]),
+                              rho=rho, max_iter=max_iter)
+    return [_solution(system, x, report)
+            for system, (x, report) in zip(systems, results)]
 
 
 # ---------------------------------------------------------------------------

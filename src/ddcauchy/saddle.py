@@ -150,16 +150,26 @@ class RieszPreconditioner:
                 f"active sets are inconsistent") from err
 
     def apply(self, r: np.ndarray) -> np.ndarray:
+        """P^-1 r for one system vector r of shape (n,), or for each row
+        of a (K, n) stack of them, in a new array of r's shape.
+
+        A stack is solved in one call per factor: one K-column R_U solve
+        and one 2K-column R_H solve whose columns are v_1, p_1, v_2, p_2,
+        ...  A (1, n) stack gets the bits of the 1-D apply; on a large
+        factor, a wider solve may round a few values differently.
+        """
         s = self.system
         nu, nv = s.nu, s.nv
-        z = np.empty_like(r)
-        z[:nu] = self._apply_u(r[:nu])
-        # state and adjoint blocks: one solve with an (nv, 2) right side,
-        # whose Fortran-ordered solution is the two blocks back to back
-        z[nu:nu + 2 * nv] = self._apply_h(
-            r[nu:nu + 2 * nv].reshape(2, nv).T).ravel(order="F")
-        z[nu + 2 * nv:] = r[nu + 2 * nv:] / s.mult_scale
-        return z
+        stack = r.reshape(-1, r.shape[-1])
+        z = np.empty_like(stack)
+        z[:, :nu] = self._apply_u(stack[:, :nu].T).T
+        # state and adjoint blocks: one solve with an (nv, 2K) right side,
+        # whose Fortran-ordered solution is the 2K blocks back to back
+        z[:, nu:nu + 2 * nv] = self._apply_h(
+            stack[:, nu:nu + 2 * nv].reshape(-1, nv).T).T.reshape(
+                len(stack), 2 * nv)
+        z[:, nu + 2 * nv:] = stack[:, nu + 2 * nv:] / s.mult_scale
+        return z.reshape(r.shape)
 
 
 @dataclass
@@ -171,25 +181,17 @@ class SolveReport:
     converged: bool
 
 
-def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
-           max_iter: int = 2000):
-    """Preconditioned MINRES with the relative preconditioned-residual stop.
-
-    Returns (x, SolveReport).  residual_history[k] is the norm ratio after
-    k+1 iterations; the history is nonincreasing in exact arithmetic.
-    Hitting max_iter reports converged=False instead of raising; a
-    right-hand side that is not finite returns x all nan after 0
-    iterations, not converged.
-    """
-    if not (0.0 < rho < 1.0):
-        raise SaddleError(f"rho must be in (0, 1), got {rho}")
+def _minres_steps(system: SaddleSystem, rho: float, max_iter: int):
+    """The body of ``minres`` for one system, as a generator: it yields
+    each residual that needs preconditioning, takes P^-1 r back from
+    ``send`` and returns (x, SolveReport)."""
     a = system.matrix
     b = system.rhs
     n = len(b)
     history: list = []
 
     r1 = b.copy()
-    y = prec.apply(r1)
+    y = yield r1
     # np.sqrt, not math.sqrt: a negative r1 . y gives nan and the
     # not-finite return below instead of a ValueError
     beta1 = float(np.sqrt(_dot(r1, y)))
@@ -225,7 +227,7 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
         y -= np.multiply(r2, alfa / beta, out=tmp)
         r1 = r2
         r2 = y
-        y = prec.apply(r2)
+        y = yield r2
         oldb = beta
         beta2 = _dot(r2, y)
         if beta2 < 0.0:
@@ -256,6 +258,50 @@ def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
             break
 
     return x, SolveReport(k, history, converged)
+
+
+def minres_lockstep(systems: list, prec: RieszPreconditioner, rho: float,
+                    max_iter: int = 2000) -> list:
+    """``minres`` on several systems that share one preconditioner, in
+    lockstep: [(x, SolveReport)] in the order of ``systems``.
+
+    Each step preconditions the residuals of every system still running
+    with one ``prec.apply`` on their (K, n) stack; a system leaves the
+    stack when it converges, hits max_iter or stops at once.  Each
+    system's iterates are those ``minres`` computes for it alone, up to
+    the rounding of the wider solves.
+    """
+    if not (0.0 < rho < 1.0):
+        raise SaddleError(f"rho must be in (0, 1), got {rho}")
+    results = [None] * len(systems)
+    live = [(i, _minres_steps(system, rho, max_iter))
+            for i, system in enumerate(systems)]
+    residuals = [steps.send(None) for _, steps in live]
+    while live:
+        preconditioned = prec.apply(np.stack(residuals))
+        running, residuals = [], []
+        for (i, steps), y in zip(live, preconditioned):
+            try:
+                residuals.append(steps.send(y))
+                running.append((i, steps))
+            except StopIteration as done:
+                results[i] = done.value
+        live = running
+    return results
+
+
+def minres(system: SaddleSystem, prec: RieszPreconditioner, rho: float,
+           max_iter: int = 2000):
+    """Preconditioned MINRES with the relative preconditioned-residual stop.
+
+    Returns (x, SolveReport).  residual_history[k] is the norm ratio after
+    k+1 iterations; the history is nonincreasing in exact arithmetic.
+    Hitting max_iter reports converged=False instead of raising; a
+    right-hand side that is not finite returns x all nan after 0
+    iterations, not converged.  It is ``minres_lockstep`` on one system,
+    whose (1, n) stacks precondition with the bits of one vector.
+    """
+    return minres_lockstep([system], prec, rho, max_iter)[0]
 
 
 def _reduced_lower(system: SaddleSystem) -> np.ndarray:

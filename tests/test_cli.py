@@ -192,7 +192,7 @@ def test_table_non_finite_cell_exits_1(capsys, tmp_path):
         assert main(["table", "--out", str(tmp_path),
                      "--set", "study.table_delta=1e300",
                      "--set", "study.epsilons=0.25",
-                     "--set", "study.alphas=1.0"] + FAST) == 1
+                     "--set", "study.alphas=1.0,0.1"] + FAST) == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
@@ -221,8 +221,9 @@ def _run_module(args, threads, out):
 @pytest.mark.parametrize("args, files", [
     (["rates", "--preset", "fig7", "--set", "study.deltas=0.0078125"],
      ["rates.csv"]),
+    # two alphas: each step preconditions both in one 4-column R_H solve
     (["table", "--set", "study.epsilons=0.015625",
-      "--set", "study.alphas=0.0001"], ["table.csv", "residuals.csv"]),
+      "--set", "study.alphas=0.001,0.0001"], ["table.csv", "residuals.csv"]),
 ])
 def test_data_files_do_not_depend_on_blas_threads(tmp_path, args, files):
     # both systems have n > 10,000, where OpenBLAS splits ddot across

@@ -9,8 +9,8 @@ from ddcauchy.geometry import ConductivityTensor
 from ddcauchy.harmonics import AngularSeries, solve_forward_modes
 from ddcauchy.inversion import (DiffuseSolution, InversionError, SharpSolver,
                                 add_noise, diffuse_forward, diffuse_tikhonov,
-                                error_norms, extend_control, extend_data,
-                                sharp_error)
+                                diffuse_tikhonov_alphas, error_norms,
+                                extend_control, extend_data, sharp_error)
 from ddcauchy.mesh import mesh_annulus
 from ddcauchy.saddle import build_system
 
@@ -414,6 +414,24 @@ def test_diffuse_tikhonov_reuses_preconditioner(ops_16, sharp_solver,
     fresh = diffuse_tikhonov(dataclasses.replace(ops_16), 1e-2, f_tilde)
     assert np.array_equal(again.u, fresh.u)
     assert again.report.residual_history == fresh.report.residual_history
+
+
+def test_alphas_solved_together_match_single_solves(ops_16, sharp_solver,
+                                                    truth):
+    f_tilde = extend_data(truth.f_dagger(sharp_solver.outer_angles),
+                          sharp_solver.outer_angles, ops_16)
+    alphas = (1e-1, 1e-2, 1e-3)
+    together = diffuse_tikhonov_alphas(ops_16, alphas, f_tilde)
+    for alpha, sol in zip(alphas, together):
+        alone = diffuse_tikhonov(ops_16, alpha, f_tilde)
+        # the wider preconditioner solves may round differently
+        assert abs(sol.report.iterations - alone.report.iterations) <= 8
+        assert sol.report.converged
+        assert len(sol.report.residual_history) == sol.report.iterations
+        assert (np.abs(sol.u - alone.u).max()
+                <= 1e-8 * np.abs(alone.u).max())
+    with pytest.raises(InversionError):
+        diffuse_tikhonov_alphas(ops_16, (1e-2, 0.0), f_tilde)
 
 
 # ---------------------------------------------------------------------------

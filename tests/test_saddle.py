@@ -13,7 +13,7 @@ from ddcauchy.inversion import InversionError, diffuse_tikhonov, extend_control
 from ddcauchy.mesh import build_background
 from ddcauchy.saddle import (RieszPreconditioner, SaddleError, SolveReport,
                              _reduced_lower, build_system, detect_bands,
-                             minres, spectrum)
+                             minres, minres_lockstep, spectrum)
 
 import oracles
 from conftest import make_ops
@@ -130,6 +130,27 @@ def test_two_column_h_solve_matches_single_solves(ops_16):
     assert np.array_equal(z[nu + nv:nu + 2 * nv], lu.solve(adjoint))
 
 
+def test_preconditioner_on_one_row_stack_matches_vector(ops_16):
+    system = build_system(ops_16, 0.5, np.zeros(ops_16.mesh.num_vertices))
+    prec = RieszPreconditioner(system)
+    r = np.random.default_rng(7).standard_normal(system.size)
+    z = prec.apply(r[None])
+    assert z.shape == (1, system.size)
+    assert z[0].tobytes() == prec.apply(r).tobytes()
+
+
+def test_preconditioner_on_a_stack_matches_single_applies(ops_16):
+    system = build_system(ops_16, 0.5, np.zeros(ops_16.mesh.num_vertices))
+    prec = RieszPreconditioner(system)
+    stack = np.random.default_rng(8).standard_normal((3, system.size))
+    # the R_U solve has 3 columns and the R_H solve 6, ordered v_1, p_1,
+    # v_2, ...; a wider solve may round differently, by a few ulps
+    got = prec.apply(stack)
+    for row, r in zip(got, stack):
+        want = prec.apply(r)
+        assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_preconditioner_reused_across_alphas(ops_16):
     n = ops_16.mesh.num_vertices
     f = np.zeros(n)
@@ -168,6 +189,46 @@ def _unit_data(ops) -> np.ndarray:
     f = np.zeros(ops.mesh.num_vertices)
     f[ops.active_v] = 1.0
     return f
+
+
+def test_lockstep_with_a_preconditioner_returning_its_input(ops_16):
+    # the identity hands each system its own row of the residual stack
+    systems = [build_system(ops_16, alpha, _unit_data(ops_16))
+               for alpha in (1e-1, 1e-3)]
+    got = minres_lockstep(systems, _IdentityPrec(), rho=1e-10, max_iter=40)
+    for system, (x, report) in zip(systems, got):
+        x_want, want = oracles.minres(system, _IdentityPrec(), rho=1e-10,
+                                      max_iter=40)
+        assert x.tobytes() == x_want.tobytes()
+        assert report == want
+
+
+class _StackRecorder:
+    """A Riesz preconditioner that records the height of every stack."""
+
+    def __init__(self, system):
+        self.prec = RieszPreconditioner(system)
+        self.heights = []
+
+    def apply(self, stack):
+        self.heights.append(len(stack))
+        return self.prec.apply(stack)
+
+
+def test_converged_systems_leave_the_lockstep_batch(ops_16):
+    f = _unit_data(ops_16)
+    systems = [build_system(ops_16, alpha, f) for alpha in (1.0, 1e-4)]
+    systems.append(build_system(ops_16, 1e-2, np.zeros_like(f)))
+    prec = _StackRecorder(systems[0])
+    (_, fast), (_, slow), (x_zero, zero) = minres_lockstep(
+        systems, prec, rho=1e-10)
+    assert fast.converged and slow.converged
+    assert 0 < fast.iterations < slow.iterations
+    # zero data stops after the first apply; alpha = 1 leaves the batch
+    # after its last iteration, while alpha = 1e-4 runs on alone
+    assert zero == SolveReport(0, [], True) and not x_zero.any()
+    assert prec.heights == ([3] + [2] * fast.iterations
+                            + [1] * (slow.iterations - fast.iterations))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1e-4, 0.0])
