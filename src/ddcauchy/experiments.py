@@ -407,7 +407,8 @@ def run_iteration_table(cfg: ExperimentConfig,
 
     The alphas of one eps row share its operator set, data and Riesz
     factors and are solved together (``diffuse_tikhonov_alphas``); a
-    row's systems are freed before the next row's operators are built.
+    row's operator set and solutions are dropped before the next row's
+    operator set is built.
     """
     ws = ws or Workspace(cfg)
     iters = np.zeros((len(cfg.epsilons), len(cfg.alphas)), dtype=int)

@@ -25,15 +25,29 @@ vectors, the Lanczos vector and one scratch vector once per solve and
 does every scaled sum into them, in the order of the textbook
 recurrence, so its bits equal those of the allocating form.  The only
 new vectors per iteration are the product ``A @ v`` and the output of
-the preconditioner.  ``apply`` may return its input: MINRES never
-writes into y (the vector ``apply`` returned), r1 or r2, only into its
-own work vectors and into the fresh ``A @ v`` before that becomes r2.
+the preconditioner.  Its body is a generator, ``_minres_steps``, that
+yields each residual to be preconditioned and takes P^-1 r back;
+``minres_lockstep`` advances several of them, one per system, and
+preconditions all their residuals in one ``apply`` on a (K, n) stack,
+dropping a system once it stops.  ``minres`` is ``minres_lockstep``
+on one system.  ``apply`` may return its input: MINRES never writes
+into y (the vector ``apply`` returned), r1 or r2, only into its own
+work vectors and into the fresh ``A @ v`` before that becomes r2;
+``minres_lockstep`` stacks copies of the residuals, so y is never r2
+itself.
 
 The preconditioner applies the inverse Riesz maps blockwise and exactly,
 by the operator set's sparse LU factors: B_H on the control block, the
 H-norm matrix (M-weighted stiffness + bulk mass) on the state and
-adjoint blocks (one two-column solve), and the scalar <1, 1>_U on the
-multiplier rows.  Both blocks are SPD, so they are factored in
+adjoint blocks, and the scalar <1, 1>_U on the multiplier rows.  A
+stack of K residuals takes one K-column R_U solve and one 2K-column R_H
+solve (columns v_1, p_1, v_2, p_2, ...).  SuperLU's supernodal solve
+reads the whole factor once per call, whatever the number of columns,
+and the table's larger R_H factors (149,764 nonzeros at eps = 2^-6) do
+not stay in a 2 MB L2 cache between calls, so one wide solve costs
+about 0.7 times as much as K two-column ones.  A one-row stack gets the
+bits of a single vector; a wider one may round a few values differently
+on a large factor.  Both blocks are SPD, so they are factored in
 SuperLU's symmetric mode: minimum-degree ordering of A^T + A
 (``MMD_AT_PLUS_A``) with diagonal pivots.  The blocks depend on the
 operator set only, so it factors each once and every alpha on it reads
@@ -276,13 +290,16 @@ def minres_lockstep(systems: list, prec: RieszPreconditioner, rho: float,
     results = [None] * len(systems)
     live = [(i, _minres_steps(system, rho, max_iter))
             for i, system in enumerate(systems)]
-    residuals = [steps.send(None) for _, steps in live]
+    # row j holds the residual of the j-th live system; each system's
+    # next residual goes to its row or an earlier one, after it has read
+    # its P^-1 r, so apply may return the stack itself
+    stack = np.array([next(steps) for _, steps in live])
     while live:
-        preconditioned = prec.apply(np.stack(residuals))
-        running, residuals = [], []
+        preconditioned = prec.apply(stack[:len(live)])
+        running = []
         for (i, steps), y in zip(live, preconditioned):
             try:
-                residuals.append(steps.send(y))
+                stack[len(running)] = steps.send(y)
                 running.append((i, steps))
             except StopIteration as done:
                 results[i] = done.value
