@@ -39,9 +39,11 @@ are read off the diagonals.
 Diffuse and sharp alike, ``_local_stiffness`` forms every element
 stiffness from the tensor sums of ``ConductivityTensor.weighted_sum``
 (the polar form of M), and ``_scatter`` builds every element and edge
-matrix.  ``_sharp_local_stiffness`` gives the sharp element stiffness of
-any set of polar triangles, so the sharp solver reads one angular
-sector's without assembling the annulus.
+matrix; ``_edge_mass`` forms the edge masses of an (m, 2) edge array,
+for the annulus and for the sharp solver's two rings alike.
+``_sharp_local_stiffness`` gives the sharp element stiffness of any
+polar triangles, so the sharp solver reads one angular sector's without
+building the annulus.
 """
 
 from __future__ import annotations
@@ -425,15 +427,13 @@ def _spd_lu(block: sp.spmatrix) -> spla.SuperLU:
                      options={"SymmetricMode": True})
 
 
-def _edge_mass(mesh: TriMesh, tag: str) -> sp.csr_matrix:
-    """Exact P1 mass of a tagged boundary: ell [[1/3, 1/6], [1/6, 1/3]]."""
-    edges = np.array([(i, j) for i, j, t in mesh.boundary_edges if t == tag])
-    if not edges.size:
-        raise AssemblyError(f"no boundary edges tagged {tag!r}")
-    d = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
+def _edge_mass(vertices: np.ndarray, edges: np.ndarray) -> sp.csr_matrix:
+    """Exact P1 mass of the edges (m, 2) between ``vertices``:
+    ell [[1/3, 1/6], [1/6, 1/3]] per edge, on len(vertices) nodes."""
+    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
     ell = np.sqrt((d[:, None] @ d[:, :, None]).ravel())  # norm(d[e]) exactly
     blocks = ell[:, None, None] / np.array([[3.0, 6.0], [6.0, 3.0]])
-    return _scatter(edges, blocks, mesh.num_vertices)
+    return _scatter(edges, blocks, len(vertices))
 
 
 def assemble_sharp(mesh: TriMesh,
@@ -445,11 +445,16 @@ def assemble_sharp(mesh: TriMesh,
     Its active sets are the inner ring (control) and all nodes (state);
     ``mesh_annulus`` numbers each ring in increasing angle.
     """
+    tags = ("inner", "outer")
+    for tag in tags:
+        if not len(mesh.boundary_edges.get(tag, ())):
+            raise AssemblyError(f"no boundary edges tagged {tag!r}")
     tris, areas, local = _sharp_local_stiffness(mesh, tensor, None)
     n = mesh.num_vertices
     return OperatorSet(mesh, None, _scatter(tris, local, n),
                        _scatter(tris, areas[:, None, None] * _P1_MASS, n),
-                       _edge_mass(mesh, "inner"), _edge_mass(mesh, "outer"))
+                       *(_edge_mass(mesh.vertices, mesh.boundary_edges[tag])
+                         for tag in tags))
 
 
 def _sharp_local_stiffness(mesh: TriMesh, tensor: ConductivityTensor,

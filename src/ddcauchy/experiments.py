@@ -39,7 +39,7 @@ from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
                         sharp_error)
 from .mesh import (MAX_BAND_LEVELS, MAX_VERTICES, SHARP_MIN_ANGULAR,
                    SHARP_MIN_RADIAL, background_vertices, build_background,
-                   levels_for, mesh_annulus, refine_band)
+                   levels_for, refine_band)
 from .saddle import build_system, detect_bands, spectrum
 
 
@@ -311,9 +311,10 @@ def apply_preset(name: str, overrides: dict = None) -> dict:
 @dataclass
 class Workspace:
     """What the cells of a study share: the background mesh, the sharp
-    solver (which holds the polar mesh's boundary edge masses and node
-    sets, and assembles, factors and restricts nothing more until a
-    solve reads it) and the config's ground truth.
+    solver (built from the polar grid: it holds the two boundary rings'
+    node sets, angles and edge masses, and builds the annulus mesh and
+    operator set only for a forward or adjoint solve, which no study
+    makes) and the config's ground truth.
 
     Operator sets are built per ``diffuse_ops`` call and not kept: every
     study asks for each eps once, and a caller solving several alphas on
@@ -328,9 +329,9 @@ class Workspace:
     def __post_init__(self):
         cfg = self.cfg
         self.background = build_background(cfg.h0)
-        ann = mesh_annulus(cfg.geometry, cfg.sharp_n_angular,
-                           cfg.sharp_n_radial)
-        self.sharp_solver = SharpSolver(ann, cfg.tensor)
+        self.sharp_solver = SharpSolver(cfg.geometry, cfg.tensor,
+                                        cfg.sharp_n_angular,
+                                        cfg.sharp_n_radial)
         self.truth = cfg.truth
 
     def diffuse_ops(self, eps: float) -> OperatorSet:

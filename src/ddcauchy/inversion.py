@@ -1,11 +1,13 @@
 """Forward/adjoint solves, data synthesis, Tikhonov drivers, error norms.
 
 The sharp reference problem lives on the polar annulus mesh: boundary
-data are nodal vectors on the tagged inner/outer polygon nodes (angular
-order).  Its Tikhonov solve is an FFT filter whose transfer symbol comes
-from the stiffness of one angular sector, so the studies never assemble
-or factor the annulus; forward and adjoint, which do, share one
-load-solve-trace path and check it.  The diffuse problem lives on the
+data are nodal vectors on the inner/outer ring nodes (angular order).
+Its solver is built from the polar grid, not from the mesh: the two
+rings give the node ids, angles and edge masses, and the Tikhonov solve
+is an FFT filter whose transfer symbol comes from the stiffness of one
+angular sector.  So the studies never build, assemble or factor the
+annulus; forward and adjoint, which do, share one load-solve-trace path
+and check it.  The diffuse problem lives on the
 background mesh: boundary data are extended into the interface bands by
 the one constant-normal extension, ``_extend_constant`` (a node's polar
 angle is that of its closest boundary point), and solved through the
@@ -24,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (OperatorSet, _active_nodes, _edge_mass,
-                       _sharp_local_stiffness, assemble_sharp)
-from .geometry import ConductivityTensor, StageError
+from .assembly import (OperatorSet, _edge_mass, _sharp_local_stiffness,
+                       assemble_sharp)
+from .geometry import AnnulusGeometry, ConductivityTensor, StageError
 from .harmonics import GroundTruth
-from .mesh import TriMesh
+from .mesh import (TriMesh, _polar_cells, _polar_grid, _polar_points,
+                   _ring_edges, mesh_annulus)
 from .saddle import (RieszPreconditioner, SaddleSystem, SolveReport, _dot,
                      build_system, minres, minres_lockstep)
 
@@ -66,68 +69,65 @@ def diffuse_forward(ops: OperatorSet, load: np.ndarray) -> np.ndarray:
 # Sharp solver (exact mesh)
 # ---------------------------------------------------------------------------
 
-# Largest distance of a sharp-mesh vertex from the rotation of its
-# counterpart in the first angular sector, relative to the largest
-# vertex radius; ``mesh_annulus`` meets it to roundoff (9.6e-16 on fig8's
-# 192 x 48 mesh).
-_CIRCULANT_TOL = 1e-10
-
-
 class SharpSolver:
     """Forward/adjoint/Tikhonov solves on the exact annulus mesh.
 
-    Built from the polar mesh of ``mesh_annulus`` and the conductivity,
-    it holds at once only what the studies read off the two boundary
-    edge masses T_inner (``b_h``) and T_outer (``b_b``): the inner and
-    outer node sets (in increasing angle), their angles and the mean
-    vector (row sums of T_inner); ``t_ii`` and ``t_oo`` are restricted at
-    their first read.  The forward map takes a Neumann flux u on the
-    inner boundary to the potential trace on the outer one; the mean
-    constraint <v, 1>_inner = 0 is imposed by one scalar multiplier to
-    keep the system symmetric.
+    Built from the polar grid of ``mesh_annulus`` (geometry, n_angular
+    angles, n_radial ring cells) and the conductivity, it makes at once
+    only what the studies read off the two boundary rings: the inner and
+    outer node ids (in increasing angle), their angles, T_inner and
+    T_outer on those rings (``t_ii``, ``t_oo``, nb x nb) and the inner
+    mean vector (row sums of T_inner).  The forward map takes a Neumann
+    flux u on the inner boundary to the potential trace on the outer
+    one; the mean constraint <v, 1>_inner = 0 is imposed by one scalar
+    multiplier to keep the system symmetric.
 
     ``forward`` and ``adjoint`` solve on ``ops``, the eps = 0 operator set
-    of ``assemble_sharp``, built and factored (``mean_lu``) at their first
-    call: the annulus stiffness and mass exist only there.  They are the
-    independent check of ``tikhonov``, which needs neither.
+    of ``assemble_sharp`` on ``mesh``; both are built, and ``mean_lu``
+    factored, at their first call: the annulus mesh, stiffness and mass
+    exist only there.  They are the independent check of ``tikhonov``,
+    which needs none of them.
 
-    The Tikhonov solve assumes that the discrete problem is invariant
-    under rotation by 2 pi / nb, nb the number of inner nodes:
-    ``mesh_annulus`` splits every polar cell alike, the conductivity
-    lives in the polar frame, and every ring is numbered by increasing
-    angle from 0.  Then G (the outer traces of the inner unit fluxes),
-    T_ii and T_oo are circulant, and the FFT diagonalizes the Tikhonov
-    normal equation.
+    The Tikhonov solve rests on the discrete problem being invariant
+    under rotation by 2 pi / nb, nb = n_angular: every polar cell is
+    split alike, the conductivity lives in the polar frame, and every
+    ring is numbered by increasing angle from 0.  All three hold by
+    construction, as the rings and the one angular sector the solver
+    reads come from the same grid (``_polar_grid``), ring edges and cell
+    split (``_polar_cells``) as ``mesh_annulus``.  Then G (the outer traces of
+    the inner unit fluxes), T_ii and T_oo are circulant, and the FFT
+    diagonalizes the Tikhonov normal equation.
     """
 
-    def __init__(self, mesh: TriMesh, tensor: ConductivityTensor):
-        self.mesh = mesh
-        self.tensor = tensor
-        self.b_h = _edge_mass(mesh, "inner")
-        self.b_b = _edge_mass(mesh, "outer")
-        self.inner = _active_nodes(self.b_h.diagonal())
-        self.outer = np.flatnonzero(self.b_b.diagonal() > 0.0)
-        self.mean_vec = np.asarray(self.b_h.sum(axis=1)).ravel()
+    def __init__(self, geometry: AnnulusGeometry, tensor: ConductivityTensor,
+                 n_angular: int, n_radial: int):
+        self.geometry, self.tensor = geometry, tensor
+        self.n_angular, self.n_radial = n_angular, n_radial
+        self._grid = radii, cos, sin = _polar_grid(geometry, n_angular,
+                                                   n_radial)
+        self.inner = np.arange(n_angular)
+        self.outer = n_radial * n_angular + self.inner
+        inner_xy, outer_xy = _polar_points(radii[[0, -1]], cos,
+                                           sin).reshape(2, n_angular, 2)
+        # the ring edges as ``mesh_annulus`` tags them, in ring numbering
+        ring = _ring_edges(n_angular)
+        self.t_ii = _edge_mass(inner_xy, ring[:, [1, 0]])
+        self.t_oo = _edge_mass(outer_xy, ring)
+        self.mean_vec = np.asarray(self.t_ii.sum(axis=1)).ravel()
         self.inner_angles, self.outer_angles = (
             np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
-            for xy in (mesh.vertices[self.inner],
-                       mesh.vertices[self.outer]))
+            for xy in (inner_xy, outer_xy))
         self._symbols = None  # FFTs of G, T_ii, T_oo, at the first tikhonov
+
+    @functools.cached_property
+    def mesh(self) -> TriMesh:
+        """The polar annulus mesh, built at the first read."""
+        return mesh_annulus(self.geometry, self.n_angular, self.n_radial)
 
     @functools.cached_property
     def ops(self) -> OperatorSet:
         """The eps = 0 operator set, assembled at the first read."""
         return assemble_sharp(self.mesh, self.tensor)
-
-    @functools.cached_property
-    def t_ii(self) -> sp.csr_matrix:
-        """T_inner on the inner nodes, restricted at the first read."""
-        return OperatorSet.block(self.b_h, self.inner, self.inner)
-
-    @functools.cached_property
-    def t_oo(self) -> sp.csr_matrix:
-        """T_outer on the outer nodes, restricted at the first read."""
-        return OperatorSet.block(self.b_b, self.outer, self.outer)
 
     def _boundary_load(self, nodes: np.ndarray, values: np.ndarray):
         load = np.zeros((self.mesh.num_vertices,) + np.shape(values)[1:])
@@ -145,12 +145,12 @@ class SharpSolver:
         """State field and its trace f = v | outer for flux u on the inner
         boundary (nodal values in the order of ``inner``, shape (nb,) or
         (nb, k) for k fluxes)."""
-        return self._trace(self.b_h, self.inner, u_inner, self.outer)
+        return self._trace(self.ops.b_h, self.inner, u_inner, self.outer)
 
     def adjoint(self, w_outer: np.ndarray):
         """Adjoint field and its trace u = p | inner for density w on the
         outer boundary (shape (nb,) or (nb, k))."""
-        return self._trace(self.b_b, self.outer, w_outer, self.inner)
+        return self._trace(self.ops.b_b, self.outer, w_outer, self.inner)
 
     def inner_norm(self, u_inner: np.ndarray) -> float:
         return float(np.sqrt(_dot(u_inner, self.t_ii @ u_inner)))
@@ -158,56 +158,28 @@ class SharpSolver:
     def outer_norm(self, f_outer: np.ndarray) -> float:
         return float(np.sqrt(_dot(f_outer, self.t_oo @ f_outer)))
 
+    def _sector(self) -> TriMesh:
+        """Angular column 0 of the annulus: its 2 n_radial triangles, as
+        ``mesh_annulus`` splits them, on the grid points of angle indices
+        0 and 1, numbered 2 ring + index."""
+        radii, cos, sin = self._grid
+        return TriMesh(_polar_points(radii, cos[:2], sin[:2]),
+                       _polar_cells(np.array([0]), np.array([1]), 2,
+                                    self.n_radial))
+
     def _sector_bands(self) -> np.ndarray:
         """K's ring couplings, from the stiffness of the first angular
         sector: bands[s + 1, d + 1, r] = K[(r, j), (r + d, j + s)] for
-        every angle index j, r the ring and s, d in {-1, 0, 1}.
-
-        The mesh must be ``mesh_annulus``'s polar cells rotated: every
-        vertex (r, j) within _CIRCULANT_TOL of (r, 0) rotated by
-        2 pi j / nb, and every triangle of angular column j that of
-        column 0 with its angle indices shifted by j.  Otherwise K is not
-        block-circulant and InversionError is raised.
-        """
-        mesh, nb = self.mesh, len(self.inner)
-        rings = mesh.num_vertices // nb
-        tris = mesh.triangles
-        if (mesh.num_vertices != rings * nb or rings < 2
-                or len(tris) != 2 * nb * (rings - 1)
-                or not np.array_equal(self.inner, np.arange(nb))
-                or not np.array_equal(self.outer, np.arange(
-                    (rings - 1) * nb, rings * nb))):
-            raise InversionError(
-                "the sharp mesh is not rotation-invariant: its nodes are "
-                "not numbered ring by ring in increasing angle")
-        phi = 2.0 * np.pi * np.arange(nb) / nb
-        xy = mesh.vertices.reshape(rings, nb, 2)
-        x0, y0 = xy[:, :1, 0], xy[:, :1, 1]
-        defect = np.hypot(x0 * np.cos(phi) - y0 * np.sin(phi) - xy[..., 0],
-                          x0 * np.sin(phi) + y0 * np.cos(phi) - xy[..., 1])
-        # (ring cell, angular column, 2 triangles, 3 corners), as
-        # (ring, angle index) pairs; column j must be column 0 shifted
-        ring, angle = np.divmod(tris.reshape(rings - 1, nb, 2, 3), nb)
-        shift = np.arange(nb)[:, None, None]
-        if not (defect.max() <= _CIRCULANT_TOL * np.abs(xy).max()
-                and (ring == ring[:, :1]).all()
-                and (angle == (angle[:, :1] + shift) % nb).all()):
-            raise InversionError(
-                f"the sharp mesh is not rotation-invariant: it is not one "
-                f"angular sector rotated (vertex defect "
-                f"{defect.max():.1e})")
-        # the sector: the 2 (rings - 1) triangles of angular column 0
-        sector = np.arange(len(tris)).reshape(rings - 1, nb, 2)[:, 0]
-        _, _, local = _sharp_local_stiffness(mesh, self.tensor,
-                                             sector.ravel())
-        ring, angle = ring[:, 0].reshape(-1, 3), angle[:, 0].reshape(-1, 3)
+        every angle index j, r the ring and s, d in {-1, 0, 1}.  By the
+        rotation invariance (see the class) every sector's stiffness is
+        this one's."""
+        sector = self._sector()
+        _, _, local = _sharp_local_stiffness(sector, self.tensor, None)
+        rings = self.n_radial + 1
+        ring, angle = np.divmod(sector.triangles, 2)
         s = angle[:, None, :] - angle[:, :, None]
         d = ring[:, None, :] - ring[:, :, None]
         row = np.broadcast_to(ring[:, :, None], d.shape)
-        if np.abs(s).max() > 1 or np.abs(d).max() > 1:
-            raise InversionError(
-                "the sharp mesh is not rotation-invariant: a sector "
-                "triangle spans more than one cell")
         index = ((s + 1) * 3 + d + 1) * rings + row
         return np.bincount(index.ravel(), local.ravel(),
                            minlength=9 * rings).reshape(3, 3, rings)
@@ -254,7 +226,7 @@ class SharpSolver:
             aug[:rings, :rings] = (np.diag(diag[0].real)
                                    + np.diag(lower[0, 1:].real, -1)
                                    + np.diag(upper[0, :-1].real, 1))
-            aug[0, rings] = aug[rings, 0] = self.mean_vec[self.inner[0]]
+            aug[0, rings] = aug[rings, 0] = self.mean_vec[0]
             rhs = np.zeros(rings + 1)
             rhs[0] = t[0]
             g[0] = np.linalg.solve(aug, rhs)[rings - 1]

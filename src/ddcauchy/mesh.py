@@ -8,7 +8,11 @@ Two mesh families are provided:
   conforming closure), used for all diffuse computations; it carries no
   boundary edges, since no diffuse form integrates over the box boundary;
 * a structured polar mesh of the exact annulus with tagged inner/outer
-  boundary edges, used by the sharp reference solver.
+  boundary edges, used by the sharp reference solver's forward and
+  adjoint solves.  Its grid (``_polar_grid``, ``_polar_points``), cell
+  split (``_polar_cells``) and ring edges (``_ring_edges``) are shared
+  with that solver, which builds its boundary rings and one angular
+  sector from them without the mesh.
 
 Band refinement works on whole arrays, one step at a time: marked edges
 are closed under "any marked edge marks the triangle's longest edge",
@@ -60,15 +64,16 @@ class TriMesh:
 
     vertices        (n, 2) float coordinates
     triangles       (m, 3) int vertex indices, counterclockwise
-    boundary_edges  list of (i, j, tag), tag in {"inner", "outer"}; only
-                    the polar annulus mesh has any
+    boundary_edges  dict tag -> (m, 2) int array of edges (i, j), tag in
+                    {"inner", "outer"}; only the polar annulus mesh has
+                    any
     generation      per-triangle number of bisections since the
                     background triangle (a green split adds 1, a red 2)
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: list = dc_field(default_factory=list)
+    boundary_edges: dict = dc_field(default_factory=dict)
     generation: np.ndarray = None
 
     def __post_init__(self):
@@ -306,6 +311,45 @@ SHARP_MIN_ANGULAR = 8
 SHARP_MIN_RADIAL = 2
 
 
+def _polar_grid(geometry: AnnulusGeometry, n_angular: int, n_radial: int):
+    """(radii, cos theta, sin theta) of the polar grid of ``mesh_annulus``:
+    n_radial + 1 ring radii from r_inner to r_outer, and n_angular angles
+    in increasing order from 0.  Vertex (ring, j) lies at
+    radii[ring] (cos[j], sin[j]); ``_polar_points`` forms them."""
+    if n_angular < SHARP_MIN_ANGULAR or n_radial < SHARP_MIN_RADIAL:
+        raise MeshError(f"need n_angular >= {SHARP_MIN_ANGULAR} and "
+                        f"n_radial >= {SHARP_MIN_RADIAL}")
+    radii = np.linspace(geometry.r_inner, geometry.r_outer, n_radial + 1)
+    theta = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
+    return radii, np.cos(theta), np.sin(theta)
+
+
+def _polar_points(radii: np.ndarray, cos: np.ndarray,
+                 sin: np.ndarray) -> np.ndarray:
+    """Grid points (len(radii) * len(cos), 2), ring by ring."""
+    return np.stack([np.outer(radii, cos), np.outer(radii, sin)],
+                    axis=-1).reshape(-1, 2)
+
+
+def _ring_edges(n_angular: int) -> np.ndarray:
+    """The edges (j, j + 1 mod n_angular) of one ring, counterclockwise,
+    in angle indices."""
+    j = np.arange(n_angular)
+    return np.column_stack([j, (j + 1) % n_angular])
+
+
+def _polar_cells(j: np.ndarray, nxt: np.ndarray, stride: int,
+                n_radial: int) -> np.ndarray:
+    """The two triangles of every polar cell between angle indices j and
+    nxt, ring by ring, for grid points numbered ring * stride + index:
+    corners a = (ring, j), b = (ring, nxt) and c, d = b, a one ring out,
+    split into (a, d, c) and (a, c, b)."""
+    ring = np.arange(n_radial)[:, None] * stride
+    a, b = ring + j, ring + nxt
+    c, d = b + stride, a + stride
+    return np.stack([a, d, c, a, c, b], axis=-1).reshape(-1, 3)
+
+
 def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
                  n_radial: int) -> TriMesh:
     """Structured polar triangulation of the exact annulus.
@@ -315,24 +359,12 @@ def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
     ring; boundary edges carry the tags "inner" (r = r_inner) and
     "outer" (r = r_outer).
     """
-    if n_angular < SHARP_MIN_ANGULAR or n_radial < SHARP_MIN_RADIAL:
-        raise MeshError(f"need n_angular >= {SHARP_MIN_ANGULAR} and "
-                        f"n_radial >= {SHARP_MIN_RADIAL}")
-    radii = np.linspace(geometry.r_inner, geometry.r_outer, n_radial + 1)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
-    verts = np.stack([np.outer(radii, np.cos(theta)),
-                      np.outer(radii, np.sin(theta))], axis=-1).reshape(-1, 2)
-    # cell corners a = (ring, j), b = (ring, j+1); c, d: b, a one ring out
-    j = np.arange(n_angular)
-    nxt = (j + 1) % n_angular
-    ring = np.arange(n_radial)[:, None] * n_angular
-    a, b = ring + j, ring + nxt
-    c, d = b + n_angular, a + n_angular
-    tris = np.stack([a, d, c, a, c, b], axis=-1).reshape(-1, 3)
-    top = n_radial * n_angular
-    bedges = [edge for i, k in zip(j.tolist(), nxt.tolist())
-              for edge in ((k, i, "inner"), (top + i, top + k, "outer"))]
-    return TriMesh(verts, tris, bedges)
+    verts = _polar_points(*_polar_grid(geometry, n_angular, n_radial))
+    ring = _ring_edges(n_angular)
+    tris = _polar_cells(ring[:, 0], ring[:, 1], n_angular, n_radial)
+    # the inner circle clockwise, the outer one counterclockwise
+    return TriMesh(verts, tris, {"inner": ring[:, [1, 0]],
+                                 "outer": n_radial * n_angular + ring})
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .geometry import (AnnulusGeometry, ConductivityTensor, PhaseField,
                        annulus_integral, band_integral, ring_diffuse_integral)
 from .harmonics import AngularSeries
 from .inversion import SharpSolver
-from .mesh import build_background, levels_for, mesh_annulus, refine_band
+from .mesh import build_background, levels_for, refine_band
 from .saddle import _dot
 
 
@@ -138,8 +138,7 @@ def check_extension_error(geometry: AnnulusGeometry):
 def check_adjoint(geometry: AnnulusGeometry, tensor: ConductivityTensor,
                   tol: float = 1e-10):
     """|<F u, w> - <u, F* w>| <= tol * ||u|| ||w|| for 10 random pairs."""
-    mesh = mesh_annulus(geometry, 128, 32)
-    solver = SharpSolver(mesh, tensor)
+    solver = SharpSolver(geometry, tensor, 128, 32)
     rng = np.random.default_rng(123)
     draws = [(rng.standard_normal(len(solver.inner)),
               rng.standard_normal(len(solver.outer)))

@@ -6,8 +6,7 @@ from ddcauchy.assembly import CUT_RULE, OperatorSet
 from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import SharpSolver
-from ddcauchy.mesh import (build_background, levels_for, mesh_annulus,
-                           refine_band)
+from ddcauchy.mesh import build_background, levels_for, refine_band
 from ddcauchy.saddle import build_system, spectrum
 from golden import regen
 
@@ -48,8 +47,7 @@ def ops_16(geometry, tensor, rule, background_coarse):
 
 @pytest.fixture(scope="session")
 def sharp_solver(geometry, tensor):
-    mesh = mesh_annulus(geometry, 128, 32)
-    return SharpSolver(mesh, tensor)
+    return SharpSolver(geometry, tensor, 128, 32)
 
 
 @pytest.fixture(params=["diffuse", "sharp"])

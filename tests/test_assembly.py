@@ -14,6 +14,7 @@ from ddcauchy.assembly import (CUT_RULE, AssemblyError, OperatorSet,
                                assemble_sharp, assemble_weighted_stiffness)
 from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
                                PhaseField, band_integral, annulus_integral)
+from ddcauchy.inversion import SharpSolver
 from ddcauchy.mesh import (TriMesh, build_background, levels_for,
                            mesh_annulus, quadrature, refine_band)
 
@@ -216,15 +217,20 @@ def test_sharp_operators(geometry, tensor):
 
 
 def test_sharp_sector_stiffness_is_the_assembly_kernel(geometry, tensor):
-    """The sharp solver's sector stiffness (the 2 n_radial triangles of
-    the first polar column) is the assembly's element stiffness of those
+    """The sharp solver's sector, built from the polar grid, is the first
+    angular column of the annulus mesh (its 2 n_radial triangles, corner
+    by corner), and its element stiffness is the assembly's of those
     triangles, bit for bit."""
-    mesh = mesh_annulus(geometry, 64, 16)
-    sector = np.arange(mesh.num_triangles).reshape(16, 64, 2)[:, 0].ravel()
-    tris, areas, local = _sharp_local_stiffness(mesh, tensor, None)
-    got = _sharp_local_stiffness(mesh, tensor, sector)
-    for whole, part in zip((tris, areas, local), got):
-        assert np.array_equal(whole[sector], part)
+    solver = SharpSolver(geometry, tensor, 64, 16)
+    mesh, sector = solver.mesh, solver._sector()
+    column = np.arange(mesh.num_triangles).reshape(16, 64, 2)[:, 0].ravel()
+    assert np.array_equal(sector.vertices[sector.triangles],
+                          mesh.vertices[mesh.triangles[column]])
+    _, areas, local = _sharp_local_stiffness(mesh, tensor, None)
+    _, sector_areas, sector_local = _sharp_local_stiffness(sector, tensor,
+                                                           None)
+    assert sector_areas.tobytes() == areas[column].tobytes()
+    assert sector_local.tobytes() == local[column].tobytes()
 
 
 def test_sharp_untagged_boundary_signal(geometry, tensor):

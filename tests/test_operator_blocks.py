@@ -5,9 +5,9 @@ with ``M[np.ix_(rows, cols)]``.  The restrictions below are those,
 written out, and the blocks read from ``OperatorSet`` must equal them
 exactly: same sparsity structure, same values.  The blocks are also
 shared (one object per operator set, kept across systems) and built
-lazily (a fresh Workspace restricts nothing).  The sparse LU factors of
-the blocks live on the operator set too: each of its three matrices is
-factored once, however many solves read it.
+lazily (a fresh Workspace builds no sharp mesh or operator set).  The
+sparse LU factors of the blocks live on the operator set too: each of
+its three matrices is factored once, however many solves read it.
 """
 
 import dataclasses
@@ -18,7 +18,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ddcauchy import experiments as xp
-from ddcauchy.inversion import (InversionError, diffuse_forward,
+from ddcauchy.assembly import _active_nodes
+from ddcauchy.inversion import (InversionError, SharpSolver, diffuse_forward,
                                 diffuse_tikhonov, error_norms, extend_data)
 from ddcauchy.saddle import RieszPreconditioner, SaddleError, build_system
 
@@ -79,16 +80,26 @@ def test_blocks_equal_hand_restrictions(ops):
     assert np.array_equal(diffuse_forward(ops, load), want)
 
 
-def test_sharp_boundary_blocks(sharp_solver):
-    """The solver reads its node sets, mean vector and boundary blocks off
-    the two edge masses; they equal those of the assembled operator set,
-    bit for bit."""
-    ops = sharp_solver.ops
-    inner, outer = sharp_solver.inner, sharp_solver.outer
-    assert np.array_equal(inner, ops.active_u)
-    assert np.array_equal(sharp_solver.mean_vec, ops.mean_vec)
-    assert_identical(sharp_solver.t_ii, ops.b_h[np.ix_(inner, inner)])
-    assert_identical(sharp_solver.t_oo, ops.b_b[np.ix_(outer, outer)])
+def test_sharp_boundary_blocks(sharp_solver, geometry, tensor):
+    """The solver builds its node sets, angles, mean vector and boundary
+    blocks from the two rings of the polar grid; they equal what the
+    lazily built annulus mesh and operator set give, bit for bit, on the
+    128 x 32 fixture grid and on an odd 97 x 24 one."""
+    for solver in (sharp_solver, SharpSolver(geometry, tensor, 97, 24)):
+        ops, mesh = solver.ops, solver.mesh
+        inner, outer = solver.inner, solver.outer
+        assert np.array_equal(inner, _active_nodes(ops.b_h.diagonal()))
+        assert np.array_equal(inner, ops.active_u)
+        assert np.array_equal(outer,
+                              np.flatnonzero(ops.b_b.diagonal() > 0.0))
+        for nodes, angles in ((inner, solver.inner_angles),
+                              (outer, solver.outer_angles)):
+            xy = mesh.vertices[nodes]
+            want = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
+            assert angles.tobytes() == want.tobytes()
+        assert solver.mean_vec.tobytes() == ops.mean_vec[inner].tobytes()
+        assert_identical(solver.t_ii, ops.b_h[np.ix_(inner, inner)])
+        assert_identical(solver.t_oo, ops.b_b[np.ix_(outer, outer)])
 
 
 def test_blocks_are_shared(ops_16):
@@ -107,14 +118,15 @@ def test_fresh_workspace_restricts_nothing():
                                     "mesh.sharp_n_angular": "48",
                                     "mesh.sharp_n_radial": "12"})
     ws = xp.Workspace(cfg)
-    assert not {"ops", "t_ii", "t_oo"} & set(vars(ws.sharp_solver))
+    assert not {"mesh", "ops"} & set(vars(ws.sharp_solver))
     assert ws.truth is cfg.truth
 
 
 def test_studies_leave_the_sharp_operator_set_unbuilt():
     """A table cell and the fig8 sharp rate study read the sharp solver's
-    boundary blocks and FFT symbols only: its operator set, and with it
-    the annulus stiffness and mass and ``mean_lu``, is never built."""
+    boundary blocks and FFT symbols only: neither its annulus mesh nor
+    its operator set, and with it the annulus stiffness and mass and
+    ``mean_lu``, is ever built."""
     small = {"mesh.h0": "0.2", "mesh.sharp_n_angular": "48",
              "mesh.sharp_n_radial": "12"}
     cfg = xp.load_config(overrides=dict(small, **{
@@ -122,11 +134,12 @@ def test_studies_leave_the_sharp_operator_set_unbuilt():
         "study.epsilons": "0.25"}))
     ws = xp.Workspace(cfg)
     assert xp.run_iteration_table(cfg, ws).converged.all()
+    assert not {"mesh", "ops"} & set(vars(ws.sharp_solver))
     sharp = xp.load_config(overrides=xp.apply_preset("fig8", dict(small, **{
         "study.eps_coef": "0.0", "study.eps_exp": "0.0"})))
     rows = xp.run_rate_study(sharp, ws).rows
     assert rows and all(np.isfinite(r.u_err_sharp) for r in rows)
-    assert "ops" not in vars(ws.sharp_solver)
+    assert not {"mesh", "ops"} & set(vars(ws.sharp_solver))
 
 
 def test_each_matrix_factored_once(monkeypatch, ops_16, sharp_solver,
