@@ -13,8 +13,8 @@ the measures of the inner and outer circles:
 
     K_omega  = K_D, the stiffness of M on the exact annulus
     M_omega  = the P1 mass of the annulus
-    B_H, B_B = T_inner, T_outer, exact P1 edge masses of the tagged
-               polygons, so mean_vec = row sums of T_inner
+    B_H, B_B = T_inner, T_outer, exact P1 edge masses of the two
+               boundary polygons, so mean_vec = row sums of T_inner
 
 All four diffuse forms come from one unconditional pass over the bulk
 support: the elements that meet the open ring r_inner - eps < |x| <
@@ -40,7 +40,8 @@ Diffuse and sharp alike, ``_local_stiffness`` forms every element
 stiffness from the tensor sums of ``ConductivityTensor.weighted_sum``
 (the polar form of M), and ``_scatter`` builds every element and edge
 matrix; ``_edge_mass`` forms the edge masses of an (m, 2) edge array,
-for the annulus and for the sharp solver's two rings alike.
+for the annulus and for the sharp solver's two rings alike, and
+``assemble_sharp`` takes those rings' edges from the solver.
 ``_sharp_local_stiffness`` gives the sharp element stiffness of any
 polar triangles, so the sharp solver reads one angular sector's without
 building the annulus.
@@ -436,32 +437,29 @@ def _edge_mass(vertices: np.ndarray, edges: np.ndarray) -> sp.csr_matrix:
     return _scatter(edges, blocks, len(vertices))
 
 
-def assemble_sharp(mesh: TriMesh,
-                   tensor: ConductivityTensor) -> OperatorSet:
+def assemble_sharp(mesh: TriMesh, tensor: ConductivityTensor,
+                   inner_edges: np.ndarray,
+                   outer_edges: np.ndarray) -> OperatorSet:
     """The eps = 0 operator set on the polar annulus mesh: the annulus
     stiffness and mass, which ``SharpSolver.ops`` builds for the sharp
-    forward and adjoint solves, and the inner and outer edge masses.
+    forward and adjoint solves, and the edge masses of the inner and
+    outer boundary rings, each an (m, 2) array of mesh edges.
 
     Its active sets are the inner ring (control) and all nodes (state);
     ``mesh_annulus`` numbers each ring in increasing angle.
     """
-    tags = ("inner", "outer")
-    for tag in tags:
-        if not len(mesh.boundary_edges.get(tag, ())):
-            raise AssemblyError(f"no boundary edges tagged {tag!r}")
-    tris, areas, local = _sharp_local_stiffness(mesh, tensor, None)
+    tris, areas, local = _sharp_local_stiffness(mesh, tensor)
     n = mesh.num_vertices
     return OperatorSet(mesh, None, _scatter(tris, local, n),
                        _scatter(tris, areas[:, None, None] * _P1_MASS, n),
-                       *(_edge_mass(mesh.vertices, mesh.boundary_edges[tag])
-                         for tag in tags))
+                       _edge_mass(mesh.vertices, inner_edges),
+                       _edge_mass(mesh.vertices, outer_edges))
 
 
-def _sharp_local_stiffness(mesh: TriMesh, tensor: ConductivityTensor,
-                           tri_ids):
+def _sharp_local_stiffness(mesh: TriMesh, tensor: ConductivityTensor):
     """(tris, areas, local): the sharp reference's element stiffness, by
-    SHARP_RULE, of the triangles ``tri_ids`` (all of them for None)."""
-    tris, areas, grads = _element_geometry(mesh, tri_ids)
+    SHARP_RULE, of every triangle of ``mesh``."""
+    tris, areas, grads = _element_geometry(mesh)
     m_sum = tensor.weighted_sum(_quad_points(mesh, tris, SHARP_RULE),
                                 SHARP_RULE.weights)
     return tris, areas, _local_stiffness(areas, grads, m_sum)

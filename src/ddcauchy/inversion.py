@@ -3,11 +3,12 @@
 The sharp reference problem lives on the polar annulus mesh: boundary
 data are nodal vectors on the inner/outer ring nodes (angular order).
 Its solver is built from the polar grid, not from the mesh: the two
-rings give the node ids, angles and edge masses, and the Tikhonov solve
-is an FFT filter whose transfer symbol comes from the stiffness of one
-angular sector.  So the studies never build, assemble or factor the
-annulus; forward and adjoint, which do, share one load-solve-trace path
-and check it.  The diffuse problem lives on the
+rings give the node ids, angles, edges and edge masses, and the Tikhonov
+solve is an FFT filter whose transfer symbol comes from the stiffness of
+one angular sector.  So the studies never build, assemble or factor the
+annulus; forward and adjoint, which do, assemble it with the solver's
+ring edges, load it through the solver's ring masses, share one
+load-solve-trace path and check it.  The diffuse problem lives on the
 background mesh: boundary data are extended into the interface bands by
 the one constant-normal extension, ``_extend_constant`` (a node's polar
 angle is that of its closest boundary point), and solved through the
@@ -38,6 +39,11 @@ from .saddle import (RieszPreconditioner, SaddleSystem, SolveReport, _dot,
 
 class InversionError(StageError, RuntimeError):
     stage = "inversion"
+
+
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 0.0:
+        raise InversionError(f"alpha must be positive, got {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +89,11 @@ class SharpSolver:
     multiplier to keep the system symmetric.
 
     ``forward`` and ``adjoint`` solve on ``ops``, the eps = 0 operator set
-    of ``assemble_sharp`` on ``mesh``; both are built, and ``mean_lu``
-    factored, at their first call: the annulus mesh, stiffness and mass
-    exist only there.  They are the independent check of ``tikhonov``,
-    which needs none of them.
+    of ``assemble_sharp`` on ``mesh_annulus`` with this solver's ring
+    edges, and load it through ``t_ii`` and ``t_oo``; ``ops`` is built,
+    and ``mean_lu`` factored, at their first call: the annulus mesh,
+    stiffness and mass exist only there (``ops.mesh`` is the mesh).  They
+    are the independent check of ``tikhonov``, which needs none of them.
 
     The Tikhonov solve rests on the discrete problem being invariant
     under rotation by 2 pi / nb, nb = n_angular: every polar cell is
@@ -109,35 +116,28 @@ class SharpSolver:
         self.outer = n_radial * n_angular + self.inner
         inner_xy, outer_xy = _polar_points(radii[[0, -1]], cos,
                                            sin).reshape(2, n_angular, 2)
-        # the ring edges as ``mesh_annulus`` tags them, in ring numbering
         ring = _ring_edges(n_angular)
-        self.t_ii = _edge_mass(inner_xy, ring[:, [1, 0]])
+        self.t_ii = _edge_mass(inner_xy, ring)
         self.t_oo = _edge_mass(outer_xy, ring)
         self.mean_vec = np.asarray(self.t_ii.sum(axis=1)).ravel()
         self.inner_angles, self.outer_angles = (
             np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
             for xy in (inner_xy, outer_xy))
-        self._symbols = None  # FFTs of G, T_ii, T_oo, at the first tikhonov
-
-    @functools.cached_property
-    def mesh(self) -> TriMesh:
-        """The polar annulus mesh, built at the first read."""
-        return mesh_annulus(self.geometry, self.n_angular, self.n_radial)
 
     @functools.cached_property
     def ops(self) -> OperatorSet:
-        """The eps = 0 operator set, assembled at the first read."""
-        return assemble_sharp(self.mesh, self.tensor)
-
-    def _boundary_load(self, nodes: np.ndarray, values: np.ndarray):
-        load = np.zeros((self.mesh.num_vertices,) + np.shape(values)[1:])
-        load[nodes] = values
-        return load
+        """The eps = 0 operator set on the polar annulus mesh, built and
+        assembled at the first read."""
+        ring = _ring_edges(self.n_angular)
+        return assemble_sharp(
+            mesh_annulus(self.geometry, self.n_angular, self.n_radial),
+            self.tensor, self.inner[ring], self.outer[ring])
 
     def _trace(self, mass, nodes, values, trace_nodes):
-        """The field of the boundary load mass @ (values on nodes) and its
+        """The field of the boundary load mass @ values on nodes and its
         trace on trace_nodes: the one path of forward and adjoint."""
-        load = mass @ self._boundary_load(nodes, values)
+        load = np.zeros((self.ops.mesh.num_vertices,) + np.shape(values)[1:])
+        load[nodes] = mass @ values
         x = diffuse_forward(self.ops, load)
         return x, x[trace_nodes]
 
@@ -145,12 +145,12 @@ class SharpSolver:
         """State field and its trace f = v | outer for flux u on the inner
         boundary (nodal values in the order of ``inner``, shape (nb,) or
         (nb, k) for k fluxes)."""
-        return self._trace(self.ops.b_h, self.inner, u_inner, self.outer)
+        return self._trace(self.t_ii, self.inner, u_inner, self.outer)
 
     def adjoint(self, w_outer: np.ndarray):
         """Adjoint field and its trace u = p | inner for density w on the
         outer boundary (shape (nb,) or (nb, k))."""
-        return self._trace(self.ops.b_b, self.outer, w_outer, self.inner)
+        return self._trace(self.t_oo, self.outer, w_outer, self.inner)
 
     def inner_norm(self, u_inner: np.ndarray) -> float:
         return float(np.sqrt(_dot(u_inner, self.t_ii @ u_inner)))
@@ -174,7 +174,7 @@ class SharpSolver:
         rotation invariance (see the class) every sector's stiffness is
         this one's."""
         sector = self._sector()
-        _, _, local = _sharp_local_stiffness(sector, self.tensor, None)
+        _, _, local = _sharp_local_stiffness(sector, self.tensor)
         rings = self.n_radial + 1
         ring, angle = np.divmod(sector.triangles, 2)
         s = angle[:, None, :] - angle[:, :, None]
@@ -184,54 +184,53 @@ class SharpSolver:
         return np.bincount(index.ravel(), local.ravel(),
                            minlength=9 * rings).reshape(3, 3, rings)
 
+    @functools.cached_property
     def _transfer_symbols(self):
         """(g, t, o): the FFTs of the first columns of G, T_ii and T_oo.
 
-        Built once.  t and o are the FFTs of the columns themselves.  g
-        comes from the block-circulant structure of K, without the
-        annulus: each angular mode k of the forward solve for the unit
-        flux at inner node 0 is a tridiagonal system in the ring index,
-        K_k x = t_k e_0 with K_k = sum_s K_s exp(2 pi i k s / nb) (the
-        bands of ``_sector_bands``), and g_k is its outer-ring entry.
+        Built at the first read.  t and o are the FFTs of the columns
+        themselves.  g comes from the block-circulant structure of K,
+        without the annulus: each angular mode k of the forward solve for
+        the unit flux at inner node 0 is a tridiagonal system in the ring
+        index, K_k x = t_k e_0 with K_k = sum_s K_s exp(2 pi i k s / nb)
+        (the bands of ``_sector_bands``), and g_k is its outer-ring entry.
         For k != 0, K_k is Hermitian positive definite, and one forward
         elimination, vectorized across the modes, gives g_k; mode 0 is
         singular and is solved as a small dense system with the mean
         multiplier.  Modes above nb // 2 are the conjugates of those
         below, as G is real.
         """
-        if self._symbols is None:
-            nb = len(self.inner)
-            t = np.fft.fft(self.t_ii[:, 0].toarray()[:, 0]).real
-            o = np.fft.fft(self.t_oo[:, 0].toarray()[:, 0]).real
-            bands = self._sector_bands()
-            rings = bands.shape[-1]
-            modes = np.arange(nb // 2 + 1)
-            phase = np.exp(2j * np.pi / nb * np.outer(modes, [-1, 0, 1]))
-            lower, diag, upper = np.moveaxis(
-                np.tensordot(phase, bands, axes=1), 1, 0)
-            # forward elimination of K_k x = t_k e_0, k >= 1: y[r] is the
-            # rhs after elimination over the diagonal m, c the ratio
-            # upper / m; the last y is the outer entry itself
-            y = t[modes[1:]] / diag[1:, 0]
-            c = upper[1:, 0] / diag[1:, 0]
-            for r in range(1, rings):
-                m = diag[1:, r] - lower[1:, r] * c
-                y = -lower[1:, r] * y / m
-                c = upper[1:, r] / m
-            g = np.empty(nb, dtype=complex)
-            g[1:len(modes)] = y
-            g[len(modes):] = np.conj(y[:nb - len(modes)][::-1])
-            # mode 0: [[K_0, m e_0], [m e_0^T, 0]] [x; lam] = [t_0 e_0; 0]
-            aug = np.zeros((rings + 1, rings + 1))
-            aug[:rings, :rings] = (np.diag(diag[0].real)
-                                   + np.diag(lower[0, 1:].real, -1)
-                                   + np.diag(upper[0, :-1].real, 1))
-            aug[0, rings] = aug[rings, 0] = self.mean_vec[0]
-            rhs = np.zeros(rings + 1)
-            rhs[0] = t[0]
-            g[0] = np.linalg.solve(aug, rhs)[rings - 1]
-            self._symbols = (g, t, o)
-        return self._symbols
+        nb = len(self.inner)
+        t = np.fft.fft(self.t_ii[:, 0].toarray()[:, 0]).real
+        o = np.fft.fft(self.t_oo[:, 0].toarray()[:, 0]).real
+        bands = self._sector_bands()
+        rings = bands.shape[-1]
+        modes = np.arange(nb // 2 + 1)
+        phase = np.exp(2j * np.pi / nb * np.outer(modes, [-1, 0, 1]))
+        lower, diag, upper = np.moveaxis(
+            np.tensordot(phase, bands, axes=1), 1, 0)
+        # forward elimination of K_k x = t_k e_0, k >= 1: y[r] is the
+        # rhs after elimination over the diagonal m, c the ratio
+        # upper / m; the last y is the outer entry itself
+        y = t[modes[1:]] / diag[1:, 0]
+        c = upper[1:, 0] / diag[1:, 0]
+        for r in range(1, rings):
+            m = diag[1:, r] - lower[1:, r] * c
+            y = -lower[1:, r] * y / m
+            c = upper[1:, r] / m
+        g = np.empty(nb, dtype=complex)
+        g[1:len(modes)] = y
+        g[len(modes):] = np.conj(y[:nb - len(modes)][::-1])
+        # mode 0: [[K_0, m e_0], [m e_0^T, 0]] [x; lam] = [t_0 e_0; 0]
+        aug = np.zeros((rings + 1, rings + 1))
+        aug[:rings, :rings] = (np.diag(diag[0].real)
+                               + np.diag(lower[0, 1:].real, -1)
+                               + np.diag(upper[0, :-1].real, 1))
+        aug[0, rings] = aug[rings, 0] = self.mean_vec[0]
+        rhs = np.zeros(rings + 1)
+        rhs[0] = t[0]
+        g[0] = np.linalg.solve(aug, rhs)[rings - 1]
+        return g, t, o
 
     def tikhonov(self, alpha: float, f_outer: np.ndarray) -> np.ndarray:
         """Sharp Tikhonov control u on the inner nodes: the eps = 0
@@ -248,9 +247,8 @@ class SharpSolver:
         finite.  The state and adjoint, if wanted, are forward(u) and
         adjoint(f - forward(u) | outer).
         """
-        if not alpha > 0.0:
-            raise InversionError(f"alpha must be positive, got {alpha}")
-        g, t, o = self._transfer_symbols()
+        _check_alpha(alpha)
+        g, t, o = self._transfer_symbols
         rhs = self.t_oo @ f_outer
         if not np.all(np.isfinite(rhs)):
             return np.full(len(self.inner), np.nan)
@@ -322,11 +320,6 @@ class DiffuseSolution:
     v: np.ndarray
     p: np.ndarray
     report: SolveReport
-
-
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 0.0:
-        raise InversionError(f"alpha must be positive, got {alpha}")
 
 
 def _solution(system: SaddleSystem, x: np.ndarray,

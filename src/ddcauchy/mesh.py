@@ -5,14 +5,13 @@ Two mesh families are provided:
 * a uniform background mesh of the bounding box (each square cell split
   into two right-isosceles triangles along the same diagonal), refined
   red-green-blue around the phase-field band ({|d| < 2 eps} plus the
-  conforming closure), used for all diffuse computations; it carries no
-  boundary edges, since no diffuse form integrates over the box boundary;
-* a structured polar mesh of the exact annulus with tagged inner/outer
-  boundary edges, used by the sharp reference solver's forward and
-  adjoint solves.  Its grid (``_polar_grid``, ``_polar_points``), cell
-  split (``_polar_cells``) and ring edges (``_ring_edges``) are shared
-  with that solver, which builds its boundary rings and one angular
-  sector from them without the mesh.
+  conforming closure), used for all diffuse computations;
+* a structured polar mesh of the exact annulus, used by the sharp
+  reference solver's forward and adjoint solves.  Its grid
+  (``_polar_grid``, ``_polar_points``), cell split (``_polar_cells``) and
+  ring edges (``_ring_edges``) are shared with that solver, which builds
+  its boundary rings and one angular sector from them without the mesh
+  and hands the rings' edges to ``assembly.assemble_sharp``.
 
 Band refinement works on whole arrays, one step at a time: marked edges
 are closed under "any marked edge marks the triangle's longest edge",
@@ -36,7 +35,7 @@ the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -60,20 +59,16 @@ def _corners(vertices: np.ndarray, tris: np.ndarray):
 
 @dataclass
 class TriMesh:
-    """Conforming triangulation with tagged boundary edges.
+    """Conforming triangulation.
 
-    vertices        (n, 2) float coordinates
-    triangles       (m, 3) int vertex indices, counterclockwise
-    boundary_edges  dict tag -> (m, 2) int array of edges (i, j), tag in
-                    {"inner", "outer"}; only the polar annulus mesh has
-                    any
-    generation      per-triangle number of bisections since the
-                    background triangle (a green split adds 1, a red 2)
+    vertices    (n, 2) float coordinates
+    triangles   (m, 3) int vertex indices, counterclockwise
+    generation  per-triangle number of bisections since the background
+                triangle (a green split adds 1, a red 2)
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: dict = dc_field(default_factory=dict)
     generation: np.ndarray = None
 
     def __post_init__(self):
@@ -356,15 +351,13 @@ def mesh_annulus(geometry: AnnulusGeometry, n_angular: int,
 
     Vertices lie on n_radial + 1 concentric rings, numbered ring by ring
     from the inner one and in increasing angle in [0, 2 pi) within a
-    ring; boundary edges carry the tags "inner" (r = r_inner) and
-    "outer" (r = r_outer).
+    ring: the inner ring's nodes are 0 .. n_angular - 1, the outer
+    ring's the last n_angular.
     """
     verts = _polar_points(*_polar_grid(geometry, n_angular, n_radial))
     ring = _ring_edges(n_angular)
     tris = _polar_cells(ring[:, 0], ring[:, 1], n_angular, n_radial)
-    # the inner circle clockwise, the outer one counterclockwise
-    return TriMesh(verts, tris, {"inner": ring[:, [1, 0]],
-                                 "outer": n_radial * n_angular + ring})
+    return TriMesh(verts, tris)
 
 
 # ---------------------------------------------------------------------------

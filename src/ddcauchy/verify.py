@@ -172,11 +172,11 @@ def _sweep_operators(geometry):
     return out
 
 
-def check_diffuse_trace(geometry: AnnulusGeometry):
-    """sup ||v||_band^2 / ||v||_H^2 stays bounded across eps (within twice
-    its value at the coarsest eps), for a smooth test family."""
+def check_diffuse_trace(sweep: list):
+    """sup ||v||_band^2 / ||v||_H^2 stays bounded over the eps sweep
+    (within twice its value at the coarsest eps), for a smooth family."""
     ratios = []
-    for ops in _sweep_operators(geometry):
+    for ops in sweep:
         mesh = ops.mesh
         pts = mesh.vertices
         fams = [np.ones(len(pts)),
@@ -195,14 +195,14 @@ def check_diffuse_trace(geometry: AnnulusGeometry):
                        " (max within 2.0x of first)")
 
 
-def check_poincare(geometry: AnnulusGeometry):
+def check_poincare(sweep: list):
     """Smallest eigenvalue of (K_I + B_H) against M_omega on the active
-    state set, uniformly bounded below across eps (at least half its
-    value at the coarsest eps)."""
+    state set, uniformly bounded below over the eps sweep (at least half
+    its value at the coarsest eps)."""
     import scipy.sparse.linalg as spla
 
     vals = []
-    for ops in _sweep_operators(geometry):
+    for ops in sweep:
         a_v = ops.active_v
         a = ops.block(ops.k_omega + ops.b_h, a_v, a_v).tocsc()
         m = ops.block(ops.m_omega, a_v, a_v).tocsc()
@@ -220,12 +220,13 @@ def run_verify() -> list:
     """The seven checks on the default geometry and conductivity."""
     geometry = AnnulusGeometry()
     tensor = ConductivityTensor()
+    sweep = _sweep_operators(geometry)
     return [
         check_band_measure(geometry),
         check_integral_order(geometry),
         check_extension_norm(geometry),
         check_extension_error(geometry),
         check_adjoint(geometry, tensor),
-        check_diffuse_trace(geometry),
-        check_poincare(geometry),
+        check_diffuse_trace(sweep),
+        check_poincare(sweep),
     ]

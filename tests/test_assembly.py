@@ -15,8 +15,8 @@ from ddcauchy.assembly import (CUT_RULE, AssemblyError, OperatorSet,
 from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
                                PhaseField, band_integral, annulus_integral)
 from ddcauchy.inversion import SharpSolver
-from ddcauchy.mesh import (TriMesh, build_background, levels_for,
-                           mesh_annulus, quadrature, refine_band)
+from ddcauchy.mesh import (TriMesh, _ring_edges, build_background,
+                           levels_for, mesh_annulus, quadrature, refine_band)
 
 from conftest import make_ops
 from oracles import bulk_integral, diameters, diffuse_functional, evaluate
@@ -27,7 +27,7 @@ def unit_weight_setup():
     geo = AnnulusGeometry(r_inner=0.01, r_outer=100.0, split_radius=50.0)
     field = PhaseField(geo, 1.0)
     mesh = TriMesh(np.array([[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]),
-                   np.array([[0, 1, 2]]), [])
+                   np.array([[0, 1, 2]]))
     return mesh, field
 
 
@@ -109,7 +109,7 @@ def test_band_mass_empty_band_signals(geometry, tensor):
     field = PhaseField(geometry, 0.01)
     # a mesh far from both bands: one corner triangle
     far = TriMesh(np.array([[1.2, 1.2], [1.4, 1.2], [1.2, 1.4]]),
-                  np.array([[0, 1, 2]]), [])
+                  np.array([[0, 1, 2]]))
     assert assemble_band_mass(far, field, "H", quadrature(2, 2)).nnz == 0
     with pytest.raises(AssemblyError, match="H-band mass is identically zero"):
         OperatorSet.build(far, field, tensor, quadrature(2, 2))
@@ -122,7 +122,7 @@ def test_band_check_names_the_missing_band(geometry, tensor, rule):
     base = build_background(0.15)
     radii = np.hypot(*base.vertices[base.triangles].transpose(2, 0, 1))
     inner = TriMesh(base.vertices,
-                    base.triangles[radii.max(axis=1) < 0.65], [])
+                    base.triangles[radii.max(axis=1) < 0.65])
     with pytest.raises(AssemblyError, match="B-band mass is identically zero"):
         OperatorSet.build(inner, field, tensor, rule)
 
@@ -193,9 +193,17 @@ def test_active_sets_empty_signal():
         active_sets(zero, zero, zero)
 
 
+def annulus_rings(n_angular, n_radial):
+    """The inner and outer ring edges of ``mesh_annulus``, as
+    ``SharpSolver.ops`` passes them to ``assemble_sharp``."""
+    ring = _ring_edges(n_angular)
+    return ring, n_radial * n_angular + ring
+
+
 def test_sharp_operators(geometry, tensor):
     mesh = mesh_annulus(geometry, 128, 24)
-    ops = assemble_sharp(mesh, tensor)
+    rings = annulus_rings(128, 24)
+    ops = assemble_sharp(mesh, tensor, *rings)
     ones = np.ones(mesh.num_vertices)
     assert ops.field is None
     assert np.abs(ops.k_omega @ ones).max() <= 1e-12
@@ -210,7 +218,7 @@ def test_sharp_operators(geometry, tensor):
     assert np.array_equal(ops.active_u, np.arange(128))
     assert np.array_equal(ops.active_v, np.arange(mesh.num_vertices))
     # Dirichlet energy of log|x| with M = I is 2 pi ln(r_out / r_in)
-    iso = assemble_sharp(mesh, ConductivityTensor.identity())
+    iso = assemble_sharp(mesh, ConductivityTensor.identity(), *rings)
     v = np.log(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
     energy = float(v @ (iso.k_omega @ v))
     assert energy == pytest.approx(2 * np.pi * np.log(1.0 / 0.3), rel=2e-3)
@@ -221,22 +229,15 @@ def test_sharp_sector_stiffness_is_the_assembly_kernel(geometry, tensor):
     angular column of the annulus mesh (its 2 n_radial triangles, corner
     by corner), and its element stiffness is the assembly's of those
     triangles, bit for bit."""
-    solver = SharpSolver(geometry, tensor, 64, 16)
-    mesh, sector = solver.mesh, solver._sector()
+    mesh = mesh_annulus(geometry, 64, 16)
+    sector = SharpSolver(geometry, tensor, 64, 16)._sector()
     column = np.arange(mesh.num_triangles).reshape(16, 64, 2)[:, 0].ravel()
     assert np.array_equal(sector.vertices[sector.triangles],
                           mesh.vertices[mesh.triangles[column]])
-    _, areas, local = _sharp_local_stiffness(mesh, tensor, None)
-    _, sector_areas, sector_local = _sharp_local_stiffness(sector, tensor,
-                                                           None)
+    _, areas, local = _sharp_local_stiffness(mesh, tensor)
+    _, sector_areas, sector_local = _sharp_local_stiffness(sector, tensor)
     assert sector_areas.tobytes() == areas[column].tobytes()
     assert sector_local.tobytes() == local[column].tobytes()
-
-
-def test_sharp_untagged_boundary_signal(geometry, tensor):
-    mesh = build_background(1.0)  # box mesh has no inner/outer tags
-    with pytest.raises(AssemblyError):
-        assemble_sharp(mesh, tensor)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -245,7 +246,7 @@ def test_sharp_non_finite_tensor_sums_signal(geometry, tensor):
     mesh = mesh_annulus(geometry, 16, 4)
     mesh.vertices[20] = np.nan
     with pytest.raises(AssemblyError, match="tensor sums are not finite"):
-        assemble_sharp(mesh, tensor)
+        assemble_sharp(mesh, tensor, *annulus_rings(16, 4))
 
 
 def subdivided_everywhere(mesh, field, tensor, rule):
@@ -303,7 +304,7 @@ def test_plateau_elements_have_unit_weights(h0, log2_eps, shift):
     geometry = AnnulusGeometry(0.3, 1.0, 0.65)
     field = PhaseField(geometry, 2.0 ** log2_eps)
     base = build_background(h0)
-    mesh = TriMesh(base.vertices + np.array(shift) * h0, base.triangles, [])
+    mesh = TriMesh(base.vertices + np.array(shift) * h0, base.triangles)
     el = _Elements.select(mesh, field)
     plateau = el.tris[~el.cut]
     _, omega, gradmag = field.phase_and_weights(

@@ -234,8 +234,9 @@ def test_sharp_tikhonov_properties(sharp_solver, truth):
 def kkt_tikhonov(solver, alpha, f_outer):
     """The sharp KKT system (u, v, p, multipliers), factored by sparse LU:
     the path the normal equation replaced."""
-    system = build_system(solver.ops, alpha,
-                          solver._boundary_load(solver.outer, f_outer))
+    load = np.zeros(solver.ops.mesh.num_vertices)
+    load[solver.outer] = f_outer
+    system = build_system(solver.ops, alpha, load)
     u, v, p, _ = system.split(spla.splu(system.matrix.tocsc()).solve(
         system.rhs))
     return u, v, p
@@ -287,7 +288,7 @@ def test_sharp_fft_matches_dense_normal_equation(sharp_solver, geometry,
     u = solver.tikhonov(alpha, f)
     g = blocked_transfer(solver)
     t_ii, t_oo = solver.t_ii.toarray(), solver.t_oo.toarray()
-    for symbol, dense in zip(solver._transfer_symbols(), (g, t_ii, t_oo)):
+    for symbol, dense in zip(solver._transfer_symbols, (g, t_ii, t_oo)):
         rebuilt = sla.circulant(np.fft.ifft(symbol).real)
         assert (np.linalg.norm(rebuilt - dense)
                 <= 1e-12 * np.linalg.norm(dense))
@@ -308,7 +309,7 @@ def test_sharp_symbols_match_the_separable_modes(geometry, tensor):
     defects = []
     for n_angular in (96, 192):
         solver = SharpSolver(geometry, tensor, n_angular, n_angular // 4)
-        g_hat = solver._transfer_symbols()[0][list(ks)]
+        g_hat = solver._transfer_symbols[0][list(ks)]
         defects.append(np.abs(np.abs(g_hat) / exact - 1.0))
     coarse, fine = defects
     for i in (0, 2, 3):  # k = 1, 3, 5

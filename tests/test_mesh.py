@@ -9,7 +9,7 @@ from ddcauchy import experiments as xp
 from ddcauchy.assembly import _support_masks
 from ddcauchy.geometry import AnnulusGeometry, PhaseField
 from ddcauchy.mesh import (MeshError, TriMesh, _edge_numbering,
-                           _longest_edge_first, _radial_interval,
+                           _longest_edge_first, _radial_interval, _ring_edges,
                            band_triangles, build_background, levels_for,
                            mesh_annulus, quadrature, refine_band)
 
@@ -20,7 +20,6 @@ def test_background_counts():
     m = build_background(1.5)
     assert m.num_vertices == 9
     assert m.num_triangles == 8
-    assert m.boundary_edges == {}
     # vertex count (ceil(3/h0)+1)^2, triangle count 2 ceil(3/h0)^2
     for h0 in (3.0, 0.7, 0.31):
         n = math.ceil(3.0 / h0)
@@ -181,7 +180,6 @@ def test_refine_refined_mesh(geometry):
 def test_refined_mesh_continues_from_generation(geometry):
     field = PhaseField(geometry, 0.0625)
     first = refine_band(build_background(0.15), field, 2)
-    assert first.boundary_edges == {}
     assert first.generation.max() == 4
     again = refine_band(first, field, 2)
     assert np.array_equal(again.vertices, first.vertices)
@@ -245,7 +243,7 @@ def loop_background(h0, half_width=1.5):
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    return verts, np.array(tris), {}
+    return verts, np.array(tris)
 
 
 def loop_annulus(geometry, n_angular, n_radial):
@@ -270,24 +268,14 @@ def loop_annulus(geometry, n_angular, n_radial):
             d = vid(ring + 1, j)
             tris.append((a, d, c))
             tris.append((a, c, b))
-    bedges = {"inner": [], "outer": []}
-    for j in range(n_angular):
-        bedges["inner"].append((vid(0, j + 1), vid(0, j)))
-        bedges["outer"].append((vid(n_radial, j), vid(n_radial, j + 1)))
-    return verts, np.array(tris), {tag: np.array(edges)
-                                   for tag, edges in bedges.items()}
+    return verts, np.array(tris)
 
 
 def assert_same_mesh(mesh, oracle):
-    verts, tris, bedges = oracle
+    verts, tris = oracle
     assert np.array_equal(mesh.vertices, verts)
     assert mesh.vertices.tobytes() == verts.tobytes()
     assert np.array_equal(mesh.triangles, tris)
-    # the same edges, each in the same orientation, in the same order
-    assert mesh.boundary_edges.keys() == bedges.keys()
-    for tag, edges in bedges.items():
-        assert mesh.boundary_edges[tag].dtype == np.int64
-        assert np.array_equal(mesh.boundary_edges[tag], edges)
 
 
 @pytest.mark.parametrize("h0", [0.08, 0.1, 0.15, 1.0])
@@ -321,14 +309,21 @@ def test_mesh_annulus_area_convergence(geometry):
 
 
 def test_mesh_annulus_boundary(geometry):
+    """The ring edges the sharp solver assembles with, on the first and
+    last n_angular nodes, are exactly the edges of one triangle each."""
     m = mesh_annulus(geometry, 64, 8)
-    inner = m.boundary_edges["inner"]
-    assert inner.shape == (64, 2)
-    length = sum(np.linalg.norm(m.vertices[i] - m.vertices[j])
-                 for i, j in inner)
-    assert length == pytest.approx(2 * np.pi * 0.3, rel=2e-3)
-    for i, j in inner:
-        assert np.hypot(*m.vertices[i]) == pytest.approx(0.3, abs=1e-15)
+    inner, outer = _ring_edges(64), 8 * 64 + _ring_edges(64)
+    uniq, per_tri = _edge_numbering(m.triangles, m.num_vertices)
+    counts = np.bincount(per_tri.ravel(), minlength=len(uniq))
+    rings = np.sort(np.vstack([inner, outer]), axis=1)
+    assert np.array_equal(np.unique(rings, axis=0), uniq[counts == 1])
+    for edges, radius in ((inner, 0.3), (outer, 1.0)):
+        length = sum(np.linalg.norm(m.vertices[i] - m.vertices[j])
+                     for i, j in edges)
+        assert length == pytest.approx(2 * np.pi * radius, rel=2e-3)
+        for i, j in edges:
+            assert np.hypot(*m.vertices[i]) == pytest.approx(radius,
+                                                             abs=1e-15)
 
 
 def test_quadrature_examples():

@@ -5,9 +5,10 @@ with ``M[np.ix_(rows, cols)]``.  The restrictions below are those,
 written out, and the blocks read from ``OperatorSet`` must equal them
 exactly: same sparsity structure, same values.  The blocks are also
 shared (one object per operator set, kept across systems) and built
-lazily (a fresh Workspace builds no sharp mesh or operator set).  The
-sparse LU factors of the blocks live on the operator set too: each of
-its three matrices is factored once, however many solves read it.
+lazily (a fresh Workspace builds no sharp operator set, and so no sharp
+mesh).  The sparse LU factors of the blocks live on the operator set
+too: each of its three matrices is factored once, however many solves
+read it.
 """
 
 import dataclasses
@@ -86,7 +87,7 @@ def test_sharp_boundary_blocks(sharp_solver, geometry, tensor):
     lazily built annulus mesh and operator set give, bit for bit, on the
     128 x 32 fixture grid and on an odd 97 x 24 one."""
     for solver in (sharp_solver, SharpSolver(geometry, tensor, 97, 24)):
-        ops, mesh = solver.ops, solver.mesh
+        ops, mesh = solver.ops, solver.ops.mesh
         inner, outer = solver.inner, solver.outer
         assert np.array_equal(inner, _active_nodes(ops.b_h.diagonal()))
         assert np.array_equal(inner, ops.active_u)
@@ -100,6 +101,27 @@ def test_sharp_boundary_blocks(sharp_solver, geometry, tensor):
         assert solver.mean_vec.tobytes() == ops.mean_vec[inner].tobytes()
         assert_identical(solver.t_ii, ops.b_h[np.ix_(inner, inner)])
         assert_identical(solver.t_oo, ops.b_b[np.ix_(outer, outer)])
+
+
+def test_sharp_loads_through_its_ring_masses(sharp_solver, geometry, tensor):
+    """forward and adjoint load the annulus with t_ii or t_oo on the ring
+    nodes.  Their fields and traces equal, bit for bit, those of the load
+    ops.b_h (or ops.b_b) @ (values placed on the ring nodes), for one
+    column and for ten, on the 128 x 32 and 97 x 24 grids."""
+    rng = np.random.default_rng(7)
+    for solver in (sharp_solver, SharpSolver(geometry, tensor, 97, 24)):
+        ops = solver.ops
+        for run, mass, nodes, trace_nodes in (
+                (solver.forward, ops.b_h, solver.inner, solver.outer),
+                (solver.adjoint, ops.b_b, solver.outer, solver.inner)):
+            for shape in ((len(nodes),), (len(nodes), 10)):
+                values = rng.standard_normal(shape)
+                placed = np.zeros((ops.mesh.num_vertices,) + shape[1:])
+                placed[nodes] = values
+                want = diffuse_forward(ops, mass @ placed)
+                field, trace = run(values)
+                assert field.tobytes() == want.tobytes()
+                assert trace.tobytes() == want[trace_nodes].tobytes()
 
 
 def test_blocks_are_shared(ops_16):
@@ -118,15 +140,15 @@ def test_fresh_workspace_restricts_nothing():
                                     "mesh.sharp_n_angular": "48",
                                     "mesh.sharp_n_radial": "12"})
     ws = xp.Workspace(cfg)
-    assert not {"mesh", "ops"} & set(vars(ws.sharp_solver))
+    assert "ops" not in vars(ws.sharp_solver)
     assert ws.truth is cfg.truth
 
 
 def test_studies_leave_the_sharp_operator_set_unbuilt():
     """A table cell and the fig8 sharp rate study read the sharp solver's
-    boundary blocks and FFT symbols only: neither its annulus mesh nor
-    its operator set, and with it the annulus stiffness and mass and
-    ``mean_lu``, is ever built."""
+    boundary blocks and FFT symbols only: its operator set, and with it
+    the annulus mesh, stiffness and mass and ``mean_lu``, is never
+    built."""
     small = {"mesh.h0": "0.2", "mesh.sharp_n_angular": "48",
              "mesh.sharp_n_radial": "12"}
     cfg = xp.load_config(overrides=dict(small, **{
@@ -134,12 +156,12 @@ def test_studies_leave_the_sharp_operator_set_unbuilt():
         "study.epsilons": "0.25"}))
     ws = xp.Workspace(cfg)
     assert xp.run_iteration_table(cfg, ws).converged.all()
-    assert not {"mesh", "ops"} & set(vars(ws.sharp_solver))
+    assert "ops" not in vars(ws.sharp_solver)
     sharp = xp.load_config(overrides=xp.apply_preset("fig8", dict(small, **{
         "study.eps_coef": "0.0", "study.eps_exp": "0.0"})))
     rows = xp.run_rate_study(sharp, ws).rows
     assert rows and all(np.isfinite(r.u_err_sharp) for r in rows)
-    assert not {"mesh", "ops"} & set(vars(ws.sharp_solver))
+    assert "ops" not in vars(ws.sharp_solver)
 
 
 def test_each_matrix_factored_once(monkeypatch, ops_16, sharp_solver,

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from ddcauchy.assembly import OperatorSet
@@ -229,6 +230,41 @@ def test_converged_systems_leave_the_lockstep_batch(ops_16):
     assert zero == SolveReport(0, [], True) and not x_zero.any()
     assert prec.heights == ([3] + [2] * fast.iterations
                             + [1] * (slow.iterations - fast.iterations))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(alphas=st.lists(st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e),
+                       min_size=1, max_size=5),
+       zero=st.integers(-1, 4), max_iter=st.integers(1, 160),
+       seed=st.integers(0, 2 ** 16))
+def test_lockstep_matches_solves_alone(ops_16, alphas, zero, max_iter, seed):
+    """Any batch of alphas in [1e-4, 1], each system with its own data:
+    the zero data of system ``zero`` (if in the batch) stops it at once,
+    and max_iter (up to 160; ops_16 converges in 53-153) stops some
+    early.  A batch of one is ``oracles.minres`` bit for bit; in a wider
+    batch each system keeps its count within 8 and its x within 1e-8 of
+    max |x| of its solve alone, as the wider solves may round
+    differently."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for i, alpha in enumerate(alphas):
+        f = np.zeros(ops_16.mesh.num_vertices)
+        if i != zero:
+            f[ops_16.active_v] = rng.standard_normal(len(ops_16.active_v))
+        systems.append(build_system(ops_16, alpha, f))
+    prec = RieszPreconditioner(systems[0])
+    got = minres_lockstep(systems, prec, rho=1e-10, max_iter=max_iter)
+    for system, (x, report) in zip(systems, got):
+        x_alone, alone = oracles.minres(system, prec, rho=1e-10,
+                                        max_iter=max_iter)
+        assert len(report.residual_history) == report.iterations
+        if len(systems) == 1:
+            assert x.tobytes() == x_alone.tobytes()
+            assert report == alone
+        else:
+            assert abs(report.iterations - alone.iterations) <= 8
+            assert (np.abs(x - x_alone).max()
+                    <= 1e-8 * np.abs(x_alone).max())
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1e-4, 0.0])
