@@ -38,10 +38,10 @@ are read off the diagonals.
 
 Diffuse and sharp alike, ``_local_stiffness`` forms every element
 stiffness from the tensor sums of ``ConductivityTensor.weighted_sum``
-(the polar form of M), and ``_scatter`` builds every element and edge
-matrix; ``_edge_mass`` forms the edge masses of an (m, 2) edge array,
-for the annulus and for the sharp solver's two rings alike, and
-``assemble_sharp`` takes those rings' edges from the solver.
+(the polar form of M), and ``_scatter`` builds every element matrix
+through COO; ``_ring_mass`` writes a closed polygon's edge mass straight
+into CSR, for the sharp solver's two rings and, placed at their node ids
+by ``assemble_sharp``, for the annulus alike.
 ``_sharp_local_stiffness`` gives the sharp element stiffness of any
 polar triangles, so the sharp solver reads one angular sector's without
 building the annulus.
@@ -428,32 +428,52 @@ def _spd_lu(block: sp.spmatrix) -> spla.SuperLU:
                      options={"SymmetricMode": True})
 
 
-def _edge_mass(vertices: np.ndarray, edges: np.ndarray) -> sp.csr_matrix:
-    """Exact P1 mass of the edges (m, 2) between ``vertices``:
-    ell [[1/3, 1/6], [1/6, 1/3]] per edge, on len(vertices) nodes."""
-    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
+def _ring_mass(points: np.ndarray) -> sp.csr_matrix:
+    """Exact P1 mass of the closed polygon through ``points`` (nb, 2),
+    written straight into nb x nb CSR: row j holds ell_{j-1}/6,
+    ell_{j-1}/3 + ell_j/3 and ell_j/6 at columns j - 1, j, j + 1 mod nb,
+    sorted (the wrap rows 0 and nb - 1 reordered), ell_j the length of
+    edge (j, j + 1 mod nb).  Each entry sums the same one or two terms as
+    the edge-by-edge scatter of ell [[1/3, 1/6], [1/6, 1/3]]: same bits."""
+    nb = len(points)
+    loop = np.arange(-1, nb + 1)    # index k of d, ell: edge k - 1 mod nb
+    loop[0], loop[-1] = nb - 1, 0
+    ends = points.take(loop, axis=0)
+    d = ends[:-1] - ends[1:]
     ell = np.sqrt((d[:, None] @ d[:, :, None]).ravel())  # norm(d[e]) exactly
-    blocks = ell[:, None, None] / np.array([[3.0, 6.0], [6.0, 3.0]])
-    return _scatter(edges, blocks, len(vertices))
+    third, sixth = ell / 3.0, ell / 6.0
+    data, cols = np.empty((nb, 3)), np.empty((nb, 3), dtype=np.int32)
+    data[:, 0], data[:, 1], data[:, 2] = (sixth[:-1], third[:-1] + third[1:],
+                                          sixth[1:])
+    cols[:, 0], cols[:, 1], cols[:, 2] = loop[:-2], loop[1:-1], loop[2:]
+    for row, order in ((0, [1, 2, 0]), (-1, [2, 0, 1])):
+        data[row], cols[row] = data[row, order], cols[row, order]
+    return sp.csr_matrix((data.ravel(), cols.ravel(),
+                          np.arange(0, 3 * nb + 1, 3, dtype=np.int32)),
+                         shape=(nb, nb))
 
 
 def assemble_sharp(mesh: TriMesh, tensor: ConductivityTensor,
-                   inner_edges: np.ndarray,
-                   outer_edges: np.ndarray) -> OperatorSet:
+                   inner: np.ndarray, outer: np.ndarray) -> OperatorSet:
     """The eps = 0 operator set on the polar annulus mesh: the annulus
     stiffness and mass, which ``SharpSolver.ops`` builds for the sharp
-    forward and adjoint solves, and the edge masses of the inner and
-    outer boundary rings, each an (m, 2) array of mesh edges.
+    forward and adjoint solves, and the inner and outer ring masses, each
+    ``_ring_mass`` of a ring's nodes (ascending in increasing angle, as
+    ``mesh_annulus`` numbers them, so the placed columns stay sorted).
 
-    Its active sets are the inner ring (control) and all nodes (state);
-    ``mesh_annulus`` numbers each ring in increasing angle.
+    Its active sets are the inner ring (control) and all nodes (state).
     """
     tris, areas, local = _sharp_local_stiffness(mesh, tensor)
     n = mesh.num_vertices
+    masses = []
+    for nodes in (inner, outer):
+        ring = _ring_mass(mesh.vertices[nodes])
+        indptr = 3 * np.searchsorted(nodes, np.arange(n + 1))
+        masses.append(sp.csr_matrix((ring.data, nodes[ring.indices], indptr),
+                                    shape=(n, n)))
     return OperatorSet(mesh, None, _scatter(tris, local, n),
                        _scatter(tris, areas[:, None, None] * _P1_MASS, n),
-                       _edge_mass(mesh.vertices, inner_edges),
-                       _edge_mass(mesh.vertices, outer_edges))
+                       *masses)
 
 
 def _sharp_local_stiffness(mesh: TriMesh, tensor: ConductivityTensor):

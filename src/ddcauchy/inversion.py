@@ -3,16 +3,17 @@
 The sharp reference problem lives on the polar annulus mesh: boundary
 data are nodal vectors on the inner/outer ring nodes (angular order).
 Its solver is built from the polar grid, not from the mesh: the two
-rings give the node ids, angles, edges and edge masses, and the Tikhonov
-solve is an FFT filter whose transfer symbol comes from the stiffness of
-one angular sector.  So the studies never build, assemble or factor the
-annulus; forward and adjoint, which do, assemble it with the solver's
-ring edges, load it through the solver's ring masses, share one
-load-solve-trace path and check it.  The diffuse problem lives on the
-background mesh: boundary data are extended into the interface bands by
-the one constant-normal extension, ``_extend_constant`` (a node's polar
-angle is that of its closest boundary point), and solved through the
-saddle machinery.
+rings give the node ids, angles and edge masses (``_ring_mass``, written
+straight into CSR), and the Tikhonov solve is an FFT filter whose
+transfer symbol comes from the stiffness of one angular sector.  So the
+studies never build, assemble or factor the annulus; forward and
+adjoint, which do, assemble it with the solver's ring node ids (whose
+masses come from the same ``_ring_mass``), load it through the solver's
+ring masses, share one load-solve-trace path and check it.  The diffuse
+problem lives on the background mesh: boundary data are extended into
+the interface bands by the one constant-normal extension,
+``_extend_constant`` (a node's polar angle is that of its closest
+boundary point), and solved through the saddle machinery.
 
 Noise is Gaussian per node, rescaled so the discrete boundary norm of
 the perturbation equals delta exactly; a run with the same seed is
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (OperatorSet, _edge_mass, _sharp_local_stiffness,
+from .assembly import (OperatorSet, _ring_mass, _sharp_local_stiffness,
                        assemble_sharp)
 from .geometry import AnnulusGeometry, ConductivityTensor, StageError
 from .harmonics import GroundTruth
 from .mesh import (TriMesh, _polar_cells, _polar_grid, _polar_points,
-                   _ring_edges, mesh_annulus)
+                   mesh_annulus)
 from .saddle import (RieszPreconditioner, SaddleSystem, SolveReport, _dot,
                      build_system, minres, minres_lockstep)
 
@@ -82,15 +83,16 @@ class SharpSolver:
     angles, n_radial ring cells) and the conductivity, it makes at once
     only what the studies read off the two boundary rings: the inner and
     outer node ids (in increasing angle), their angles, T_inner and
-    T_outer on those rings (``t_ii``, ``t_oo``, nb x nb) and the inner
-    mean vector (row sums of T_inner).  The forward map takes a Neumann
-    flux u on the inner boundary to the potential trace on the outer
-    one; the mean constraint <v, 1>_inner = 0 is imposed by one scalar
-    multiplier to keep the system symmetric.
+    T_outer on those rings (``t_ii``, ``t_oo``, nb x nb CSR, each built
+    straight by ``assembly._ring_mass``) and the inner mean vector (row
+    sums of T_inner).  The forward map takes a Neumann flux u on the
+    inner boundary to the potential trace on the outer one; the mean
+    constraint <v, 1>_inner = 0 is imposed by one scalar multiplier to
+    keep the system symmetric.
 
     ``forward`` and ``adjoint`` solve on ``ops``, the eps = 0 operator set
     of ``assemble_sharp`` on ``mesh_annulus`` with this solver's ring
-    edges, and load it through ``t_ii`` and ``t_oo``; ``ops`` is built,
+    node ids, and load it through ``t_ii`` and ``t_oo``; ``ops`` is built,
     and ``mean_lu`` factored, at their first call: the annulus mesh,
     stiffness and mass exist only there (``ops.mesh`` is the mesh).  They
     are the independent check of ``tikhonov``, which needs none of them.
@@ -100,10 +102,11 @@ class SharpSolver:
     split alike, the conductivity lives in the polar frame, and every
     ring is numbered by increasing angle from 0.  All three hold by
     construction, as the rings and the one angular sector the solver
-    reads come from the same grid (``_polar_grid``), ring edges and cell
-    split (``_polar_cells``) as ``mesh_annulus``.  Then G (the outer traces of
-    the inner unit fluxes), T_ii and T_oo are circulant, and the FFT
-    diagonalizes the Tikhonov normal equation.
+    reads come from the same grid (``_polar_grid``) and cell split
+    (``_polar_cells``) as ``mesh_annulus``, and ``_ring_mass`` joins
+    each ring's nodes j to j + 1 mod nb, as ``_ring_edges`` does there.
+    Then G (the outer traces of the inner unit fluxes), T_ii and T_oo are
+    circulant, and the FFT diagonalizes the Tikhonov normal equation.
     """
 
     def __init__(self, geometry: AnnulusGeometry, tensor: ConductivityTensor,
@@ -116,10 +119,9 @@ class SharpSolver:
         self.outer = n_radial * n_angular + self.inner
         inner_xy, outer_xy = _polar_points(radii[[0, -1]], cos,
                                            sin).reshape(2, n_angular, 2)
-        ring = _ring_edges(n_angular)
-        self.t_ii = _edge_mass(inner_xy, ring)
-        self.t_oo = _edge_mass(outer_xy, ring)
-        self.mean_vec = np.asarray(self.t_ii.sum(axis=1)).ravel()
+        self.t_ii, self.t_oo = _ring_mass(inner_xy), _ring_mass(outer_xy)
+        # the reduction of scipy's t_ii.sum(axis=1), without its checks
+        self.mean_vec = np.add.reduceat(self.t_ii.data, self.t_ii.indptr[:-1])
         self.inner_angles, self.outer_angles = (
             np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
             for xy in (inner_xy, outer_xy))
@@ -128,10 +130,9 @@ class SharpSolver:
     def ops(self) -> OperatorSet:
         """The eps = 0 operator set on the polar annulus mesh, built and
         assembled at the first read."""
-        ring = _ring_edges(self.n_angular)
         return assemble_sharp(
             mesh_annulus(self.geometry, self.n_angular, self.n_radial),
-            self.tensor, self.inner[ring], self.outer[ring])
+            self.tensor, self.inner, self.outer)
 
     def _trace(self, mass, nodes, values, trace_nodes):
         """The field of the boundary load mass @ values on nodes and its

@@ -11,7 +11,7 @@ Two mesh families are provided:
   (``_polar_grid``, ``_polar_points``), cell split (``_polar_cells``) and
   ring edges (``_ring_edges``) are shared with that solver, which builds
   its boundary rings and one angular sector from them without the mesh
-  and hands the rings' edges to ``assembly.assemble_sharp``.
+  and hands the rings' node ids to ``assembly.assemble_sharp``.
 
 Band refinement works on whole arrays, one step at a time: marked edges
 are closed under "any marked edge marks the triangle's longest edge",

@@ -4,7 +4,7 @@ each a plain function kept here once, beside the tests that use it."""
 import numpy as np
 import scipy.sparse as sp
 
-from ddcauchy.assembly import KINDS, PLATEAU_RULE, _Elements
+from ddcauchy.assembly import KINDS, PLATEAU_RULE, _Elements, _scatter
 from ddcauchy.geometry import ring_diffuse_integral
 from ddcauchy.mesh import _SPLITS, MeshError, TriMesh, _edge_numbering
 from ddcauchy.saddle import SaddleError, SaddleSystem, SolveReport, _dot
@@ -121,6 +121,25 @@ def diffuse_functional(mesh, field, integrand, kind: str, rule) -> float:
         total += np.einsum("q,mq,m->", PLATEAU_RULE.weights,
                            g(el.plateau_points(mesh)), el.areas[~el.cut])
     return float(total)
+
+
+def edge_mass(vertices: np.ndarray, edges: np.ndarray) -> sp.csr_matrix:
+    """Exact P1 mass of the edges (m, 2) between ``vertices``, edge by
+    edge: ell [[1/3, 1/6], [1/6, 1/3]] per edge, scattered through COO
+    by ``assembly._scatter`` on len(vertices) nodes."""
+    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
+    ell = np.sqrt((d[:, None] @ d[:, :, None]).ravel())
+    blocks = ell[:, None, None] / np.array([[3.0, 6.0], [6.0, 3.0]])
+    return _scatter(edges, blocks, len(vertices))
+
+
+def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
+    """The same CSR matrix, byte for byte: shape, and data, indices and
+    indptr with their dtypes."""
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def riesz_matrix(system) -> sp.csr_matrix:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ddcauchy import assembly
 from ddcauchy.assembly import (CUT_RULE, AssemblyError, OperatorSet,
                                _diffuse_forms, _element_geometry, _Elements,
-                               _quad_points, _scatter, _sharp_local_stiffness,
-                               _support_mask,
+                               _quad_points, _ring_mass, _scatter,
+                               _sharp_local_stiffness, _support_mask,
                                active_sets, assemble_band_mass,
                                assemble_sharp, assemble_weighted_stiffness)
 from ddcauchy.geometry import (AnnulusGeometry, ConductivityTensor,
@@ -19,7 +19,8 @@ from ddcauchy.mesh import (TriMesh, _ring_edges, build_background,
                            levels_for, mesh_annulus, quadrature, refine_band)
 
 from conftest import make_ops
-from oracles import bulk_integral, diameters, diffuse_functional, evaluate
+from oracles import (assert_same_csr, bulk_integral, diameters,
+                     diffuse_functional, edge_mass, evaluate)
 
 
 def unit_weight_setup():
@@ -194,10 +195,51 @@ def test_active_sets_empty_signal():
 
 
 def annulus_rings(n_angular, n_radial):
-    """The inner and outer ring edges of ``mesh_annulus``, as
-    ``SharpSolver.ops`` passes them to ``assemble_sharp``."""
-    ring = _ring_edges(n_angular)
-    return ring, n_radial * n_angular + ring
+    """The inner and outer ring nodes of ``mesh_annulus``, in increasing
+    angle, as ``SharpSolver.ops`` passes them to ``assemble_sharp``."""
+    inner = np.arange(n_angular)
+    return inner, n_radial * n_angular + inner
+
+
+def jittered_polygon(nb, seed):
+    """nb points about the unit circle, every radius and angle jittered,
+    so that no two edges have the same length."""
+    rng = np.random.default_rng(seed)
+    theta = (np.arange(nb) + rng.uniform(-0.3, 0.3, nb)) * 2 * np.pi / nb
+    r = 1.0 + rng.uniform(-0.1, 0.1, nb)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+@pytest.mark.parametrize("nb", [8, 9, 64, 97, 192, 193])
+def test_ring_mass_is_the_edge_scatter(nb):
+    """``_ring_mass`` writes the polygon's edge mass straight into CSR.
+    It is the edge-by-edge COO scatter of ``oracles.edge_mass`` byte for
+    byte, on the regular polygon and on a jittered one, whose distinct
+    edge lengths pin every value of the two wrap rows."""
+    theta = np.linspace(0.0, 2.0 * np.pi, nb, endpoint=False)
+    jittered = jittered_polygon(nb, nb)
+    d = jittered - np.roll(jittered, -1, axis=0)
+    assert len(np.unique(np.hypot(d[:, 0], d[:, 1]))) == nb
+    for points in (np.column_stack([np.cos(theta), np.sin(theta)]),
+                   jittered):
+        assert_same_csr(_ring_mass(points),
+                        edge_mass(points, _ring_edges(nb)))
+
+
+def test_sharp_ring_masses_are_the_edge_scatter(geometry, tensor):
+    """``assemble_sharp`` places each ring mass at its nodes: B_H and B_B
+    are the edge scatter over the annulus's ring edges byte for byte, on
+    97 x 2 and 192 x 2 meshes with every vertex radius jittered."""
+    rng = np.random.default_rng(5)
+    for n_angular in (97, 192):
+        mesh = mesh_annulus(geometry, n_angular, 2)
+        mesh.vertices *= 1.0 + rng.uniform(-2e-3, 2e-3,
+                                           (mesh.num_vertices, 1))
+        rings = annulus_rings(n_angular, 2)
+        ops = assemble_sharp(mesh, tensor, *rings)
+        for mass, nodes in zip((ops.b_h, ops.b_b), rings):
+            assert_same_csr(mass, edge_mass(mesh.vertices,
+                                            nodes[_ring_edges(n_angular)]))
 
 
 def test_sharp_operators(geometry, tensor):

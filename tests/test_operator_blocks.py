@@ -22,7 +22,10 @@ from ddcauchy import experiments as xp
 from ddcauchy.assembly import _active_nodes
 from ddcauchy.inversion import (InversionError, SharpSolver, diffuse_forward,
                                 diffuse_tikhonov, error_norms, extend_data)
+from ddcauchy.mesh import _ring_edges
 from ddcauchy.saddle import RieszPreconditioner, SaddleError, build_system
+
+from oracles import assert_same_csr, edge_mass
 
 BLOCKS = ("riesz_u", "b_vu", "k_vv", "t_vv", "riesz_h", "mean_col")
 
@@ -85,10 +88,17 @@ def test_sharp_boundary_blocks(sharp_solver, geometry, tensor):
     """The solver builds its node sets, angles, mean vector and boundary
     blocks from the two rings of the polar grid; they equal what the
     lazily built annulus mesh and operator set give, bit for bit, on the
-    128 x 32 fixture grid and on an odd 97 x 24 one."""
+    128 x 32 fixture grid and on an odd 97 x 24 one.  The solver's rings
+    and the operator set's share one ring-mass builder, so both are also
+    checked against the edge-by-edge scatter of ``oracles.edge_mass``."""
     for solver in (sharp_solver, SharpSolver(geometry, tensor, 97, 24)):
         ops, mesh = solver.ops, solver.ops.mesh
         inner, outer = solver.inner, solver.outer
+        ring = _ring_edges(solver.n_angular)
+        for block, mass, nodes in ((solver.t_ii, ops.b_h, inner),
+                                   (solver.t_oo, ops.b_b, outer)):
+            assert_same_csr(block, edge_mass(mesh.vertices[nodes], ring))
+            assert_same_csr(mass, edge_mass(mesh.vertices, nodes[ring]))
         assert np.array_equal(inner, _active_nodes(ops.b_h.diagonal()))
         assert np.array_equal(inner, ops.active_u)
         assert np.array_equal(outer,
@@ -142,6 +152,21 @@ def test_fresh_workspace_restricts_nothing():
     ws = xp.Workspace(cfg)
     assert "ops" not in vars(ws.sharp_solver)
     assert ws.truth is cfg.truth
+
+
+def test_workspace_set_up_makes_no_coo_matrix(monkeypatch, geometry, tensor):
+    """A Workspace set-up, the sharp solver's rings included, writes every
+    matrix straight into CSR: no scipy COO matrix is made, whose checks,
+    sort and duplicate sums once were most of the set-up's time."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a COO matrix was made")
+
+    monkeypatch.setattr(sp.coo_matrix, "__init__", refuse)
+    with pytest.raises(AssertionError, match="COO"):
+        sp.eye(3).tocoo()
+    ws = xp.Workspace(xp.load_config(overrides=xp.apply_preset("fig8")))
+    assert ws.sharp_solver.t_ii.format == "csr"
+    SharpSolver(geometry, tensor, 97, 24)
 
 
 def test_studies_leave_the_sharp_operator_set_unbuilt():
