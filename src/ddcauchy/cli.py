@@ -16,7 +16,8 @@ key or unusable value, a malformed --set, an output directory that
 cannot be created and a solve flag out of range are each reported as one
 line on stderr, exit code 2.  A solve or rates error that is not finite
 is named on one stderr line, exit code 1, and so is a table cell whose
-right-hand side is not finite.  A config that loads but fails in a solve
+right-hand side is not finite and the first solve that did not converge
+within solver.max_iter.  A config that loads but fails in a solve
 stage (a ``StageError``: mesh, phase field, assembly, saddle or
 inversion) is reported as one stderr line naming the stage, exit code 1.
 """
@@ -74,21 +75,28 @@ def _check_solve_flags(delta, alpha, eps, eps_cap):
             raise FlagError(f"{flag} {value:g}: must be {what}")
 
 
-def _finite_errors(errors) -> int:
-    """Exit status of a run by its reported errors ((name, value) pairs):
-    1 with one stderr line naming the first that is not finite, else 0."""
-    for name, value in errors:
-        if not np.isfinite(value):
-            print(f"ddcauchy: {name} is not finite ({value})",
-                  file=sys.stderr)
-            return 1
-    return 0
+def _exit_status(cfg, errors=(), solves=()) -> int:
+    """Exit status of a run: 1 with one stderr line naming its first
+    fault, else 0.  The faults, in this order: a reported error ((name,
+    value) pairs) that is not finite, then a MINRES solve ((name,
+    iterations, converged) triples) that did not converge, either at
+    once (0 iterations: its right-hand side is not finite) or within
+    ``solver.max_iter``."""
+    faults = [f"{name} is not finite ({value})"
+              for name, value in errors if not np.isfinite(value)]
+    faults += [f"{name}: the right-hand side is not finite" if not iters
+               else f"{name} did not converge in solver.max_iter = "
+                    f"{cfg.max_iter} iterations"
+               for name, iters, converged in solves if not converged]
+    if faults:
+        print(f"ddcauchy: {faults[0]}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 def _quiet_overflow():
     """Silence numpy's overflow and invalid-value warnings around a study
-    whose reported errors ``_finite_errors`` checks: a non-finite result
-    is then named on its one stderr line instead."""
+    whose results ``_exit_status`` checks: a non-finite result is then
+    named on its one stderr line instead."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -119,9 +127,8 @@ def cmd_solve(args):
               f"v_err_band={row.v_err_band:.6e} "
               f"grad_err={row.grad_err:.6e} u_err_dual={row.u_err_dual:.6e}")
         names = ("u_err_band", "v_err_band", "grad_err", "u_err_dual")
-    if _finite_errors((name, getattr(row, name)) for name in names):
-        return 1
-    return 0 if row.converged else 1
+    return _exit_status(cfg, [(name, getattr(row, name)) for name in names],
+                        [("the solve", row.iterations, row.converged)])
 
 
 def cmd_table(args):
@@ -136,15 +143,11 @@ def cmd_table(args):
         print(f"{eps:<9g} {row}")
     xp.emit_outputs(cfg.out_dir, cfg, table=res)
     print(f"outputs in {cfg.out_dir}/")
-    # 0 iterations, not converged: MINRES's right-hand side is not finite
-    stuck = np.argwhere((res.iterations == 0) & ~res.converged)
-    if len(stuck):
-        i, j = stuck[0]
-        print(f"ddcauchy: table cell eps={res.epsilons[i]:g} "
-              f"alpha={res.alphas[j]:g}: the right-hand side is not finite "
-              f"(study.table_delta = {cfg.table_delta:g})", file=sys.stderr)
-        return 1
-    return 0 if res.converged.all() else 1
+    return _exit_status(cfg, solves=[
+        (f"table cell eps={eps:g} alpha={alpha:g} (study.table_delta = "
+         f"{cfg.table_delta:g})", res.iterations[i, j], res.converged[i, j])
+        for i, eps in enumerate(res.epsilons)
+        for j, alpha in enumerate(res.alphas)])
 
 
 def cmd_rates(args):
@@ -153,12 +156,14 @@ def cmd_rates(args):
     ws = xp.Workspace(cfg)
     with _quiet_overflow():
         res = xp.run_rate_study(cfg, ws)
-    errors = []
+    errors, solves = [], []
     for r in res.rows:
         err = r.u_err_sharp if r.epsilon == 0.0 else r.u_err_band
         print(f"delta={r.delta:<12g} alpha={r.alpha:<10g} eps={r.epsilon:<8g}"
               f" iters={r.iterations:<4d} u_err={err:.6e}")
         errors.append((f"u_err at delta={r.delta:g}", err))
+        solves.append((f"the solve at delta={r.delta:g}", r.iterations,
+                       r.converged))
     label = args.preset or "rates"
     u_fit, v_fit = res.u_fit, res.v_fit
     if u_fit.defined:
@@ -169,9 +174,7 @@ def cmd_rates(args):
     fixture = truth_fixture_csv(ws.truth, ws.sharp_solver)
     xp.emit_outputs(cfg.out_dir, cfg, rates={label: res}, truth_csv=fixture)
     print(f"outputs in {cfg.out_dir}/")
-    if _finite_errors(errors):
-        return 1
-    return 0 if all(r.converged for r in res.rows) else 1
+    return _exit_status(cfg, errors, solves)
 
 
 def cmd_spectrum(args):

@@ -84,11 +84,10 @@ class SharpSolver:
     only what the studies read off the two boundary rings: the inner and
     outer node ids (in increasing angle), their angles, T_inner and
     T_outer on those rings (``t_ii``, ``t_oo``, nb x nb CSR, each built
-    straight by ``assembly._ring_mass``) and the inner mean vector (row
-    sums of T_inner).  The forward map takes a Neumann flux u on the
-    inner boundary to the potential trace on the outer one; the mean
-    constraint <v, 1>_inner = 0 is imposed by one scalar multiplier to
-    keep the system symmetric.
+    straight by ``assembly._ring_mass``).  The forward map takes a
+    Neumann flux u on the inner boundary to the potential trace on the
+    outer one; the mean constraint <v, 1>_inner = 0 is imposed by one
+    scalar multiplier to keep the system symmetric.
 
     ``forward`` and ``adjoint`` solve on ``ops``, the eps = 0 operator set
     of ``assemble_sharp`` on ``mesh_annulus`` with this solver's ring
@@ -120,8 +119,6 @@ class SharpSolver:
         inner_xy, outer_xy = _polar_points(radii[[0, -1]], cos,
                                            sin).reshape(2, n_angular, 2)
         self.t_ii, self.t_oo = _ring_mass(inner_xy), _ring_mass(outer_xy)
-        # the reduction of scipy's t_ii.sum(axis=1), without its checks
-        self.mean_vec = np.add.reduceat(self.t_ii.data, self.t_ii.indptr[:-1])
         self.inner_angles, self.outer_angles = (
             np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
             for xy in (inner_xy, outer_xy))
@@ -196,41 +193,31 @@ class SharpSolver:
         index, K_k x = t_k e_0 with K_k = sum_s K_s exp(2 pi i k s / nb)
         (the bands of ``_sector_bands``), and g_k is its outer-ring entry.
         For k != 0, K_k is Hermitian positive definite, and one forward
-        elimination, vectorized across the modes, gives g_k; mode 0 is
-        singular and is solved as a small dense system with the mean
-        multiplier.  Modes above nb // 2 are the conjugates of those
-        below, as G is real.
+        elimination, vectorized across the modes, gives g_k.  g_0 = 0:
+        the multiplier absorbs a constant flux (its load T_ii 1 is the
+        inner mean vector, the multiplier's column), so F 1 = 0.  Modes
+        above nb // 2 are the conjugates of those below, as G is real.
         """
         nb = len(self.inner)
         t = np.fft.fft(self.t_ii[:, 0].toarray()[:, 0]).real
         o = np.fft.fft(self.t_oo[:, 0].toarray()[:, 0]).real
         bands = self._sector_bands()
-        rings = bands.shape[-1]
-        modes = np.arange(nb // 2 + 1)
+        modes = np.arange(1, nb // 2 + 1)
         phase = np.exp(2j * np.pi / nb * np.outer(modes, [-1, 0, 1]))
         lower, diag, upper = np.moveaxis(
             np.tensordot(phase, bands, axes=1), 1, 0)
-        # forward elimination of K_k x = t_k e_0, k >= 1: y[r] is the
-        # rhs after elimination over the diagonal m, c the ratio
-        # upper / m; the last y is the outer entry itself
-        y = t[modes[1:]] / diag[1:, 0]
-        c = upper[1:, 0] / diag[1:, 0]
-        for r in range(1, rings):
-            m = diag[1:, r] - lower[1:, r] * c
-            y = -lower[1:, r] * y / m
-            c = upper[1:, r] / m
-        g = np.empty(nb, dtype=complex)
-        g[1:len(modes)] = y
-        g[len(modes):] = np.conj(y[:nb - len(modes)][::-1])
-        # mode 0: [[K_0, m e_0], [m e_0^T, 0]] [x; lam] = [t_0 e_0; 0]
-        aug = np.zeros((rings + 1, rings + 1))
-        aug[:rings, :rings] = (np.diag(diag[0].real)
-                               + np.diag(lower[0, 1:].real, -1)
-                               + np.diag(upper[0, :-1].real, 1))
-        aug[0, rings] = aug[rings, 0] = self.mean_vec[0]
-        rhs = np.zeros(rings + 1)
-        rhs[0] = t[0]
-        g[0] = np.linalg.solve(aug, rhs)[rings - 1]
+        # forward elimination of K_k x = t_k e_0: y[r] is the rhs after
+        # elimination over the diagonal m, c the ratio upper / m; the
+        # last y is the outer entry itself
+        y = t[modes] / diag[:, 0]
+        c = upper[:, 0] / diag[:, 0]
+        for r in range(1, bands.shape[-1]):
+            m = diag[:, r] - lower[:, r] * c
+            y = -lower[:, r] * y / m
+            c = upper[:, r] / m
+        g = np.zeros(nb, dtype=complex)
+        g[modes] = y
+        g[len(modes) + 1:] = np.conj(y[:nb - len(modes) - 1][::-1])
         return g, t, o
 
     def tikhonov(self, alpha: float, f_outer: np.ndarray) -> np.ndarray:

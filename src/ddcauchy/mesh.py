@@ -177,7 +177,8 @@ def levels_for(eps: float, h0: float,
     """Band refinement depth so band triangles resolve eps (h_band <= eps)."""
     if eps >= h0:
         return 0
-    return min(max_levels, int(math.ceil(math.log2(h0 / eps))))
+    # h0 / eps is inf for a subnormal eps: the cap applies
+    return math.ceil(min(max_levels, math.log2(h0 / eps)))
 
 
 def _edge_numbering(tris: np.ndarray, num_vertices: int):

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddcauchy.cli import main
+from ddcauchy.geometry import AnnulusGeometry
+from ddcauchy.mesh import SHARP_MIN_ANGULAR, SHARP_MIN_RADIAL
 
 
 FAST = ["--set", "mesh.sharp_n_angular=48", "--set", "mesh.sharp_n_radial=12",
@@ -173,10 +179,13 @@ def test_non_finite_error_prints_no_warnings(capsys, epsilon):
 @pytest.mark.parametrize("args", [
     ["spectrum", "--set", "study.spectrum_h0=0.5",
      "--set", "study.epsilon=0.01"],
-    ["rates", "--set", "mesh.h0=1.0", "--set", "mesh.max_levels=0"]])
+    ["rates", "--set", "mesh.h0=1.0", "--set", "mesh.max_levels=0"],
+    ["solve", "--delta", "0", "--alpha", "1", "--epsilon", "5e-324",
+     "--set", "mesh.h0=0.5", "--set", "mesh.max_levels=0"]])
 def test_stage_error_exits_1_in_one_line(capsys, tmp_path, args):
-    # both configs load, but the band on the coarse mesh carries no
-    # H-band mass: assembly's error names its stage on one line
+    # each config loads, but the band on the coarse mesh carries no
+    # H-band mass: assembly's error names its stage on one line (at the
+    # subnormal eps, h0 / eps overflows and the level cap applies)
     code = main(args + ["--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
@@ -197,6 +206,68 @@ def test_table_non_finite_cell_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "eps=0.25 alpha=1" in err[0] and "study.table_delta" in err[0]
+
+
+@pytest.mark.parametrize("args, name", [
+    (["solve", "--delta", "1e-3", "--alpha", "1e-3", "--epsilon", "0.0625"],
+     "the solve"),
+    (["table", "--set", "study.alphas=0.1,0.01",
+      "--set", "study.epsilons=0.125"], "table cell eps=0.125 alpha=0.1"),
+    (["rates", "--set", "study.deltas=0.0625,0.03125",
+      "--set", "study.eps_coef=0.5"], "the solve at delta=0.0625")],
+    ids=["solve", "table", "rates"])
+def test_not_converged_exits_1_in_one_line(capsys, tmp_path, args, name):
+    # three MINRES steps are too few for any of these solves: stderr
+    # names the first that stopped
+    out = [] if args[0] == "solve" else ["--out", str(tmp_path)]
+    assert main(args + out + ["--set", "solver.max_iter=3"] + FAST) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ddcauchy: {name}")
+    assert err[0].endswith("did not converge in solver.max_iter = 3 "
+                           "iterations")
+
+
+def _log_floats(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(h0=st.floats(0.2, 0.5), max_levels=st.integers(0, 2),
+       n_angular=st.integers(SHARP_MIN_ANGULAR, 48),
+       n_radial=st.integers(SHARP_MIN_RADIAL, 12),
+       sigma_t=_log_floats(1e-2, 10.0), sigma_r=_log_floats(1e-2, 10.0),
+       max_iter=st.integers(1, 300),
+       delta=st.sampled_from([0.0, 1e-3, 1e300]) | st.floats(0.0, 1e300),
+       alpha=_log_floats(1e-6, 1.0),
+       eps=st.just(0.0) | st.floats(0.0, AnnulusGeometry().eps_admissible,
+                                    exclude_min=True))
+def test_solve_runs_or_fails_in_one_line(h0, max_levels, n_angular, n_radial,
+                                         sigma_t, sigma_r, max_iter, delta,
+                                         alpha, eps):
+    """Every small config that loads either solves or fails in one line:
+    exit 0, 1 or 2, no traceback, and exactly one stderr line when the
+    exit is not 0.  Each RuntimeWarning counts as a stderr line, as a run
+    outside pytest prints it there."""
+    overrides = {"mesh.h0": h0, "mesh.max_levels": max_levels,
+                 "mesh.sharp_n_angular": n_angular,
+                 "mesh.sharp_n_radial": n_radial,
+                 "geometry.sigma_t": sigma_t, "geometry.sigma_r": sigma_r,
+                 "solver.max_iter": max_iter}
+    args = ["solve", "--delta", repr(delta), "--alpha", repr(alpha),
+            "--epsilon", repr(eps)]
+    for key, value in overrides.items():
+        args += ["--set", f"{key}={value!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = main(args)
+    lines = err.getvalue().splitlines() + [
+        str(w.message) for w in caught
+        if issubclass(w.category, RuntimeWarning)]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(lines) == (code != 0), lines
 
 
 def test_verify_passes(verify_run):

@@ -209,6 +209,7 @@ def test_levels_for():
     assert xp.levels_for(0.25, 0.1, 6) == 0
     assert xp.levels_for(0.015625, 0.1, 6) == 3
     assert xp.levels_for(0.015625, 0.1, 2) == 2
+    assert xp.levels_for(5e-324, 0.5, 2) == 2  # h0 / eps overflows
     assert xp.levels_for(0.1, 0.1, 6) == 0
 
 

@@ -85,10 +85,10 @@ def test_blocks_equal_hand_restrictions(ops):
 
 
 def test_sharp_boundary_blocks(sharp_solver, geometry, tensor):
-    """The solver builds its node sets, angles, mean vector and boundary
-    blocks from the two rings of the polar grid; they equal what the
-    lazily built annulus mesh and operator set give, bit for bit, on the
-    128 x 32 fixture grid and on an odd 97 x 24 one.  The solver's rings
+    """The solver builds its node sets, angles and boundary blocks from
+    the two rings of the polar grid; they equal what the lazily built
+    annulus mesh and operator set give, bit for bit, on the 128 x 32
+    fixture grid and on an odd 97 x 24 one.  The solver's rings
     and the operator set's share one ring-mass builder, so both are also
     checked against the edge-by-edge scatter of ``oracles.edge_mass``."""
     for solver in (sharp_solver, SharpSolver(geometry, tensor, 97, 24)):
@@ -108,7 +108,6 @@ def test_sharp_boundary_blocks(sharp_solver, geometry, tensor):
             xy = mesh.vertices[nodes]
             want = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
             assert angles.tobytes() == want.tobytes()
-        assert solver.mean_vec.tobytes() == ops.mean_vec[inner].tobytes()
         assert_identical(solver.t_ii, ops.b_h[np.ix_(inner, inner)])
         assert_identical(solver.t_oo, ops.b_b[np.ix_(outer, outer)])
 
