@@ -77,8 +77,9 @@ PLATEAU_RULE = quadrature(4, 1)
 SHARP_RULE = quadrature(2, 1)
 
 # The rule on cut elements, for every form, study and check: degree 2 on
-# 4 x 4 sub-triangles, 48 points.  The ``rule`` arguments below exist so
-# that tests can vary it.
+# 4 x 4 sub-triangles, 48 points.  ``OperatorSet.build`` applies it; the
+# ``rule`` arguments of ``_diffuse_forms`` and the ``assemble_*`` selectors
+# exist so that tests can vary it.
 CUT_RULE = quadrature(2, 4)
 
 # Closed-form P1 element mass over the element area.
@@ -343,11 +344,11 @@ class OperatorSet:
 
     @classmethod
     def build(cls, mesh: TriMesh, field: PhaseField,
-              tensor: ConductivityTensor,
-              rule: QuadratureRule) -> "OperatorSet":
-        """The diffuse operator set; a band whose mass is identically
-        zero (the mesh misses it, or eps is misconfigured) is refused."""
-        forms = _diffuse_forms(mesh, field, rule, tensor)
+              tensor: ConductivityTensor) -> "OperatorSet":
+        """The diffuse operator set, with CUT_RULE on the cut elements; a
+        band whose mass is identically zero (the mesh misses it, or eps
+        is misconfigured) is refused."""
+        forms = _diffuse_forms(mesh, field, CUT_RULE, tensor)
         for which, mat in zip("HB", forms[2:]):
             if mat.diagonal().max() <= 0.0:
                 raise AssemblyError(f"{which}-band mass is identically zero")

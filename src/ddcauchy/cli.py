@@ -180,7 +180,8 @@ def cmd_rates(args):
 def cmd_spectrum(args):
     cfg = xp.load_config(args.config, _overrides(args))
     _out_dir(cfg)
-    res = xp.run_spectrum_study(cfg)
+    with _quiet_overflow():
+        res = xp.run_spectrum_study(cfg)
     eigs = res.eigenvalues
     print(f"{len(eigs)} eigenvalues, range [{eigs.min():.4g}, "
           f"{eigs.max():.4g}], smallest |lambda| = {np.abs(eigs).min():.3e}")

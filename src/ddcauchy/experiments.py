@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
-from .assembly import CUT_RULE, OperatorSet
+from .assembly import OperatorSet
 from .geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from .harmonics import AngularSeries, GroundTruth, synthesize_truth
 from .inversion import (SharpSolver, add_noise, diffuse_tikhonov,
@@ -340,7 +340,7 @@ class Workspace:
         pf = PhaseField(cfg.geometry, eps)
         mesh = refine_band(self.background, pf,
                            levels_for(eps, cfg.h0, cfg.max_levels))
-        return OperatorSet.build(mesh, pf, cfg.tensor, CUT_RULE)
+        return OperatorSet.build(mesh, pf, cfg.tensor)
 
     def noisy_data(self, delta: float):
         """f_delta on the sharp outer boundary for the configured seed."""
@@ -516,7 +516,7 @@ def run_spectrum_study(cfg: ExperimentConfig) -> SpectrumResult:
     again."""
     pf = PhaseField(cfg.geometry, cfg.spec_epsilon)
     mesh = build_background(cfg.spectrum_h0)
-    ops = OperatorSet.build(mesh, pf, cfg.tensor, CUT_RULE)
+    ops = OperatorSet.build(mesh, pf, cfg.tensor)
     system = build_system(ops, cfg.spec_alpha, np.zeros(mesh.num_vertices))
     if system.size > cfg.dense_cap:
         raise ConfigError(f"study.spectrum_h0, solver.dense_cap: the "

@@ -230,10 +230,10 @@ def ring_diffuse_integral(field: PhaseField, g, r_lo: float,
     return total
 
 
-def annulus_integral(geometry: AnnulusGeometry, g, r_lo: float = None,
-                     r_hi: float = None) -> float:
+def annulus_integral(geometry: AnnulusGeometry, g,
+                     r_lo: float = None) -> float:
     """Quadrature of int g dx over the exact (sharp) annulus, optionally
-    restricted to a sub-ring, on 256 angles by 48 Gauss points."""
+    restricted to its part r > r_lo, on 256 angles by 48 Gauss points."""
     lo = geometry.r_inner if r_lo is None else max(r_lo, geometry.r_inner)
-    hi = geometry.r_outer if r_hi is None else min(r_hi, geometry.r_outer)
+    hi = geometry.r_outer
     return _polar_ring(g, 0.5 * (hi + lo), 0.5 * (hi - lo), 256, 48)

@@ -11,7 +11,8 @@ and -sigma_r * dv/dr on the inner one, so Neumann problems reduce to 2x2
 (here triangular) systems per mode.  One such solve serves the forward
 problem (flux u on the inner circle, insulated outer) and the adjoint
 problem (flux w on the outer circle, insulated inner); from them come the
-exact triples (u, f, v) used as ground truth by the inversion pipeline.
+exact triples (u, f, v) used as ground truth by the inversion pipeline:
+``GroundTruth`` holds u and f as angular series, evaluated at any angles.
 
 Mean-zero modes only (k >= 1): the k = 0 mode carries no information
 through either map and is excluded from the series type.
@@ -145,30 +146,23 @@ class GroundTruth:
     """Exact data for the inversion pipeline, built from a source density.
 
     w        source density lambda on the outer circle
-    u_series exact control u = F* w on the inner circle (trace of p)
-    f_series exact data f = F u on the outer circle (trace of v)
+    u_series exact control u_dagger = F* w on the inner circle (trace of
+             the adjoint driven by w)
+    f_series exact data f_dagger = F u on the outer circle (trace of v)
     v_field  exact state (forward solution driven by u)
-    p_field  exact adjoint (driven by w)
     """
 
     w: AngularSeries
     u_series: AngularSeries
     f_series: AngularSeries
     v_field: ModeField
-    p_field: ModeField
-
-    def u_dagger(self, theta):
-        return self.u_series(theta)
-
-    def f_dagger(self, theta):
-        return self.f_series(theta)
 
 
 def synthesize_truth(geometry: AnnulusGeometry, tensor: ConductivityTensor,
                      w: AngularSeries) -> GroundTruth:
     """Chain w -> u = F* w -> f = F u, all in closed form."""
-    p_field = solve_adjoint_modes(geometry, tensor, w)
-    u_series = p_field.trace_series(geometry.r_inner)
+    adjoint = solve_adjoint_modes(geometry, tensor, w)
+    u_series = adjoint.trace_series(geometry.r_inner)
     v_field = solve_forward_modes(geometry, tensor, u_series)
     f_series = v_field.trace_series(geometry.r_outer)
-    return GroundTruth(w, u_series, f_series, v_field, p_field)
+    return GroundTruth(w, u_series, f_series, v_field)

@@ -390,7 +390,7 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth,
     n = mesh.num_vertices
     a_v = ops.active_v
 
-    u_truth = extend_control(truth.u_dagger, ops)
+    u_truth = extend_control(truth.u_series, ops)
     e_u = sol.u - u_truth
     u_err_band = float(np.sqrt(_dot(e_u, ops.b_h @ e_u)))
 
@@ -417,7 +417,7 @@ def error_norms(sol: DiffuseSolution, truth: GroundTruth,
 def sharp_error(u_inner: np.ndarray, solver: SharpSolver,
                 truth: GroundTruth) -> float:
     """L2(inner polygon) control error of a sharp Tikhonov solution."""
-    e = u_inner - truth.u_dagger(solver.inner_angles)
+    e = u_inner - truth.u_series(solver.inner_angles)
     return solver.inner_norm(e)
 
 
@@ -430,10 +430,10 @@ def truth_fixture_csv(truth: GroundTruth, solver: SharpSolver) -> str:
     lines = ["kind,index,angle,value"]
     for i, t in enumerate(truth.w.terms):
         lines.append(f"w_term,{i},{t.kind}:{t.k},{float(t.coef)!r}")
-    u = truth.u_dagger(solver.inner_angles)
+    u = truth.u_series(solver.inner_angles)
     for i, (ang, val) in enumerate(zip(solver.inner_angles, u)):
         lines.append(f"u_dagger,{i},{float(ang)!r},{float(val)!r}")
-    f = truth.f_dagger(solver.outer_angles)
+    f = truth.f_series(solver.outer_angles)
     for i, (ang, val) in enumerate(zip(solver.outer_angles, f)):
         lines.append(f"f_dagger,{i},{float(ang)!r},{float(val)!r}")
     return "\n".join(lines) + "\n"

@@ -18,18 +18,18 @@ are closed under "any marked edge marks the triangle's longest edge",
 then every triangle is split green (longest edge bisected), blue (longest
 edge and one leg) or red (quartered through all three midpoints).  Every
 child of a right-isosceles triangle is right-isosceles again, so the
-refined meshes keep a minimum angle of 45 degrees.
+refined meshes keep a minimum angle of 45 degrees by construction; no
+angle is measured at run time.
 
-The per-triangle kernels (radial interval, angles, edge numbering,
-longest edge) read each triangle's three corners once, as 1-D columns
-(``_corners``), and write every reduction over the corners out as
-elementwise arithmetic on those columns: ``np.maximum`` chains for
-``max(axis=1)``, ``a + b`` for a length-2 ``sum``, ``|`` for ``any``.
-In numpy 2.4 a reduction over an axis of length 2 or 3 costs ten to
-forty times the same arithmetic done column by column.  Each expression
-keeps the order of the reduction it replaces (dot products as
-``ax*bx + ay*by``, the first maximum winning ties), so the results are
-the same bits.
+The per-triangle kernels (radial interval, edge numbering, longest edge)
+read each triangle's three corners once, as 1-D columns (``_corners``),
+and write every reduction over the corners out as elementwise arithmetic
+on those columns: ``np.maximum`` chains for ``max(axis=1)``, ``a + b``
+for a length-2 ``sum``, ``|`` for ``any``.  In numpy 2.4 a reduction
+over an axis of length 2 or 3 costs ten to forty times the same
+arithmetic done column by column.  Each expression keeps the order of
+the reduction it replaces (dot products as ``ax*bx + ay*by``, the first
+maximum winning ties), so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -63,19 +63,14 @@ class TriMesh:
 
     vertices    (n, 2) float coordinates
     triangles   (m, 3) int vertex indices, counterclockwise
-    generation  per-triangle number of bisections since the background
-                triangle (a green split adds 1, a red 2)
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    generation: np.ndarray = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        if self.generation is None:
-            self.generation = np.zeros(len(self.triangles), dtype=np.int64)
 
     @property
     def num_vertices(self) -> int:
@@ -84,19 +79,6 @@ class TriMesh:
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    def smallest_angles(self) -> np.ndarray:
-        """Smallest interior angle of each triangle, in degrees."""
-        x, y = _corners(self.vertices, self.triangles)
-        angles = []
-        for k in range(3):
-            # corner k, between the edges to corners k + 1 and k + 2
-            ax, ay = x[(k + 1) % 3] - x[k], y[(k + 1) % 3] - y[k]
-            bx, by = x[(k + 2) % 3] - x[k], y[(k + 2) % 3] - y[k]
-            den = np.sqrt(ax * ax + ay * ay) * np.sqrt(bx * bx + by * by)
-            angles.append(np.arccos(np.clip((ax * bx + ay * by) / den,
-                                            -1.0, 1.0)))
-        return np.degrees(reduce(np.minimum, angles))
 
 
 def background_vertices(h0: float) -> float:
@@ -222,9 +204,6 @@ _SPLITS = {
 }
 
 
-QUALITY_FLOOR_DEG = 20.0  # smallest angle refine_band accepts, degrees
-
-
 def refine_band(mesh: TriMesh, field: PhaseField, levels: int) -> TriMesh:
     """Refine triangles meeting {|d| < 2 eps} to ``levels`` red levels.
 
@@ -235,15 +214,12 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int) -> TriMesh:
     marked edge also has its longest edge marked; each marked edge gets
     one midpoint; every triangle is then split green, blue or red by its
     marked edges, so the result is conforming by construction.  Each
-    triangle carries its bisection generation (green +1, red +2) and band
-    triangles stop at generation 2 * levels, i.e. at diameter
-    h_bg / 2**levels for background diameter h_bg.  On the right-isosceles
-    background every child is right-isosceles again, so the minimum angle
-    stays 45 degrees.  Refining an already refined mesh continues from its
-    ``generation``.
+    triangle's bisection generation is counted from the input mesh (green
+    +1, red +2), and band triangles stop at generation 2 * levels, i.e. at
+    diameter h_bg / 2**levels for background diameter h_bg.  On the
+    right-isosceles background every child is right-isosceles again, so
+    the minimum angle stays 45 degrees.
 
-    Raises MeshError if some angle of the result is below
-    QUALITY_FLOOR_DEG, naming the worst triangle.
     Intended for background meshes, so the result has no boundary edges.
     Input vertices keep their indices and coordinates; new vertices are
     appended.
@@ -254,7 +230,7 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int) -> TriMesh:
         return mesh
     verts = mesh.vertices
     tris = _longest_edge_first(verts, mesh.triangles)
-    gen = mesh.generation
+    gen = np.zeros(len(tris), dtype=np.int64)
     target = 2 * levels
     margin = 2.0 * field.epsilon
     while True:
@@ -294,13 +270,7 @@ def refine_band(mesh: TriMesh, field: PhaseField, levels: int) -> TriMesh:
             new_gen[slots] = gen[mask][:, None] + gains
         tris, gen = new_tris, new_gen
 
-    out = TriMesh(verts, tris, generation=gen)
-    angles = out.smallest_angles()
-    worst = int(np.argmin(angles))
-    if angles[worst] < QUALITY_FLOOR_DEG:
-        raise MeshError(f"quality floor violated: min angle "
-                        f"{angles[worst]:.2f} deg (triangle {worst})")
-    return out
+    return TriMesh(verts, tris)
 
 
 SHARP_MIN_ANGULAR = 8

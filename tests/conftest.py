@@ -31,18 +31,17 @@ def background_coarse():
     return build_background(0.15)
 
 
-def make_ops(geometry, tensor, rule, eps, h0=0.15, base=None):
+def make_ops(geometry, tensor, eps, h0=0.15, base=None):
     field = PhaseField(geometry, eps)
     mesh = base if base is not None else build_background(h0)
     refined = refine_band(mesh, field, levels_for(eps, h0))
-    return OperatorSet.build(refined, field, tensor, rule)
+    return OperatorSet.build(refined, field, tensor)
 
 
 @pytest.fixture(scope="session")
-def ops_16(geometry, tensor, rule, background_coarse):
+def ops_16(geometry, tensor, background_coarse):
     """Operators at eps = 2^-4 on the coarse background."""
-    return make_ops(geometry, tensor, rule, 2.0 ** -4,
-                    base=background_coarse)
+    return make_ops(geometry, tensor, 2.0 ** -4, base=background_coarse)
 
 
 @pytest.fixture(scope="session")
@@ -118,10 +117,10 @@ def spectrum_run():
 
 
 @pytest.fixture(scope="session")
-def spectrum_setup(geometry, tensor, rule):
+def spectrum_setup(geometry, tensor):
     """Operator set of the default spectrum system and its zero data."""
     mesh = build_background(0.08)
-    ops = OperatorSet.build(mesh, PhaseField(geometry, 0.125), tensor, rule)
+    ops = OperatorSet.build(mesh, PhaseField(geometry, 0.125), tensor)
     return ops, np.zeros(mesh.num_vertices)
 
 

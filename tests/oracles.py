@@ -262,12 +262,12 @@ def longest_edge_first(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
 
 def refine_band(mesh, field, levels: int):
     """``mesh.refine_band`` on the kernels above, with the closure and the
-    split pattern as row reductions; the quality floor is left out."""
+    split pattern as row reductions."""
     if levels == 0:
         return mesh
     verts = mesh.vertices
     tris = longest_edge_first(verts, mesh.triangles)
-    gen = mesh.generation
+    gen = np.zeros(len(tris), dtype=np.int64)
     target = 2 * levels
     margin = 2.0 * field.epsilon
     geo = field.geometry
@@ -308,7 +308,7 @@ def refine_band(mesh, field, levels: int):
             new_tris[slots] = local[mask][:, children]
             new_gen[slots] = gen[mask][:, None] + gains
         tris, gen = new_tris, new_gen
-    return TriMesh(verts, tris, generation=gen)
+    return TriMesh(verts, tris)
 
 
 # The saddle system and MINRES as they were before the KKT matrix was

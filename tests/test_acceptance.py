@@ -13,7 +13,7 @@ Criteria 1-3 run the matching checks of ``ddcauchy.verify``.
 import numpy as np
 
 from ddcauchy import experiments as xp
-from ddcauchy.assembly import CUT_RULE, OperatorSet
+from ddcauchy.assembly import OperatorSet
 from ddcauchy.geometry import AnnulusGeometry, ConductivityTensor, PhaseField
 from ddcauchy.harmonics import AngularSeries, synthesize_truth
 from ddcauchy.inversion import diffuse_forward, extend_control
@@ -170,8 +170,8 @@ def test_criterion_09_perturbation_decay():
         eps = 2.0 ** -k
         field = PhaseField(GEO, eps)
         mesh = refine_band(base, field, levels_for(eps, h0) + 1)
-        ops = OperatorSet.build(mesh, field, TEN, CUT_RULE)
-        v = diffuse_forward(ops, ops.b_h @ extend_control(truth.u_dagger,
+        ops = OperatorSet.build(mesh, field, TEN)
+        v = diffuse_forward(ops, ops.b_h @ extend_control(truth.u_series,
                                                           ops))
         a_v = ops.active_v
         vt = np.zeros(mesh.num_vertices)

@@ -70,11 +70,11 @@ def test_restricted_blocks_positive_definite(ops_16):
     assert lam[0] > 0
 
 
-def test_dirichlet_energy_of_x_matches_bulk_area(geometry, rule,
+def test_dirichlet_energy_of_x_matches_bulk_area(geometry,
                                                  background_coarse):
     # v(x, y) = x with M = I: energy = int omega dx (annulus area exactly,
     # by the two-sided defect cancellation), up to quadrature error
-    ops = make_ops(geometry, ConductivityTensor.identity(), rule, 2.0 ** -4,
+    ops = make_ops(geometry, ConductivityTensor.identity(), 2.0 ** -4,
                    base=background_coarse)
     v = ops.mesh.vertices[:, 0]
     energy = float(v @ (ops.k_omega @ v))
@@ -113,10 +113,10 @@ def test_band_mass_empty_band_signals(geometry, tensor):
                   np.array([[0, 1, 2]]))
     assert assemble_band_mass(far, field, "H", quadrature(2, 2)).nnz == 0
     with pytest.raises(AssemblyError, match="H-band mass is identically zero"):
-        OperatorSet.build(far, field, tensor, quadrature(2, 2))
+        OperatorSet.build(far, field, tensor)
 
 
-def test_band_check_names_the_missing_band(geometry, tensor, rule):
+def test_band_check_names_the_missing_band(geometry, tensor):
     # the background triangles inside |x| < 0.65 cover the H-band, and
     # none of them meets the B-band
     field = PhaseField(geometry, 2.0 ** -4)
@@ -125,7 +125,7 @@ def test_band_check_names_the_missing_band(geometry, tensor, rule):
     inner = TriMesh(base.vertices,
                     base.triangles[radii.max(axis=1) < 0.65])
     with pytest.raises(AssemblyError, match="B-band mass is identically zero"):
-        OperatorSet.build(inner, field, tensor, rule)
+        OperatorSet.build(inner, field, tensor)
 
 
 def test_bulk_mass_totals(ops_16):
@@ -137,7 +137,7 @@ def test_bulk_mass_totals(ops_16):
 
 
 def test_diffuse_functional_examples(geometry, tensor, rule):
-    ops = make_ops(geometry, tensor, rule, 2.0 ** -5, h0=0.1)
+    ops = make_ops(geometry, tensor, 2.0 ** -5, h0=0.1)
     mesh, field = ops.mesh, ops.field
     one = lambda p: np.ones(len(p))
     got = diffuse_functional(mesh, field, one, "B", rule)
@@ -316,7 +316,7 @@ def subdivided_everywhere(mesh, field, tensor, rule):
 
 def test_cut_plateau_split_matches_subdivided_reference(geometry, tensor,
                                                         rule):
-    ops = make_ops(geometry, tensor, rule, 2.0 ** -5, h0=0.15)
+    ops = make_ops(geometry, tensor, 2.0 ** -5, h0=0.15)
     ref = subdivided_everywhere(ops.mesh, ops.field, tensor, rule)
     got = {"k": ops.k_omega, "m": ops.m_omega, "H": ops.b_h, "B": ops.b_b}
     for name, tol in (("k", 1e-6), ("m", 1e-13), ("H", 1e-13),
@@ -396,7 +396,7 @@ def test_build_memory_does_not_grow_with_the_rule(geometry, tensor):
         rule = quadrature(2, s)
         tracemalloc.start()
         try:
-            OperatorSet.build(mesh, field, tensor, rule)
+            _diffuse_forms(mesh, field, rule, tensor)
             peaks[s] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

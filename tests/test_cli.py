@@ -176,6 +176,18 @@ def test_non_finite_error_prints_no_warnings(capsys, epsilon):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_spectrum_stage_error_prints_no_warnings(capsys, tmp_path):
+    # at the subnormal eps, d / eps overflows in the phase field before
+    # assembly refuses the empty band
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["spectrum", "--set", "study.spectrum_h0=0.25",
+                     "--set", "study.epsilon=5e-324",
+                     "--out", str(tmp_path)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args", [
     ["spectrum", "--set", "study.spectrum_h0=0.5",
      "--set", "study.epsilon=0.01"],

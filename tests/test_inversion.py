@@ -99,7 +99,7 @@ def test_sharp_boundary_nodes_in_increasing_angle(sharp_solver):
 
 
 def test_default_ground_truth_mean_free(sharp_solver, truth):
-    u_nodal = truth.u_dagger(sharp_solver.inner_angles)
+    u_nodal = truth.u_series(sharp_solver.inner_angles)
     mean = sharp_solver.ops.mean_vec[sharp_solver.inner] @ u_nodal
     assert abs(mean) <= 1e-12 * sharp_solver.inner_norm(u_nodal)
 
@@ -110,7 +110,7 @@ def test_default_ground_truth_mean_free(sharp_solver, truth):
 
 
 def test_add_noise_exact_level(sharp_solver, truth):
-    f = truth.f_dagger(sharp_solver.outer_angles)
+    f = truth.f_series(sharp_solver.outer_angles)
     assert np.array_equal(add_noise(f, 0.0, 7, sharp_solver.t_oo), f)
     for delta in (1e-3, 0.2):
         fd = add_noise(f, delta, 7, sharp_solver.t_oo)
@@ -141,15 +141,15 @@ def test_extend_data_examples(sharp_solver, ops_16):
     assert abs(ext[nodes[probe]]) <= 1e-3
 
 
-def test_extend_data_norm_equivalence(geometry, tensor, rule, sharp_solver,
+def test_extend_data_norm_equivalence(geometry, tensor, sharp_solver,
                                       truth):
     """||E_B f||_M / ||f||_L2(outer) -> 1 as eps -> 0, deviation O(eps^2)
     plus the angular interpolation error."""
-    f = truth.f_dagger(sharp_solver.outer_angles)
+    f = truth.f_series(sharp_solver.outer_angles)
     norm_sharp = sharp_solver.outer_norm(f)
     devs = []
     for eps in (0.125, 0.0625, 0.03125):
-        ops = make_ops(geometry, tensor, rule, eps, h0=0.1)
+        ops = make_ops(geometry, tensor, eps, h0=0.1)
         ext = extend_data(f, sharp_solver.outer_angles, ops)
         norm_band = np.sqrt(ext @ (ops.b_b @ ext))
         devs.append(abs(norm_band / norm_sharp - 1.0))
@@ -170,7 +170,7 @@ def test_diffuse_tikhonov_zero_data(ops_16):
 
 def test_diffuse_tikhonov_damping_and_optimality(ops_16, sharp_solver,
                                                  truth):
-    f = truth.f_dagger(sharp_solver.outer_angles)
+    f = truth.f_series(sharp_solver.outer_angles)
     f_tilde = extend_data(f, sharp_solver.outer_angles, ops_16)
     norms = []
     for alpha in (1.0, 10.0, 100.0):
@@ -185,7 +185,7 @@ def test_diffuse_tikhonov_damping_and_optimality(ops_16, sharp_solver,
 
 
 def test_diffuse_solution_mean_constraints(ops_16, sharp_solver, truth):
-    f = add_noise(truth.f_dagger(sharp_solver.outer_angles), 1e-3, 5,
+    f = add_noise(truth.f_series(sharp_solver.outer_angles), 1e-3, 5,
                   sharp_solver.t_oo)
     f_tilde = extend_data(f, sharp_solver.outer_angles, ops_16)
     sol = diffuse_tikhonov(ops_16, 1e-3, f_tilde)
@@ -204,7 +204,7 @@ def state_and_adjoint(solver, u, f_outer):
 
 
 def test_sharp_tikhonov_properties(sharp_solver, truth):
-    f_dag = truth.f_dagger(sharp_solver.outer_angles)
+    f_dag = truth.f_series(sharp_solver.outer_angles)
     # noise-free: control error decreases as alpha -> 0 (convergence)
     errs = []
     for alpha in (1e-2, 1e-4, 1e-6):
@@ -224,7 +224,7 @@ def test_sharp_tikhonov_properties(sharp_solver, truth):
     misfit = sharp_solver.outer_norm(v[sharp_solver.outer] - fd) ** 2
     penalty = alpha * sharp_solver.inner_norm(u) ** 2
     u_dag_norm = sharp_solver.inner_norm(
-        truth.u_dagger(sharp_solver.inner_angles))
+        truth.u_series(sharp_solver.inner_angles))
     assert misfit + penalty <= delta ** 2 + alpha * u_dag_norm ** 2 + 1e-12
     for bad in (-1.0, float("nan")):
         with pytest.raises(InversionError):
@@ -250,7 +250,7 @@ def test_sharp_normal_equation_matches_kkt(sharp_solver, geometry, tensor,
     measures conditioning, not the elimination."""
     solver = sharp_solver if n_angular == 128 else SharpSolver(
         geometry, tensor, 192, 48)
-    f = add_noise(truth.f_dagger(solver.outer_angles), 1e-3, 9, solver.t_oo)
+    f = add_noise(truth.f_series(solver.outer_angles), 1e-3, 9, solver.t_oo)
     for alpha, tol in ((1e-1, 1e-9), (1e-2, 1e-9), (1e-3, 1e-9),
                        (1e-4, 1e-8), (1e-6, 1e-6)):
         u = solver.tikhonov(alpha, f)
@@ -286,7 +286,7 @@ def test_sharp_fft_matches_dense_normal_equation(sharp_solver, geometry,
     192 x 48), and the symbol's mode 0 is exactly 0."""
     solver = sharp_solver if n_angular == 128 else SharpSolver(
         geometry, tensor, n_angular, n_radial)
-    f = add_noise(truth.f_dagger(solver.outer_angles), 1e-3, 9, solver.t_oo)
+    f = add_noise(truth.f_series(solver.outer_angles), 1e-3, 9, solver.t_oo)
     alpha = 1e-2
     u = solver.tikhonov(alpha, f)
     g = blocked_transfer(solver)
@@ -363,7 +363,7 @@ def test_sharp_tikhonov_matches_kkt_on_any_grid(geometry, n_angular, n_radial,
 
 def test_error_norms_zero_for_truth(ops_16, geometry, tensor, truth):
     n = ops_16.mesh.num_vertices
-    u_truth = extend_control(truth.u_dagger, ops_16)
+    u_truth = extend_control(truth.u_series, ops_16)
     v_truth = np.zeros(n)
     pts = ops_16.mesh.vertices
     v_truth[ops_16.active_v] = truth.v_field(
@@ -379,7 +379,7 @@ def test_error_norms_zero_for_truth(ops_16, geometry, tensor, truth):
 def test_error_norms_homogeneity_and_dual_bound(ops_16, truth):
     rng = np.random.default_rng(12)
     n = ops_16.mesh.num_vertices
-    u_truth = extend_control(truth.u_dagger, ops_16)
+    u_truth = extend_control(truth.u_series, ops_16)
     pert = np.zeros(n)
     pert[ops_16.active_u] = rng.standard_normal(len(ops_16.active_u))
     sol1 = DiffuseSolution(u_truth + pert, np.zeros(n), np.zeros(n), None)
@@ -393,7 +393,7 @@ def test_error_norms_homogeneity_and_dual_bound(ops_16, truth):
 
 
 def test_error_norms_reuse_the_solve_factor(ops_16, sharp_solver, truth):
-    f_tilde = extend_data(truth.f_dagger(sharp_solver.outer_angles),
+    f_tilde = extend_data(truth.f_series(sharp_solver.outer_angles),
                           sharp_solver.outer_angles, ops_16)
     sol = diffuse_tikhonov(ops_16, 1e-2, f_tilde)
     # the factor the solve left on ops_16 gives the norms of a fresh
@@ -404,7 +404,7 @@ def test_error_norms_reuse_the_solve_factor(ops_16, sharp_solver, truth):
 
 def test_diffuse_tikhonov_reuses_preconditioner(ops_16, sharp_solver,
                                                 truth):
-    f_tilde = extend_data(truth.f_dagger(sharp_solver.outer_angles),
+    f_tilde = extend_data(truth.f_series(sharp_solver.outer_angles),
                           sharp_solver.outer_angles, ops_16)
     diffuse_tikhonov(ops_16, 1e-1, f_tilde)
     again = diffuse_tikhonov(ops_16, 1e-2, f_tilde)
@@ -416,7 +416,7 @@ def test_diffuse_tikhonov_reuses_preconditioner(ops_16, sharp_solver,
 
 def test_alphas_solved_together_match_single_solves(ops_16, sharp_solver,
                                                     truth):
-    f_tilde = extend_data(truth.f_dagger(sharp_solver.outer_angles),
+    f_tilde = extend_data(truth.f_series(sharp_solver.outer_angles),
                           sharp_solver.outer_angles, ops_16)
     alphas = (1e-1, 1e-2, 1e-3)
     together = diffuse_tikhonov_alphas(ops_16, alphas, f_tilde)
@@ -438,7 +438,7 @@ def test_alphas_solved_together_match_single_solves(ops_16, sharp_solver,
 
 
 def test_diffuse_forward_matches_band_data(ops_16, truth):
-    u_band = extend_control(truth.u_dagger, ops_16)
+    u_band = extend_control(truth.u_series, ops_16)
     v = diffuse_forward(ops_16, ops_16.b_h @ u_band)
     # the weak form holds: K v = B_H u modulo the mean multiplier
     resid = (ops_16.k_omega @ v - ops_16.b_h @ u_band)[ops_16.active_v]
@@ -448,17 +448,17 @@ def test_diffuse_forward_matches_band_data(ops_16, truth):
     assert abs(ops_16.mean_vec @ v) <= 1e-10
 
 
-def test_diffuse_to_sharp_consistency(geometry, tensor, rule, sharp_solver,
+def test_diffuse_to_sharp_consistency(geometry, tensor, sharp_solver,
                                       truth):
     """||u_eps - u_sharp|| on the H band decreases across eps."""
     delta, alpha, seed = 1e-3, 1e-3, 21
-    f_dag = truth.f_dagger(sharp_solver.outer_angles)
+    f_dag = truth.f_series(sharp_solver.outer_angles)
     f_del = add_noise(f_dag, delta, seed, sharp_solver.t_oo)
     u_sharp = sharp_solver.tikhonov(alpha, f_del)
     series = dict(zip(sharp_solver.inner_angles, u_sharp))
     diffs = []
     for eps in (0.125, 0.0625, 0.03125):
-        ops = make_ops(geometry, tensor, rule, eps, h0=0.1)
+        ops = make_ops(geometry, tensor, eps, h0=0.1)
         f_tilde = extend_data(f_del, sharp_solver.outer_angles, ops)
         sol = diffuse_tikhonov(ops, alpha, f_tilde)
         nodes = np.flatnonzero(ops.b_h.diagonal() > 0)
@@ -472,17 +472,17 @@ def test_diffuse_to_sharp_consistency(geometry, tensor, rule, sharp_solver,
     assert diffs[0] > diffs[1] > diffs[2]
 
 
-def test_tikhonov_value_bound(geometry, tensor, rule, sharp_solver, truth):
+def test_tikhonov_value_bound(geometry, tensor, sharp_solver, truth):
     """J(solution) <= delta^2 + alpha ||u_dag||^2 + K eps^3 with the
     calibration constant K frozen once."""
     K_FROZEN = 50.0
     delta, alpha = 1e-3, 1e-3
-    f_dag = truth.f_dagger(sharp_solver.outer_angles)
+    f_dag = truth.f_series(sharp_solver.outer_angles)
     f_del = add_noise(f_dag, delta, 3, sharp_solver.t_oo)
     u_dag_norm = sharp_solver.inner_norm(
-        truth.u_dagger(sharp_solver.inner_angles))
+        truth.u_series(sharp_solver.inner_angles))
     for eps in (0.125, 0.0625):
-        ops = make_ops(geometry, tensor, rule, eps, h0=0.1)
+        ops = make_ops(geometry, tensor, eps, h0=0.1)
         f_tilde = extend_data(f_del, sharp_solver.outer_angles, ops)
         sol = diffuse_tikhonov(ops, alpha, f_tilde)
         e = sol.v - f_tilde
@@ -504,11 +504,11 @@ def test_truth_fixture_csv(sharp_solver, truth):
     rec = lines[1 + len(truth.w.terms)].split(",")
     assert rec[0] == "u_dagger"
     assert float(rec[3]) == pytest.approx(
-        truth.u_dagger(float(rec[2])), abs=0)
+        truth.u_series(float(rec[2])), abs=0)
 
 
 def test_pipeline_determinism(ops_16, sharp_solver, truth):
-    f = add_noise(truth.f_dagger(sharp_solver.outer_angles), 0.0, 1,
+    f = add_noise(truth.f_series(sharp_solver.outer_angles), 0.0, 1,
                   sharp_solver.t_oo)
     f_tilde = extend_data(f, sharp_solver.outer_angles, ops_16)
     a = diffuse_tikhonov(ops_16, 1e-2, f_tilde)

@@ -200,7 +200,7 @@ def test_each_matrix_factored_once(monkeypatch, ops_16, sharp_solver,
         return original(mat, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
-    f_tilde = extend_data(truth.f_dagger(sharp_solver.outer_angles),
+    f_tilde = extend_data(truth.f_series(sharp_solver.outer_angles),
                           sharp_solver.outer_angles, ops)
     for alpha in (1e-1, 1e-2, 1e-3):
         sol = diffuse_tikhonov(ops, alpha, f_tilde)

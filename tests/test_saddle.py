@@ -382,10 +382,10 @@ def test_solution_solves_system(ops_16):
 
 
 @pytest.fixture(scope="module")
-def small_spectrum(geometry, tensor, rule):
+def small_spectrum(geometry, tensor):
     """A refined spectrum system (eps = 0.125, h0 = 0.2, alpha = 1e-3)
     and its eigenvalues."""
-    ops = make_ops(geometry, tensor, rule, 0.125, h0=0.2)
+    ops = make_ops(geometry, tensor, 0.125, h0=0.2)
     system = build_system(ops, 1e-3, np.zeros(ops.mesh.num_vertices))
     return system, spectrum(system)
 
@@ -480,11 +480,11 @@ def test_spectrum_reads_only_the_size_of_the_matrix(small_spectrum):
         spectrum(dataclasses.replace(system, matrix=shape_only)), eigs)
 
 
-def test_spectrum_holds_one_dense_matrix(geometry, tensor, rule):
+def test_spectrum_holds_one_dense_matrix(geometry, tensor):
     # C = L^-1 A L^-T is formed in one new dense array, its scratch in
     # C's own columns; beside it live only the dense Cholesky factors
     ops = OperatorSet.build(build_background(0.15),
-                            PhaseField(geometry, 0.125), tensor, rule)
+                            PhaseField(geometry, 0.125), tensor)
     system = build_system(ops, 1e-4, np.zeros(ops.mesh.num_vertices))
     ops.riesz_h  # restricted first: only the dense arrays are measured
     n = system.size
@@ -497,13 +497,13 @@ def test_spectrum_holds_one_dense_matrix(geometry, tensor, rule):
     assert peak <= 1.5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2"
 
 
-def test_brezzi_stability_across_eps(geometry, tensor, rule):
+def test_brezzi_stability_across_eps(geometry, tensor):
     """alpha-norm of the solution bounded by the data norm with an
     empirical constant stable (within 2x) across eps."""
     alpha = 1e-2
     consts = []
     for eps in (0.125, 0.0625, 0.03125):
-        ops = make_ops(geometry, tensor, rule, eps, h0=0.15)
+        ops = make_ops(geometry, tensor, eps, h0=0.15)
         n = ops.mesh.num_vertices
         theta_f = lambda t: np.cos(2 * t)
         diag_b = ops.b_b.diagonal()

@@ -46,7 +46,7 @@ def test_traced_names_resolve():
 def test_traced_solves_equal_untraced(ops_16, sharp_solver, truth):
     spans = load_spans()
     alpha = 1e-2
-    f_del = truth.f_dagger(sharp_solver.outer_angles)
+    f_del = truth.f_series(sharp_solver.outer_angles)
     f_tilde = inversion.extend_data(f_del, sharp_solver.outer_angles, ops_16)
     sharp = sharp_solver.tikhonov(alpha, f_del)
     diffuse = inversion.diffuse_tikhonov(ops_16, alpha, f_tilde)
@@ -139,8 +139,7 @@ def test_traced_spectrum_equals_untraced():
     assert tracer.layers()["saddle.spectrum"][0] == 1
 
 
-def test_layer_metrics_classify_the_built_operator_sets(geometry, tensor,
-                                                        rule):
+def test_layer_metrics_classify_the_built_operator_sets(geometry, tensor):
     # layer_metrics calls mesh.band_triangles and assembly._support_mask
     # on every operator set built under the recorder
     spans = load_spans()
@@ -148,7 +147,7 @@ def test_layer_metrics_classify_the_built_operator_sets(geometry, tensor,
     tracer = spans.Tracer()
     with tracer:
         assembly.OperatorSet.build(mesh.build_background(0.3), field,
-                                   tensor, rule)
+                                   tensor)
     assert len(tracer.built_ops) == 1
     metrics = tracer.layer_metrics(1.0)
     assert 0.0 < metrics["assembly.cut_ratio"] < 1.0
